@@ -79,7 +79,6 @@ from .polytope import (
     relative_volume,
     simplex_inclusion,
     standard_simplex,
-    strict_inclusion,
     sum_slice,
     triangulate,
     volume,

@@ -42,9 +42,17 @@ PRECONDITION_ERRORS = (
     json.JSONDecodeError, ValueError,
 )
 
-DEFAULT_K = (1, 2, 4)
 DEFAULT_SAMPLES = 10 ** 5
 DEFAULT_TOL = Fraction(1, 2 ** 40)
+
+# Flags that several subcommands read; each subcommand takes only the ones
+# it reads.  Every subcommand takes --seed and --out, which _emit reads.
+SHARED_FLAGS = {
+    "--polytope": {}, "--vertex": {}, "--k": {"default": "1,2,4"},
+    "--numeric": {"action": "store_true"},
+    "--samples": {"type": int, "default": DEFAULT_SAMPLES},
+    "--svg": {}, "--seed": {"type": int}, "--out": {},
+}
 
 
 def _emit(args, obj):
@@ -59,6 +67,8 @@ def _emit(args, obj):
 
 
 def _load_polytope(path):
+    if path is None:
+        raise ValueError("--polytope is required")
     with open(path) as fh:
         return pt.Polytope.from_json_dict(json.load(fh))
 
@@ -144,7 +154,7 @@ def cmd_volume(args):
 
 def cmd_seshadri(args):
     gc = _build(args)
-    tol = Fraction(args.tol) if args.tol else DEFAULT_TOL
+    tol = rat(args.tol) if args.tol else DEFAULT_TOL
     ses = gr.seshadri_constant(gc, tol=tol)
     _emit(args, {"seshadri": ses.to_json_dict(), "seed": _seed(args),
                  "tolerance": rat_str(tol)})
@@ -195,8 +205,8 @@ def cmd_chebyshev(args):
         P = _load_polytope(args.polytope)
         if args.vertex:
             P, _ = pt.normalize_at_vertex(P, _parse_vertex(args.vertex))
-        if args.k:
-            u = cf.logsumexp_from_polytope(P, int(args.k))
+        if args.k is not None:
+            u = cf.logsumexp_from_polytope(P, args.k)
         else:
             u = cf.MaxAffineFunction.support_function(P)
     tr = ok.chebyshev_transform(u)
@@ -225,8 +235,7 @@ def cmd_embed_ball(args):
         raise ValueError("embed-ball requires --fs-lambda")
     source = cf.SmoothToricPotential.fubini_study(rat(args.fs_lambda), dim=gc.dim)
     glued = em.fit_ball(gc, source, args.R, epsilon=args.epsilon,
-                        samples=args.samples if args.samples <= 10 ** 4 else 1000,
-                        seed=seed)
+                        samples=args.samples, seed=seed)
     out = glued.certificate.to_json_dict()
     out["seed"] = seed
     _emit(args, out)
@@ -260,75 +269,40 @@ def build_parser():
     p = argparse.ArgumentParser(prog="growthlab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, vertex=True, klist=True):
-        sp.add_argument("--polytope", required=False)
-        if vertex:
-            sp.add_argument("--vertex", default=None)
-        if klist:
-            sp.add_argument("--k", default="1,2,4")
-        sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--svg", default=None)
+    def command(name, fn, *flags):
+        sp = sub.add_parser(name)
+        for flag in flags + ("--seed", "--out"):
+            sp.add_argument(flag, **SHARED_FLAGS[flag])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("check-delzant")
-    common(sp, vertex=False, klist=False)
-    sp.set_defaults(fn=cmd_check_delzant)
+    build = ("--polytope", "--vertex", "--k")  # what _build reads
+    command("check-delzant", cmd_check_delzant, "--polytope")
+    command("normalize", cmd_normalize, "--polytope", "--vertex")
+    command("growth", cmd_growth, *build, "--numeric", "--samples", "--svg")
+    command("volume", cmd_volume, *build, "--numeric", "--samples")
+    command("seshadri", cmd_seshadri, *build, "--svg").add_argument("--tol")
+    command("decompose", cmd_decompose, *build).add_argument("--lams")
 
-    sp = sub.add_parser("normalize")
-    common(sp, klist=False)
-    sp.set_defaults(fn=cmd_normalize)
-
-    sp = sub.add_parser("growth")
-    common(sp)
-    sp.add_argument("--numeric", action="store_true")
-    sp.set_defaults(fn=cmd_growth)
-
-    sp = sub.add_parser("volume")
-    common(sp)
-    sp.add_argument("--numeric", action="store_true")
-    sp.set_defaults(fn=cmd_volume)
-
-    sp = sub.add_parser("seshadri")
-    common(sp)
-    sp.set_defaults(fn=cmd_seshadri)
-
-    sp = sub.add_parser("decompose")
-    common(sp)
-    sp.add_argument("--lams", default=None)
-    sp.set_defaults(fn=cmd_decompose)
-
-    sp = sub.add_parser("okounkov")
-    common(sp, vertex=False, klist=False)
+    sp = command("okounkov", cmd_okounkov, "--polytope", "--svg")
     sp.add_argument("--k-max", type=int, default=3)
     sp.add_argument("--order", default="deglex", choices=("deglex", "lex"))
-    sp.add_argument("--perm", default=None)
-    sp.set_defaults(fn=cmd_okounkov)
+    sp.add_argument("--perm")
 
-    sp = sub.add_parser("chebyshev")
-    common(sp)
-    sp.add_argument("--fs-lambda", default=None)
+    sp = command("chebyshev", cmd_chebyshev, "--polytope", "--vertex")
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--fs-lambda")
     sp.add_argument("--dim", type=int, default=2)
-    sp.set_defaults(fn=cmd_chebyshev)
 
-    sp = sub.add_parser("embed-ball")
-    common(sp)
-    sp.add_argument("--fs-lambda", default=None)
+    sp = command("embed-ball", cmd_embed_ball, *build)
+    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--fs-lambda")
     sp.add_argument("--R", type=float, default=10.0)
     sp.add_argument("--epsilon", type=float, default=0.25)
-    sp.add_argument("--profile", default=None)
-    sp.set_defaults(fn=cmd_embed_ball)
+    sp.add_argument("--profile")
 
-    sp = sub.add_parser("gromov")
-    common(sp)
-    sp.set_defaults(fn=cmd_gromov)
-
-    sp = sub.add_parser("corpus")
-    common(sp, vertex=False)
-    sp.add_argument("--dir", default=None)
-    sp.set_defaults(fn=cmd_corpus)
-
+    command("gromov", cmd_gromov, *build)
+    command("corpus", cmd_corpus, "--k").add_argument("--dir")
     return p
 
 

@@ -66,7 +66,10 @@ class MaxAffineFunction:
         """h_P = max over vertices of <v, .>, the polyhedral representative."""
         if P.is_empty:
             raise EmptyInput("support function of an empty polytope")
-        return cls([(v, 0) for v in P.vertices])
+        h = cls([(v, 0) for v in P.vertices])
+        # every vertex of a certified hull is an extreme point: nothing to prune
+        h._pruned_pieces = h.pieces
+        return h
 
     def __call__(self, x):
         if len(x) != self.dim:
@@ -178,11 +181,10 @@ class SmoothToricPotential:
 
     lse:    (1/k) ln sum over stored exponents of exp(<a, x>)
     fs:     lam * ln(1 + sum_i exp(x_i))      (scaled Fubini-Study potential)
-    affine: <alpha, x> + c
     """
 
-    def __init__(self, family, *, k=None, exponents=None, lam=None,
-                 alpha=None, const=None, polytope=None):
+    def __init__(self, family, *, k=None, exponents=None, lam=None, dim=None,
+                 polytope=None):
         self.family = family
         if family == "lse":
             self.k = int(k)
@@ -195,11 +197,7 @@ class SmoothToricPotential:
             self.lam = rat(lam)
             if self.lam <= 0:
                 raise ValueError("scaled Fubini-Study needs lam > 0")
-            self.dim = None  # fixed on first use or via with_dim
-        elif family == "affine":
-            self.alpha = vec(alpha)
-            self.const = rat(const if const is not None else 0)
-            self.dim = len(self.alpha)
+            self.dim = int(dim)
         else:
             raise ValueError(f"unknown family {family!r}")
 
@@ -208,14 +206,8 @@ class SmoothToricPotential:
         return cls("lse", k=k, exponents=exponents, polytope=polytope)
 
     @classmethod
-    def fubini_study(cls, lam, dim=None):
-        u = cls("fs", lam=lam)
-        u.dim = dim
-        return u
-
-    @classmethod
-    def affine_form(cls, alpha, const=0):
-        return cls("affine", alpha=alpha, const=const)
+    def fubini_study(cls, lam, dim):
+        return cls("fs", lam=lam, dim=dim)
 
     @property
     def lattice_count(self):
@@ -223,18 +215,13 @@ class SmoothToricPotential:
             raise IncomparableFamilies("lattice count only defined for lse")
         return len(self.exponents)
 
-    def _need_dim(self, x):
-        if self.dim is None:
-            self.dim = len(x)
-        if len(x) != self.dim:
-            raise DimensionMismatch("point has wrong dimension")
-
     @cached_property
     def _exp_arr(self):
         return np.array(self.exponents, dtype=float)
 
     def __call__(self, x):
-        self._need_dim(x)
+        if len(x) != self.dim:
+            raise DimensionMismatch("point has wrong dimension")
         xs = np.array([float(c) for c in x])
         return float(self.value_many(xs[None, :])[0])
 
@@ -244,12 +231,9 @@ class SmoothToricPotential:
             XA = X @ self._exp_arr.T.astype(dtype)
             m = XA.max(axis=1)
             return (m + np.log(np.exp(XA - m[:, None]).sum(axis=1))) / self.k
-        if self.family == "fs":
-            m = np.maximum(0, X.max(axis=1))
-            s = np.exp(-m) + np.exp(X - m[:, None]).sum(axis=1)
-            return float(self.lam) * (m + np.log(s))
-        A = np.array([float(a) for a in self.alpha], dtype=dtype)
-        return X @ A + float(self.const)
+        m = np.maximum(0, X.max(axis=1))
+        s = np.exp(-m) + np.exp(X - m[:, None]).sum(axis=1)
+        return float(self.lam) * (m + np.log(s))
 
     def grad_many(self, X):
         """Exact-formula gradients; for lse this is the softmax average of
@@ -261,12 +245,10 @@ class SmoothToricPotential:
             W = np.exp(XA)
             W /= W.sum(axis=1, keepdims=True)
             return (W @ self._exp_arr) / self.k
-        if self.family == "fs":
-            m = np.maximum(0, X.max(axis=1, keepdims=True))
-            E = np.exp(X - m)
-            denom = np.exp(-m[:, 0]) + E.sum(axis=1)
-            return float(self.lam) * E / denom[:, None]
-        return np.broadcast_to(np.array([float(a) for a in self.alpha]), X.shape).copy()
+        m = np.maximum(0, X.max(axis=1, keepdims=True))
+        E = np.exp(X - m)
+        denom = np.exp(-m[:, 0]) + E.sum(axis=1)
+        return float(self.lam) * E / denom[:, None]
 
     def grad(self, x):
         return self.grad_many(np.array([[float(c) for c in x]]))[0]
@@ -278,11 +260,7 @@ class SmoothToricPotential:
                 return self._polytope
             pts = [tuple(Fraction(a, self.k) for a in e) for e in self.exponents]
             return pt.Polytope.from_points(pts, self.dim)
-        if self.family == "fs":
-            if self.dim is None:
-                raise DimensionMismatch("fs potential has no dimension fixed yet")
-            return pt.standard_simplex(self.dim).scaled(self.lam)
-        return pt.Polytope.from_points([self.alpha], self.dim)
+        return pt.standard_simplex(self.dim).scaled(self.lam)
 
     @property
     def slope_sum_max(self):
@@ -292,10 +270,7 @@ class SmoothToricPotential:
         if self.family == "lse":
             return {"family": "lse", "k": self.k,
                     "polytope": self.slope_polytope.to_json_dict(with_facets=False)}
-        if self.family == "fs":
-            return {"family": "fs", "lambda": rat_str(self.lam)}
-        return {"family": "affine", "alpha": [rat_str(a) for a in self.alpha],
-                "const": rat_str(self.const)}
+        return {"family": "fs", "lambda": rat_str(self.lam), "dim": self.dim}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -303,16 +278,13 @@ class SmoothToricPotential:
             P = pt.Polytope.from_json_dict(d["polytope"])
             return logsumexp_from_polytope(P, int(d["k"]))
         if d["family"] == "fs":
-            return cls.fubini_study(rat(d["lambda"]), dim=d.get("dim"))
-        return cls.affine_form([rat(a) for a in d["alpha"]],
-                               rat(d.get("const", 0)))
+            return cls.fubini_study(rat(d["lambda"]), d["dim"])
+        raise ValueError(f"unknown family {d['family']!r}")
 
     def __repr__(self):
         if self.family == "lse":
             return f"SmoothToricPotential(lse, k={self.k}, N={len(self.exponents)})"
-        if self.family == "fs":
-            return f"SmoothToricPotential(fs, lam={self.lam})"
-        return f"SmoothToricPotential(affine, alpha={self.alpha})"
+        return f"SmoothToricPotential(fs, lam={self.lam}, dim={self.dim})"
 
 
 def logsumexp_from_polytope(P, k):

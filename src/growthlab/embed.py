@@ -17,7 +17,8 @@ import numpy as np
 from . import convexfn as cf
 from . import growth as gr
 from . import polytope as pt
-from .errors import GrowthViolation, IncomparableFamilies, NonConvergence
+from .errors import (DimensionMismatch, GrowthViolation, IncomparableFamilies,
+                     NonConvergence)
 from .rationals import rat_str
 
 LOG_FLOOR = 1e-280  # |z_i|^2 clamp so x-space stays finite
@@ -130,7 +131,9 @@ def volume_obstruction(source, gc):
     """Necessary condition: total mass of the source cannot exceed the mass
     of the growth class.  Exact on rational slope data; lower-dimensional
     slope polytopes carry zero mass."""
-    S = _with_dim(source, gc.dim).slope_polytope
+    if source.dim != gc.dim:
+        raise DimensionMismatch("source dimension differs from the polytope")
+    S = source.slope_polytope
     src_mass = math.factorial(gc.dim) * pt.volume(S)
     tgt_mass = gr.monge_ampere_volume(gc)
     return ObstructionVerdict(src_mass, tgt_mass, src_mass <= tgt_mass)
@@ -158,18 +161,13 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
     outer radius comes from the exact axis-margin rate of properness for
     Fubini-Study sources and from a doubling search otherwise.
     """
-    if not isinstance(source, cf.SmoothToricPotential) \
-            or source.family not in ("fs", "lse"):
+    if not isinstance(source, cf.SmoothToricPotential):
         raise IncomparableFamilies(
             "ball gluing needs a strictly convex source family (fs or lse)")
     if R <= 0:
         raise ValueError("ball radius must be positive")
-    source = _with_dim(source, gc.dim)
-    if source.family == "fs":
-        ok, witness = cf.grows_slower(source, gc.representative)
-    else:
-        ok, witness = cf.slope_inclusion_witness(
-            source.slope_polytope, gc.representative.slope_polytope)
+    ok, witness = cf.slope_inclusion_witness(
+        source.slope_polytope, gc.representative.slope_polytope)
     if not ok:
         raise GrowthViolation(
             f"source escapes the growth condition at slope {witness['vertex']}",
@@ -263,15 +261,6 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
             "gluing certificate failed its own checks; this is a bug: "
             f"{cert.to_json_dict()}")
     return glued
-
-
-def _with_dim(source, n):
-    if source.family == "fs" and source.dim is None:
-        return cf.SmoothToricPotential.fubini_study(source.lam, dim=n)
-    if source.dim != n:
-        from .errors import DimensionMismatch
-        raise DimensionMismatch("source dimension differs from the polytope")
-    return source
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,8 @@ def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
     the scaled simplex vertices, then snaps the interval to the simplest
     rational it contains.  Both routes agree exactly on rational data.
     """
+    if tol <= 0:
+        raise ValueError("bisection tolerance must be positive")
     lp_value = pt.simplex_inclusion(gc.polytope)
     lo = Fraction(0)
     hi = gc.c_max + 1

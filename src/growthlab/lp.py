@@ -7,7 +7,7 @@ this package (tens of variables, a handful of equality rows).
 
 from fractions import Fraction
 
-from .rationals import rat
+from .rationals import pivot, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -59,13 +59,7 @@ def _reduced_cost(rows, basis, cost, j):
 
 
 def _pivot(rows, basis, r, j):
-    pr = rows[r]
-    pv = pr[j]
-    rows[r] = [v / pv for v in pr]
-    for i in range(len(rows)):
-        if i != r and rows[i][j] != 0:
-            f = rows[i][j]
-            rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+    pivot(rows, r, j)
     basis[r] = j
 
 

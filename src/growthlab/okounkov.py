@@ -27,6 +27,8 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind not in ("lex", "deglex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
+        if self.perm is not None and sorted(self.perm) != list(range(len(self.perm))):
+            raise ValueError(f"perm {self.perm} is not a permutation of 0..n-1")
 
     def permuted(self, a):
         if self.perm is None:

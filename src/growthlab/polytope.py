@@ -23,6 +23,7 @@ from .errors import (
     NotNormalized,
 )
 from .rationals import (
+    _eliminate,
     det,
     dot,
     inverse,
@@ -222,6 +223,8 @@ class Polytope:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict) or "vertices" not in d or "dim" not in d:
+            raise DegenerateInput('polytope JSON needs "dim" and "vertices"')
         pts = [[rat(x) for x in v] for v in d["vertices"]]
         return cls.from_points(pts, d["dim"])
 
@@ -283,25 +286,10 @@ def _midpoint_sieve(pts):
 def _hyperplane(points):
     """Exact hyperplane through n affinely independent points in R^n."""
     p0 = points[0]
-    diffs = [vsub(p, p0) for p in points[1:]]
     n = len(p0)
-    rows = [list(d) for d in diffs]
-    # row reduce to find the one-dimensional null space
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    # row reduce the difference rows to find the one-dimensional null space
+    rows = [list(vsub(p, p0)) for p in points[1:]]
+    pivots = _eliminate(rows)
     if len(pivots) != n - 1:
         return None
     free = next(c for c in range(n) if c not in pivots)
@@ -749,29 +737,6 @@ def sum_slice(P, lam):
         return Polytope.empty(P.ambient_dim)
     ones = tuple(Fraction(1) for _ in range(P.ambient_dim))
     return cut(P, ones, lam)
-
-
-def strict_inclusion(A, B):
-    """True iff A avoids every positive-offset facet of B strictly.
-
-    Facets through the origin (offset 0) are checked non-strictly: for
-    normalized slope polytopes both sides share the base vertex at 0, and
-    growth comparisons only see the facets not through it.
-    """
-    if A.ambient_dim != B.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    if not B.is_full_dim:
-        raise DegenerateInput("outer polytope must be full-dimensional")
-    if A.is_empty:
-        return True
-    for f in B.facets:
-        m = max(dot(f.normal, v) for v in A.vertices)
-        if f.offset > 0:
-            if m >= f.offset:
-                return False
-        elif m > f.offset:
-            return False
-    return True
 
 
 def standard_simplex(n):

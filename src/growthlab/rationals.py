@@ -8,15 +8,16 @@ exact for every finite float.
 from fractions import Fraction
 from math import gcd
 
-Rat = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, 'num/den' strings, floats and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     return Fraction(x)
 
 
@@ -32,17 +33,8 @@ def vec(xs) -> tuple:
     return tuple(rat(x) for x in xs)
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(s, a):
-    s = rat(s)
-    return tuple(s * x for x in a)
 
 
 def dot(a, b):
@@ -57,14 +49,14 @@ def mat_vec(A, x):
     return tuple(dot(row, x) for row in A)
 
 
-def mat_mul(A, B):
-    cols = list(zip(*B))
-    return tuple(tuple(dot(row, col) for col in cols) for row in A)
-
-
-def identity(n):
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def pivot(rows, r, c):
+    """Scale row r to a unit entry in column c and clear column c elsewhere."""
+    pv = rows[r][c]
+    rows[r] = [x / pv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
 
 
 def _eliminate(rows):
@@ -77,12 +69,7 @@ def _eliminate(rows):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -120,6 +120,61 @@ class TestCommands:
         assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+    def test_chebyshev_support_function_without_k(self, files, capsys):
+        code, out = run_cli(["chebyshev", "--polytope", files["square2"],
+                             "--vertex=2,2"], capsys)
+        assert code == 0
+        assert json.loads(out)["kind"] == "exact-lp"
+
+    def test_embed_ball_honours_samples(self, files, capsys):
+        code, out = run_cli(["embed-ball", "--polytope", files["square2"],
+                             "--vertex", "0,0", "--fs-lambda", "3/2",
+                             "--R", "5", "--samples", "20000"], capsys)
+        assert code == 0
+        assert json.loads(out)["inner_check"]["points"] == 20000
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["check-delzant", "--tol", "1"],
+        ["corpus", "--polytope", "x"],
+        ["normalize", "--svg", "x"],
+        ["gromov", "--samples", "5"],
+        ["volume", "--svg", "x"],
+        ["decompose", "--tol", "1"],
+    ])
+    def test_flag_a_command_ignores_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, error", [
+        (["check-delzant"], "ValueError"),
+        (["check-delzant", "--polytope", "{no_vertices}"], "DegenerateInput"),
+        (["check-delzant", "--polytope", "{no_dim}"], "DegenerateInput"),
+        (["decompose", "--polytope", "{simplex}", "--vertex", "0,0",
+          "--lams", "1/0"], "ValueError"),
+        (["okounkov", "--polytope", "{trapezoid}", "--perm", "0,0"],
+         "ValueError"),
+    ])
+    def test_error_json_exit_2(self, files, capsys, argv, error):
+        (files["tmp"] / "no_vertices.json").write_text('{"dim": 2}')
+        (files["tmp"] / "no_dim.json").write_text('{"vertices": [["0", "0"]]}')
+        paths = dict(files, no_vertices=str(files["tmp"] / "no_vertices.json"),
+                     no_dim=str(files["tmp"] / "no_dim.json"))
+        code, out = run_cli([a.format(**paths) for a in argv], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == error
+
+    def test_zero_tolerance_exits_instead_of_hanging(self, files):
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthlab", "seshadri", "--polytope",
+             files["square2"], "--vertex", "0,0", "--tol", "0"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, files, capsys):
         argv = ["growth", "--polytope", files["square2"], "--vertex", "0,0",

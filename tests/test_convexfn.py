@@ -349,9 +349,17 @@ class TestSerialization:
         assert v.exponents == u.exponents
 
     def test_fs_json_roundtrip(self):
-        u = cf.SmoothToricPotential.fubini_study(F(3, 2))
+        u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)
         v = cf.SmoothToricPotential.from_json_dict(u.to_json_dict())
-        assert v.family == "fs" and v.lam == F(3, 2)
+        assert v.family == "fs" and v.lam == F(3, 2) and v.dim == 2
+
+    def test_fs_dimension_fixed_at_construction(self):
+        u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)
+        u((0.0, 0.0))
+        assert u.dim == 2
+        with pytest.raises(DimensionMismatch):
+            u((0.0, 0.0, 0.0))
+        assert u.dim == 2
 
 
 class TestPruning:

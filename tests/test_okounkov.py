@@ -31,6 +31,11 @@ class TestOrders:
         assert ok.compare((0, 2), (1, 0), DEGLEX) == ok.GREATER
         assert ok.compare((0, 2), (1, 0), LEX) == ok.LESS
 
+    @pytest.mark.parametrize("perm", [(0, 0), (1, 2), (0, 2, 1, 4)])
+    def test_perm_must_be_a_permutation(self, perm):
+        with pytest.raises(ValueError):
+            ok.MonomialOrder("deglex", perm)
+
     def test_axioms_randomized(self, rng):
         orders = [DEGLEX, LEX,
                   ok.MonomialOrder("deglex", (1, 0, 2)),

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from growthlab import convexfn as cf
 from growthlab import polytope as pt
 from growthlab.errors import (
     DegenerateInput,
@@ -249,9 +250,9 @@ class TestSlice:
 
 class TestStrictInclusion:
     def test_examples(self):
-        assert pt.strict_inclusion(SIGMA.scaled(F(3, 2)), SQUARE)
-        assert not pt.strict_inclusion(SIGMA, SIGMA)
-        assert not pt.strict_inclusion(SIGMA.scaled(2), TRAP)
+        assert cf.slope_inclusion_witness(SIGMA.scaled(F(3, 2)), SQUARE)[0]
+        assert not cf.slope_inclusion_witness(SIGMA, SIGMA)[0]
+        assert not cf.slope_inclusion_witness(SIGMA.scaled(2), TRAP)[0]
 
 
 class TestFourDimensional:
@@ -286,6 +287,11 @@ class TestFourDimensional:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("d", [{"dim": 2}, {"vertices": [["0", "0"]]}, []])
+    def test_malformed_json_is_degenerate_input(self, d):
+        with pytest.raises(DegenerateInput):
+            pt.Polytope.from_json_dict(d)
+
     def test_roundtrip_sorted(self):
         d = SQUARE.to_json_dict()
         assert d["vertices"] == sorted(d["vertices"])
