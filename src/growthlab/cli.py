@@ -266,11 +266,11 @@ def cmd_corpus(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="growthlab")
+    p = argparse.ArgumentParser(prog="growthlab", allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, fn, *flags):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         for flag in flags + ("--seed", "--out"):
             sp.add_argument(flag, **SHARED_FLAGS[flag])
         sp.set_defaults(fn=fn)

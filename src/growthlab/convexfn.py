@@ -198,6 +198,8 @@ class SmoothToricPotential:
             if self.lam <= 0:
                 raise ValueError("scaled Fubini-Study needs lam > 0")
             self.dim = int(dim)
+            if self.dim < 1:
+                raise ValueError("scaled Fubini-Study needs dim >= 1")
         else:
             raise ValueError(f"unknown family {family!r}")
 

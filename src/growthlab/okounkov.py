@@ -148,6 +148,9 @@ def okounkov_body(series, order=None, k_max=None):
     """
     if order is None:
         order = MonomialOrder("deglex")
+    if order.perm is not None and len(order.perm) != series.dim:
+        raise DimensionMismatch(f"perm {order.perm} does not permute "
+                                f"{series.dim} coordinates")
     if k_max is None:
         k_max = series.max_degree
     hull_at = {}

@@ -1,8 +1,10 @@
 """Exact rational polytope algebra.
 
 Polytopes carry both a vertex and a facet description, kept consistent by
-construction: the convex hull is computed incrementally in exact arithmetic
-and then certified by regenerating the vertices from the facet intersection.
+construction: points strictly inside an axis-parallel segment of the input
+are dropped, the convex hull of the rest is computed incrementally in exact
+arithmetic, and its simplicial facets are certified by incidence (each input
+point inside each facet halfspace, the facets an oriented boundary cycle).
 Lower-dimensional polytopes (slices, faces) are stored in ambient
 coordinates together with an affine-span basis and a full-dimensional
 polytope in span coordinates.
@@ -13,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from . import lp
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -33,7 +34,7 @@ from .rationals import (
     rank,
     rat,
     rat_str,
-    solve,
+    solve,  # not called here; perfbench's tracer wraps polytope.solve
     solve_general,
     vec,
     vsub,
@@ -76,10 +77,6 @@ class UnimodularMap:
     def to_json_dict(self):
         return {"matrix": [[rat_str(x) for x in row] for row in self.matrix],
                 "base": [rat_str(x) for x in self.base]}
-
-
-class _CertificationFailure(GrowthLabError):
-    """Internal: incremental hull output failed its own H/V consistency check."""
 
 
 class Polytope:
@@ -265,22 +262,22 @@ def _affine_basis(pts, base):
     return basis
 
 
-def _midpoint_sieve(pts):
-    """Drop points that are midpoints of two others; cheap and exact."""
-    pset = set(pts)
-    keep = []
-    for q in pts:
-        mid = False
-        for a in pts:
-            if a == q:
-                continue
-            b = tuple(2 * x - y for x, y in zip(q, a))
-            if b != q and b in pset:
-                mid = True
-                break
-        if not mid:
-            keep.append(q)
-    return keep
+def _axis_endpoints(pts):
+    """Points that end their axis-parallel line through pts in every direction.
+
+    A point strictly between two others on a line is not a vertex, so this
+    O(n N) pass keeps every vertex and conv(pts): the Akl-Toussaint
+    interior-discard heuristic applied along the coordinate axes.
+    """
+    keep = set(pts)
+    for c in range(len(pts[0])):
+        ends = {}
+        for p in pts:
+            key = p[:c] + p[c + 1:]
+            lo, hi = ends.get(key, (p[c], p[c]))
+            ends[key] = (min(lo, p[c]), max(hi, p[c]))
+        keep = {p for p in keep if p[c] in ends[p[:c] + p[c + 1:]]}
+    return [p for p in pts if p in keep]
 
 
 def _hyperplane(points):
@@ -306,6 +303,17 @@ def _canonical_halfspace(a, b):
     return HalfSpace(scaled[:-1], Fraction(scaled[-1]))
 
 
+def _oriented_facet(pts, ids, ref):
+    """(ids, a, b) for the plane through pts[ids], with ref on the side a.x <= b."""
+    hp = _hyperplane([pts[i] for i in ids])
+    if hp is None:
+        raise GrowthLabError("degenerate hull facet")
+    a, b = hp
+    if dot(a, ref) > b:
+        a, b = tuple(-x for x in a), -b
+    return frozenset(ids), a, b
+
+
 def _incremental_hull(pts, n):
     """Simplicial facet list [(ids frozenset, a, b)] of the hull of pts."""
     base = pts[0]
@@ -317,20 +325,8 @@ def _incremental_hull(pts, n):
             if len(simplex) == n + 1:
                 break
     ref = tuple(sum(pts[i][c] for i in simplex) / (n + 1) for c in range(n))
-
-    facets = []
-    for drop in range(n + 1):
-        ids = [simplex[i] for i in range(n + 1) if i != drop]
-        hp = _hyperplane([pts[i] for i in ids])
-        if hp is None:
-            raise _CertificationFailure("degenerate initial simplex facet")
-        a, b = hp
-        side = dot(a, ref)
-        if side == b:
-            raise _CertificationFailure("reference point on facet plane")
-        if side > b:
-            a, b = tuple(-x for x in a), -b
-        facets.append((frozenset(ids), a, b))
+    facets = [_oriented_facet(pts, simplex[:drop] + simplex[drop + 1:], ref)
+              for drop in range(n + 1)]
 
     in_simplex = set(simplex)
     for idx in range(len(pts)):
@@ -347,72 +343,61 @@ def _incremental_hull(pts, n):
         horizon = [r for r, cnt in ridge_count.items() if cnt == 1]
         visible_set = {f[0] for f in visible}
         facets = [f for f in facets if f[0] not in visible_set]
-        for ridge in horizon:
-            ids = frozenset(ridge) | {idx}
-            hp = _hyperplane([pts[i] for i in ids])
-            if hp is None:
-                raise _CertificationFailure("degenerate horizon facet")
-            a, b = hp
-            side = dot(a, ref)
-            if side == b:
-                raise _CertificationFailure("reference point on new facet plane")
-            if side > b:
-                a, b = tuple(-x for x in a), -b
-            facets.append((ids, a, b))
+        facets += [_oriented_facet(pts, ridge + (idx,), ref) for ridge in horizon]
     return facets
 
 
-def _brute_force_facets(pts, n):
-    seen = set()
-    out = []
-    for ids in combinations(range(len(pts)), n):
-        hp = _hyperplane([pts[i] for i in ids])
-        if hp is None:
-            continue
-        a, b = hp
-        vals = [dot(a, p) for p in pts]
-        if all(v <= b for v in vals):
-            hs = _canonical_halfspace(a, b)
-        elif all(v >= b for v in vals):
-            hs = _canonical_halfspace(tuple(-x for x in a), -b)
-        else:
-            continue
-        if hs not in seen:
-            seen.add(hs)
-            out.append(hs)
-    return out
+def _certify(pts, facets, halfspaces, n):
+    """Check the simplicial facets of pts by incidence; return the vertices.
 
+    halfspaces are the facets' planes a.x <= b, deduplicated.  Checks: (a) every point lies in every halfspace; (b) each simplicial
+    facet's n points lie on its plane a.x = b and have orientation sign
+    s = sign det[p1 - p0, ..., p_{n-1} - p0, a] != 0; (c) the signed ridge
+    sums of sum_i s (-1)^i [p0 .. ^pi .. p_{n-1}] over all simplicial facets
+    vanish.  Then the vertices are the points whose active normals have
+    rank n.
 
-def _certify(pts, halfspaces, n):
-    """Regenerate vertices from facets; raise unless H and V agree exactly."""
+    Soundness.  Let P = conv(pts).  By (a) and (b) each simplex lies in
+    the face of P on its plane, so the chain c = sum s [p0 .. p_{n-1}] lies
+    on the sphere bd P, and s orients every simplex like bd P (outward
+    normal last).  By (c), c is a cycle, so it covers bd P with a single
+    degree d.  Over a point of bd P off every ridge, d is the number of
+    simplices covering it, each counted +1; so d >= 1 and the simplices
+    cover bd P.  A simplex over a relative-interior point of a facet F
+    that is off every ridge lies in aff F, so every facet of P is listed,
+    and by (a) the halfspaces cut out exactly P.  Every vertex of P is an
+    input point, and a point of P is a vertex iff its active normals have
+    rank n.  The unsigned check "each ridge lies in exactly two simplices"
+    is not enough: ab, bc, ac on three collinear points a, b, c pass it,
+    while their signed ridge sums are 2, 0, -2.
+    """
+    ridge_sum = {}
+    for ids, a, b in facets:
+        simplex = sorted(ids)
+        p0 = pts[simplex[0]]
+        if any(dot(a, pts[i]) != b for i in simplex):
+            raise GrowthLabError("hull facet point off its plane")
+        orient = det([vsub(pts[i], p0) for i in simplex[1:]] + [a])
+        if orient == 0:
+            raise GrowthLabError("degenerate hull facet")
+        s = 1 if orient > 0 else -1
+        for i in range(n):
+            ridge = tuple(simplex[:i] + simplex[i + 1:])
+            ridge_sum[ridge] = ridge_sum.get(ridge, 0) + s * (-1) ** i
+    if any(ridge_sum.values()):
+        raise GrowthLabError("hull facets do not form an oriented cycle")
+    verts = []
     for p in pts:
+        active = []
         for hs in halfspaces:
-            if hs.value(p) > hs.offset:
-                raise _CertificationFailure("input point outside facet intersection")
-    # bounded iff the outward normals positively span R^n
-    normals = [hs.normal for hs in halfspaces]
-    coords = list(zip(*normals))
-    for j in range(n):
-        for sign in (1, -1):
-            target = [Fraction(sign if i == j else 0) for i in range(n)]
-            status, _, _ = lp.solve_lp(coords, target, [Fraction(0)] * len(normals))
-            if status != lp.OPTIMAL:
-                raise _CertificationFailure("facet intersection unbounded")
-    pset = set(pts)
-    verts = set()
-    for chosen in combinations(range(len(halfspaces)), n):
-        A = [halfspaces[i].normal for i in chosen]
-        b = [halfspaces[i].offset for i in chosen]
-        x = solve(A, b)
-        if x is None or x in verts:
-            continue
-        if all(hs.value(x) <= hs.offset for hs in halfspaces):
-            if x not in pset:
-                raise _CertificationFailure("facet intersection has a foreign vertex")
-            verts.add(x)
-    if not verts:
-        raise _CertificationFailure("no vertices regenerated")
-    return tuple(sorted(verts))
+            v = hs.value(p)
+            if v > hs.offset:
+                raise GrowthLabError("input point outside a hull facet")
+            if v == hs.offset:
+                active.append(hs.normal)
+        if len(active) >= n and rank(active) == n:
+            verts.append(p)
+    return tuple(verts)
 
 
 def _dedupe_halfspaces(facets):
@@ -427,7 +412,7 @@ def _dedupe_halfspaces(facets):
 
 
 def _hull_full_dim(pts, n):
-    pts = _midpoint_sieve(pts)
+    pts = _axis_endpoints(pts)
     if n == 1:
         lo = min(p[0] for p in pts)
         hi = max(p[0] for p in pts)
@@ -435,15 +420,9 @@ def _hull_full_dim(pts, n):
             raise DegenerateInput("1-d hull of a single point")
         facets = (HalfSpace((1,), Fraction(hi)), HalfSpace((-1,), Fraction(-lo)))
         return tuple(sorted(facets, key=lambda h: (h.normal, h.offset))), ((lo,), (hi,))
-    try:
-        halfspaces = _dedupe_halfspaces(_incremental_hull(pts, n))
-        verts = _certify(pts, halfspaces, n)
-    except _CertificationFailure:
-        from math import comb
-        if comb(len(pts), n) > 5 * 10 ** 6:
-            raise GrowthLabError("hull fallback too large; report this input")
-        halfspaces = _brute_force_facets(pts, n)
-        verts = _certify(pts, halfspaces, n)
+    facets = _incremental_hull(pts, n)
+    halfspaces = _dedupe_halfspaces(facets)
+    verts = _certify(pts, facets, halfspaces, n)
     halfspaces = tuple(sorted(halfspaces, key=lambda h: (h.normal, h.offset)))
     return halfspaces, verts
 

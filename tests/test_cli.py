@@ -142,6 +142,7 @@ class TestBadInput:
         ["gromov", "--samples", "5"],
         ["volume", "--svg", "x"],
         ["decompose", "--tol", "1"],
+        ["okounkov", "--polytope", "x", "--k", "2"],
     ])
     def test_flag_a_command_ignores_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -156,6 +157,9 @@ class TestBadInput:
           "--lams", "1/0"], "ValueError"),
         (["okounkov", "--polytope", "{trapezoid}", "--perm", "0,0"],
          "ValueError"),
+        (["okounkov", "--polytope", "{trapezoid}", "--perm", "0"],
+         "DimensionMismatch"),
+        (["chebyshev", "--fs-lambda", "3", "--dim", "0"], "ValueError"),
     ])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         (files["tmp"] / "no_vertices.json").write_text('{"dim": 2}')

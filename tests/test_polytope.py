@@ -7,6 +7,7 @@ from growthlab import convexfn as cf
 from growthlab import polytope as pt
 from growthlab.errors import (
     DegenerateInput,
+    GrowthLabError,
     NotDelzantVertex,
     NotLatticePolytope,
     NotNormalized,
@@ -54,9 +55,9 @@ class TestHull:
         with pytest.raises(DegenerateInput):
             pt.hull([(0, 0), (1, 1), (2, 2)])
 
-    def test_fallback_path_agrees_with_incremental(self):
-        # exercise the brute-force facet enumerator directly on highly
-        # coplanar lattice clouds, where the incremental path is most at risk
+    def test_coplanar_lattice_clouds_match_brute_force(self):
+        # highly coplanar lattice clouds, where the incremental path is most
+        # at risk, against the independent facet enumerator
         clouds = [
             pt.lattice_points(pt.box([3, 3]), 1),
             pt.lattice_points(pt.standard_simplex(3).scaled(3), 1),
@@ -64,12 +65,27 @@ class TestHull:
         ]
         for pts in clouds:
             P = pt.hull(pts)
-            sieved = pt._midpoint_sieve([pt.vec(p) for p in sorted(set(map(tuple, pts)))])
             n = P.ambient_dim
-            brute = pt._brute_force_facets(sieved, n)
-            verts = pt._certify(sieved, brute, n)
-            assert set(brute) == set(P.facets)
-            assert verts == P.vertices
+            assert facet_set(P) == brute_force_facets(pts)
+            for v in P.vertices:
+                assert rank([f.normal for f in P.active_facets(v)]) == n
+
+    def test_certificate_rejects_unsigned_ridge_cycle(self):
+        # ab, bc, ac on a line: every ridge lies in exactly two simplices,
+        # but the signed ridge sums are 2, 0, -2
+        pts = [pt.vec(p) for p in [(0, 0), (1, 0), (2, 0)]]
+        a, b = (F(0), F(-1)), F(0)
+        facets = [(frozenset(ids), a, b) for ids in ((0, 1), (1, 2), (0, 2))]
+        with pytest.raises(GrowthLabError, match="oriented cycle"):
+            pt._certify(pts, facets, pt._dedupe_halfspaces(facets), 2)
+
+    def test_certificate_rejects_missing_facet(self):
+        pts = sorted(pt.vec(p) for p in pt.lattice_points(pt.box([2, 2, 2]), 1))
+        facets = pt._incremental_hull(pts, 3)
+        halfspaces = pt._dedupe_halfspaces(facets)
+        assert len(pt._certify(pts, facets, halfspaces, 3)) == 8
+        with pytest.raises(GrowthLabError, match="oriented cycle"):
+            pt._certify(pts, facets[1:], halfspaces, 3)
 
     def test_duplicated_and_fractional_points(self):
         P = pt.hull([(0, 0), (0, 0), (1, 0), (1, 0), (F(1, 3), F(1, 3)),
