@@ -67,8 +67,8 @@ class MaxAffineFunction:
         if P.is_empty:
             raise EmptyInput("support function of an empty polytope")
         h = cls([(v, 0) for v in P.vertices])
-        # every vertex of a certified hull is an extreme point: nothing to prune
-        h._pruned_pieces = h.pieces
+        # P is already the certified hull of exactly these slopes
+        h.slope_polytope = P
         return h
 
     def __call__(self, x):
@@ -92,18 +92,34 @@ class MaxAffineFunction:
         return (X @ A.T.astype(dtype) + c.astype(dtype)).max(axis=1)
 
     @cached_property
+    def _lifted_hull(self):
+        """(Q, cap): Q = conv{(a_i, -b_i)} u {(a_i, cap)}, cap = max(-b_i) + 1."""
+        cap = max(-p.offset for p in self.pieces) + 1
+        pts = [p.slope + (-p.offset,) for p in self.pieces]
+        pts += [p.slope + (cap,) for p in self.pieces]
+        return pt.Polytope.from_points(pts, self.dim + 1), cap
+
+    @cached_property
     def _pruned_pieces(self):
-        slopes = [p.slope for p in self.pieces]
-        values = [-p.offset for p in self.pieces]
-        keep = []
-        for i, p in enumerate(self.pieces):
-            if len(self.pieces) == 1:
-                keep.append(p)
-                continue
-            best = envelope_min(slopes, values, p.slope, exclude=i)
-            if best is None or best > -p.offset:
-                keep.append(p)
-        return tuple(keep)
+        """The pieces (a, b) that strictly attain the maximum somewhere.
+
+        Piece i is dominated iff the lower convex envelope of the other
+        lifted points (a_j, -b_j) is <= -b_i at a_i.  By the lifting map
+        (Edelsbrunner & Seidel 1986) these are read off the lifted hull:
+        Q = {(y, t) : y in conv{a_j}, g(y) <= t <= cap}, g the envelope of
+        all lifted points (the conjugate of f).  A vertex of Q strictly below
+        cap is no inner point of the vertical segment over its y, so it is on
+        the graph of g, and as a vertex it is no convex combination of other
+        lifted points.  A dominated lifted point is such a combination or
+        lies above g, so it is no vertex.  Every lifted point lies below cap,
+        so piece i is kept iff (a_i, -b_i) is a vertex of Q.  With one offset
+        Q is a prism, and the kept slopes are the slope polytope's vertices.
+        """
+        if len({p.offset for p in self.pieces}) == 1:
+            keep = set(self.slope_polytope.vertices)
+            return tuple(p for p in self.pieces if p.slope in keep)
+        keep = set(self._lifted_hull[0].vertices)
+        return tuple(p for p in self.pieces if p.slope + (-p.offset,) in keep)
 
     def pruned(self):
         """Drop pieces that never strictly attain the maximum."""
@@ -118,11 +134,9 @@ class MaxAffineFunction:
 
     @cached_property
     def slope_polytope(self):
-        return pt.Polytope.from_points([p.slope for p in self._pruned_pieces], self.dim)
-
-    @property
-    def slope_sum_max(self):
-        return max(sum(p.slope) for p in self.pieces)
+        """Hull of all slopes; a dominated piece's slope lies in the hull of
+        the others, so pruning does not change it."""
+        return pt.Polytope.from_points([p.slope for p in self.pieces], self.dim)
 
     def shifted(self, c):
         return MaxAffineFunction([(p.slope, p.offset + rat(c)) for p in self.pieces])
@@ -172,8 +186,7 @@ class ConvexConjugate:
 
 def legendre(f):
     """Conjugate description of a max-affine function: domain + roof values."""
-    pruned = f.pruned()
-    return ConvexConjugate([(p.slope, -p.offset) for p in pruned.pieces], f.dim)
+    return ConvexConjugate([(p.slope, -p.offset) for p in f._pruned_pieces], f.dim)
 
 
 class SmoothToricPotential:
@@ -263,10 +276,6 @@ class SmoothToricPotential:
             pts = [tuple(Fraction(a, self.k) for a in e) for e in self.exponents]
             return pt.Polytope.from_points(pts, self.dim)
         return pt.standard_simplex(self.dim).scaled(self.lam)
-
-    @property
-    def slope_sum_max(self):
-        return max(sum(v) for v in self.slope_polytope.vertices)
 
     def to_json_dict(self):
         if self.family == "lse":
@@ -363,11 +372,10 @@ def _separating_direction(point, P):
 
 def _sup_max_affine(f, g):
     """Exact sup of f - g for two max-affine functions, or (inf, witness)."""
-    fp = f.pruned()
     conj = legendre(g)
     best = None
     best_piece = None
-    for p in fp.pieces:
+    for p in f._pruned_pieces:
         val = conj(p.slope)
         if val == INF:
             d = _separating_direction(p.slope, g.slope_polytope)
@@ -442,37 +450,32 @@ def radial_component(f, lam):
     infimum is identically -infinity (lam outside the slope sums of f).
     For a support function h_P the result is the support function of the
     slice of P at total coordinate lam.
+
+    With mixed offsets the component's conjugate is f's conjugate g
+    restricted to the slice, so its lifted hull is W = f's lifted hull Q cut
+    by sum(y) = lam.  The cut only constrains y, so W is {(y, t) : y in the
+    slice, g(y) <= t <= cap}; a vertex of W strictly below cap cannot lie
+    inside a vertical segment of W, so it is on the graph of g, and the
+    pieces read off these vertices are already pruned.
     """
     lam = rat(lam)
-    fp = f.pruned()
-    offsets = {p.offset for p in fp.pieces}
+    offsets = {p.offset for p in f._pruned_pieces}
+    S = f.slope_polytope
     if len(offsets) == 1:
-        S = fp.slope_polytope
         sl = pt.sum_slice(S, lam)
         if sl.is_empty:
             return None
         c0 = next(iter(offsets))
         return MaxAffineFunction([(v, c0) for v in sl.vertices])
-    n = fp.dim
-    if not fp.slope_polytope.is_full_dim:
+    if not S.is_full_dim:
         raise DegenerateInput(
             "mixed offsets with a lower-dimensional slope polytope")
-    cap = max(-p.offset for p in fp.pieces) + 1
-    pts = [p.slope + (-p.offset,) for p in fp.pieces]
-    pts += [p.slope + (cap,) for p in fp.pieces]
-    Q = pt.Polytope.from_points(pts, n + 1)
-    u = tuple([Fraction(1)] * n + [Fraction(0)])
-    W = pt.cut(Q, u, lam)
+    n = f.dim
+    Q, cap = f._lifted_hull
+    W = pt.cut(Q, tuple([Fraction(1)] * n + [Fraction(0)]), lam)
     if W.is_empty:
         return None
-    proj = [w[:n] for w in W.vertices]
-    heights = [w[n] for w in W.vertices]
-    pieces = []
-    for i, w in enumerate(W.vertices):
-        low = envelope_min(proj, heights, proj[i])
-        if low == heights[i]:
-            pieces.append((proj[i], -heights[i]))
-    return MaxAffineFunction(pieces).pruned()
+    return MaxAffineFunction([(w[:n], -w[n]) for w in W.vertices if w[n] < cap])
 
 
 def reassemble(components):

@@ -164,6 +164,8 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
     if not isinstance(source, cf.SmoothToricPotential):
         raise IncomparableFamilies(
             "ball gluing needs a strictly convex source family (fs or lse)")
+    if not (math.isfinite(R) and math.isfinite(epsilon)):
+        raise ValueError("ball radius and epsilon must be finite")
     if R <= 0:
         raise ValueError("ball radius must be positive")
     ok, witness = cf.slope_inclusion_witness(
@@ -198,7 +200,8 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
         M = C + eps + 1.0 + float(lam) * math.log(n + 1)
         two_log_rp = M / float(delta) + math.log(n)
         if two_log_rp / 2.0 > math.log(horizon):
-            raise NonConvergence("outer radius exceeds the horizon")
+            # R' follows from R in closed form: a user-chosen R is too large
+            raise ValueError("outer radius exceeds the horizon; choose a smaller R")
         R_prime = math.exp(two_log_rp / 2.0)
         R_prime = max(R_prime, 4.0 * R, 10.0)
     else:

@@ -102,22 +102,18 @@ def _drive_out_artificials(rows, basis, n):
         i += 1
 
 
-def envelope_min(points, values, y, exclude=None):
+def envelope_min(points, values, y):
     """Exact min of sum(l_i * values_i) over convex combinations hitting y.
 
     The points live in R^d; the LP asks for weights l >= 0 with
     sum l_i points_i = y and sum l_i = 1.  Returns the optimal Fraction, or
-    None when y is outside the convex hull of the points.  An index in
-    `exclude` removes that point from the combination.
+    None when y is outside the convex hull of the points.
     """
-    idx = [i for i in range(len(points)) if i != exclude]
-    if not idx:
-        return None
     d = len(y)
-    A = [[rat(points[i][r]) for i in idx] for r in range(d)]
-    A.append([Fraction(1)] * len(idx))
+    A = [[rat(p[r]) for p in points] for r in range(d)]
+    A.append([Fraction(1)] * len(points))
     b = [rat(y[r]) for r in range(d)] + [Fraction(1)]
-    c = [rat(values[i]) for i in idx]
+    c = [rat(v) for v in values]
     status, value, _ = solve_lp(A, b, c)
     if status != OPTIMAL:
         return None

@@ -4,7 +4,6 @@ graded monomial series, the flag blowup map, and Chebyshev transforms."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -46,9 +45,6 @@ class MonomialOrder:
         if pa == pb:
             return EQUAL
         return LESS if pa < pb else GREATER
-
-    def sort_key(self):
-        return cmp_to_key(self.compare)
 
 
 def compare(a, b, order):

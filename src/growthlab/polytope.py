@@ -204,11 +204,6 @@ class Polytope:
         return Polytope.from_points([tuple(k * x for x in v) for v in self.vertices],
                                     self.ambient_dim)
 
-    def translated(self, t):
-        t = vec(t)
-        return Polytope.from_points([tuple(x + y for x, y in zip(v, t))
-                                     for v in self.vertices], self.ambient_dim)
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self, with_facets=True):

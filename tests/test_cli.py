@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -160,7 +161,10 @@ class TestBadInput:
         (["okounkov", "--polytope", "{trapezoid}", "--perm", "0"],
          "DimensionMismatch"),
         (["chebyshev", "--fs-lambda", "3", "--dim", "0"], "ValueError"),
-    ])
+    ] + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
+           "--fs-lambda", "3/2", flag, value], "ValueError")
+         for flag, value in (("--R", "nan"), ("--R", "inf"), ("--R", "1e300"),
+                             ("--epsilon", "nan"))])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         (files["tmp"] / "no_vertices.json").write_text('{"dim": 2}')
         (files["tmp"] / "no_dim.json").write_text('{"vertices": [["0", "0"]]}')
@@ -177,6 +181,28 @@ class TestBadInput:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+
+class TestPruningAvoidsSimplex:
+    def test_no_lp_outside_conjugate_values(self, files, capsys, monkeypatch):
+        from growthlab import convexfn as cf
+        from growthlab import growth as gr
+        from growthlab import lp
+
+        def refuse(*args):
+            raise AssertionError("pruning reached the simplex")
+
+        monkeypatch.setattr(lp, "solve_lp", refuse)
+        for name in ("square2", "trapezoid"):
+            code, _ = run_cli(["decompose", "--polytope", files[name],
+                               "--vertex", "0,0"], capsys)
+            assert code == 0
+        gc = gr.build_growth_condition(pt.box([2, 2]), (0, 0), (1, 2))
+        h = gc.representative
+        assert cf.reassemble(gr.decompose(gc)).same_function(h)
+        corners = [((0, 0), 0), ((1, 0), 0), ((0, 1), 0)]
+        f = cf.MaxAffineFunction(corners + [((F(1, 2), F(1, 4)), -10)])
+        assert f.same_function(cf.MaxAffineFunction(corners))
 
 
 class TestDeterminism:

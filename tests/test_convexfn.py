@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from growthlab import convexfn as cf
+from growthlab import lp
 from growthlab import polytope as pt
 from growthlab.errors import (
     DimensionMismatch,
@@ -203,6 +204,20 @@ class TestRadialComponent:
                 assert exact <= grid + 1e-9
                 assert grid - exact <= 0.15
 
+    def test_mixed_offset_components_are_pruned(self):
+        rng = random.Random(19)
+        checked = 0
+        for _ in range(30):
+            f = random_max_affine(rng, 2)
+            if not f.slope_polytope.is_full_dim:
+                continue
+            for lam in (-2, 0, F(1, 2), 3):
+                v = cf.radial_component(f, lam)
+                if v is not None:
+                    assert v.piece_set() == {(p.slope, p.offset) for p in v.pieces}
+                    checked += 1
+        assert checked >= 20
+
     def test_slice_identity_on_random_delzant(self, rng):
         from conftest import random_delzant
         for n in (2, 3):
@@ -377,3 +392,35 @@ class TestPruning:
         f = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), 0), ((0, 1), 0),
                                   ((F(1, 2), F(1, 4)), 5)])
         assert (((F(1, 2), F(1, 4)), F(5))) in f.piece_set()
+
+    def test_single_piece_kept(self):
+        f = cf.MaxAffineFunction([((1, 2), 3)])
+        assert f.piece_set() == {((F(1), F(2)), F(3))}
+
+    def test_collinear_slopes_with_mixed_offsets(self):
+        # the lifted points span a plane in R^3: a lower-dimensional hull
+        low = cf.MaxAffineFunction([((0, 0), 0), ((1, 1), -1), ((2, 2), 0)])
+        assert low._lifted_hull[0].dim == 2
+        assert low.piece_set() == {((F(0), F(0)), F(0)), ((F(2), F(2)), F(0))}
+        high = cf.MaxAffineFunction([((0, 0), 0), ((1, 1), 5), ((2, 2), 0)])
+        assert len(high.piece_set()) == 3
+
+    def test_matches_lp_definition(self):
+        # piece i is kept iff the other pieces' envelope at slope_i is
+        # undefined or lies strictly above -offset_i
+        rng = random.Random(17)
+        dropped = 0
+        for trial in range(100):
+            f = random_max_affine(rng, 1 + trial % 3, pieces=rng.randint(1, 7))
+            if trial % 4 == 0:
+                f = cf.MaxAffineFunction([(p.slope, 1) for p in f.pieces])
+            expect = set()
+            for i, p in enumerate(f.pieces):
+                others = f.pieces[:i] + f.pieces[i + 1:]
+                best = lp.envelope_min([q.slope for q in others],
+                                       [-q.offset for q in others], p.slope)
+                if best is None or best > -p.offset:
+                    expect.add((p.slope, p.offset))
+            assert f.piece_set() == expect
+            dropped += len(expect) < len(f.pieces)
+        assert dropped >= 20
