@@ -13,7 +13,7 @@ polytope in span coordinates.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, prod
 
 from .errors import (
     DegenerateInput,
@@ -39,6 +39,9 @@ from .rationals import (
     vec,
     vsub,
 )
+
+# lattice_points refuses a dilate whose bounding box holds more points.
+MAX_BOX_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,7 @@ class Polytope:
         self._span_point = span_point
         self._span_basis = span_basis
         self._span_poly = span_poly
+        self._edges = None
 
     # -- constructors --------------------------------------------------
 
@@ -169,7 +173,12 @@ class Polytope:
         return tuple(f for f in self.facets if f.value(v) == f.offset)
 
     def edges(self):
-        """Vertex index pairs forming 1-faces."""
+        """Vertex index pairs forming 1-faces, as a tuple computed once."""
+        if self._edges is None:
+            self._edges = tuple(self._find_edges())
+        return self._edges
+
+    def _find_edges(self):
         if not self.is_full_dim:
             if self.dim == 1:
                 return [(0, 1)]
@@ -515,7 +524,17 @@ def normalize_at_vertex(P, v):
 
 
 def lattice_points(P, k=1):
-    """Integer points of the dilate kP, sorted; exact membership per point."""
+    """Integer points of the dilate kP, sorted, by an integer row scan.
+
+    For integer x and an integer normal a, a.x <= k b iff a.x <= floor(k b),
+    so every facet becomes an integer row (a', a_n, floor(k b)).  Each row
+    of the first n - 1 coordinates of the bounding box then meets kP in one
+    interval of the last coordinate, cut out by r = floor(k b) - a'.x' as
+    x_n <= r // a_n (a_n > 0), x_n >= -(r // -a_n) (a_n < 0) or nothing at
+    all (a_n = 0, r < 0).  A lower-dimensional P tests each box point for
+    membership instead.  Before any loop the bounding box is checked
+    against MAX_BOX_POINTS; a larger box raises ValueError.
+    """
     if P.is_empty:
         return []
     k = int(k)
@@ -527,16 +546,29 @@ def lattice_points(P, k=1):
         vals = [k * v[c] for v in P.vertices]
         los.append(ceil(min(vals)))
         his.append(floor(max(vals)))
+    box_points = prod(hi - lo + 1 for lo, hi in zip(los, his))
+    if box_points > MAX_BOX_POINTS:
+        raise ValueError(f"the bounding box of {k}P has {box_points} lattice "
+                         f"points, above the limit of {MAX_BOX_POINTS}")
+    ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+    if not P.is_full_dim:
+        return [x for x in product(*ranges)
+                if P.contains(tuple(Fraction(c, k) for c in x))]
+    rows = [(f.normal[:-1], f.normal[-1], floor(k * f.offset)) for f in P.facets]
     out = []
-    if P.is_full_dim:
-        scaled = [HalfSpace(f.normal, k * f.offset) for f in P.facets]
-        for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-            if all(dot(f.normal, x) <= f.offset for f in scaled):
-                out.append(x)
-    else:
-        for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-            if P.contains(tuple(Fraction(c, k) for c in x)):
-                out.append(x)
+    for head in product(*ranges[:-1]):
+        lo, hi = los[-1], his[-1]
+        for a, a_n, b in rows:
+            r = b - sum(x * y for x, y in zip(a, head))
+            if a_n > 0:
+                hi = min(hi, r // a_n)
+            elif a_n < 0:
+                lo = max(lo, -(r // -a_n))
+            elif r < 0:
+                hi = lo - 1
+            if lo > hi:
+                break
+        out.extend(head + (x,) for x in range(lo, hi + 1))
     return out
 
 

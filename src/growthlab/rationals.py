@@ -120,9 +120,8 @@ def solve_general(A, b):
     ncols = len(A[0]) if m else 0
     rows = [list(map(rat, A[i])) + [rat(b[i])] for i in range(m)]
     pivots = _eliminate(rows)
-    for i in range(len(pivots), m):
-        if rows[i][ncols] != 0:
-            return None
+    if pivots and pivots[-1] == ncols:  # a pivot in b: inconsistent
+        return None
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
         x[c] = rows[i][ncols]

@@ -4,12 +4,13 @@ Each oracle is deliberately implemented with a different method than the
 package uses: facets by cofactor-expansion hyperplanes through point
 subsets, areas by Pick's theorem, volumes by Ehrhart differences, radial
 components and conjugates by grid search, simplex inclusion by bisection
-with membership tests.
+with membership tests, lattice points by testing every point of the
+bounding box against those facets.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import ceil, floor, gcd
 
 
 def _cofactor_normal(points):
@@ -76,6 +77,28 @@ def brute_force_facets(points):
         elif all(v >= b for v in vals):
             out.add(_primitive(tuple(-x for x in a), -b))
     return out
+
+
+def brute_force_lattice_points(points, k):
+    """Sorted integer points of k conv(points), each box point tested against
+    brute_force_facets of the k-scaled points.
+
+    A hyperplane through every point bounds from both sides.  If the points
+    span a hyperplane, it is their only facet, so the answer is exact only
+    when the bounding box cuts it down to the hull, as for a segment in the
+    plane or a hyperplane slice of a box.
+    """
+    scaled = [tuple(k * Fraction(x) for x in p) for p in points]
+    n = len(scaled[0])
+    ranges = [range(ceil(min(p[c] for p in scaled)),
+                    floor(max(p[c] for p in scaled)) + 1) for c in range(n)]
+    if n == 1:
+        return [(x,) for x in ranges[0]]
+    facets = brute_force_facets(scaled)
+    facets |= {(tuple(-ai for ai in a), -b) for a, b in facets
+               if all(sum(ai * x for ai, x in zip(a, p)) == b for p in scaled)}
+    return [x for x in product(*ranges)
+            if all(sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in facets)]
 
 
 def pick_area(interior, boundary):

@@ -4,10 +4,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from growthlab import polytope as pt
+
+# Property tests draw the same small set of examples on every run.
+settings.register_profile("growthlab", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+settings.load_profile("growthlab")
 
 
 def random_unimodular(rng, n, steps=4):

@@ -17,6 +17,8 @@ def files(tmp_path):
         "simplex": pt.standard_simplex(2),
         "trapezoid": pt.hull([(0, 0), (3, 0), (1, 1), (0, 1)]),
         "bad": pt.hull([(0, 0), (2, 0), (0, 1)]),
+        "cube2": pt.box([2, 2, 2]),
+        "segment": pt.Polytope.from_points([(0, 0), (2, 1)]),
     }
     for name, P in shapes.items():
         p = tmp_path / f"{name}.json"
@@ -164,7 +166,9 @@ class TestBadInput:
     ] + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
            "--fs-lambda", "3/2", flag, value], "ValueError")
          for flag, value in (("--R", "nan"), ("--R", "inf"), ("--R", "1e300"),
-                             ("--epsilon", "nan"))])
+                             ("--epsilon", "nan"))]
+       + [(["okounkov", "--polytope", "{segment}", "--k-max", "2"],
+           "NotNormalized")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         (files["tmp"] / "no_vertices.json").write_text('{"dim": 2}')
         (files["tmp"] / "no_dim.json").write_text('{"vertices": [["0", "0"]]}')
@@ -178,6 +182,14 @@ class TestBadInput:
         proc = subprocess.run(
             [sys.executable, "-m", "growthlab", "seshadri", "--polytope",
              files["square2"], "--vertex", "0,0", "--tol", "0"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+    def test_oversized_dilate_exits_instead_of_hanging(self, files):
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthlab", "growth", "--polytope",
+             files["cube2"], "--vertex", "0,0,0", "--k", "200"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "ValueError"

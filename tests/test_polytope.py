@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from growthlab import convexfn as cf
 from growthlab import polytope as pt
@@ -17,6 +19,7 @@ from growthlab.rationals import rank
 from _oracles import (
     bisection_simplex_inclusion,
     brute_force_facets,
+    brute_force_lattice_points,
     pick_area,
 )
 
@@ -163,7 +166,47 @@ class TestNormalize:
             pt.normalize_at_vertex(SIGMA, (F(1, 2), F(1, 2)))
 
 
+@st.composite
+def rational_point_clouds(draw):
+    """(points, k): n + 1 to n + 4 points in R^n, n = 1..4, with coordinates
+    a/d for |a| <= 3 and one d in 1..3, and a dilation k that keeps the
+    oracle's box small."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(lambda a: F(a, d))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                        max_size=n + 4))
+    k = draw(st.integers(1, {1: 5, 2: 3, 3: 2, 4: 1}[n]))
+    return pts, k
+
+
 class TestLatticePoints:
+    @given(rational_point_clouds())
+    def test_matches_brute_force_oracle(self, cloud):
+        pts, k = cloud
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        assert pt.lattice_points(P, k) == brute_force_lattice_points(pts, k)
+
+    @pytest.mark.parametrize("P", [
+        pt.Polytope.from_points([(0, 0), (2, 1)]),
+        pt.sum_slice(pt.box([2, 2, 2]), 3),
+    ], ids=["segment", "hexagon"])
+    def test_lower_dimensional_matches_brute_force_oracle(self, P):
+        assert not P.is_full_dim
+        for k in (1, 2, 3):
+            assert (pt.lattice_points(P, k)
+                    == brute_force_lattice_points(P.vertices, k))
+
+    def test_box_budget(self, monkeypatch):
+        with pytest.raises(ValueError, match="limit"):
+            pt.lattice_points(pt.box([2, 2, 2]), 200)
+        monkeypatch.setattr(pt, "MAX_BOX_POINTS", 27)
+        assert len(pt.lattice_points(pt.box([2, 2, 2]), 1)) == 27
+        monkeypatch.setattr(pt, "MAX_BOX_POINTS", 26)
+        with pytest.raises(ValueError, match="27 lattice points"):
+            pt.lattice_points(pt.box([2, 2, 2]), 1)
+
     def test_simplex_dilate(self):
         assert len(pt.lattice_points(SIGMA, 2)) == 6
 
@@ -262,6 +305,12 @@ class TestSlice:
         seg = pt.sum_slice(SQUARE, 3)             # segment (1,2)-(2,1)
         point = pt.cut(seg, (1, 0), F(3, 2))      # x = 3/2 on that segment
         assert point.is_point and point.vertices == ((F(3, 2), F(3, 2)),)
+
+    def test_lower_dimensional_contains_off_span(self):
+        seg = pt.Polytope.from_points([(0, 0), (2, 1)])
+        assert seg.contains((1, F(1, 2)))
+        assert not seg.contains((0, 1))
+        assert not seg.contains((4, 2))
 
 
 class TestStrictInclusion:
