@@ -47,10 +47,6 @@ class GrowthCondition:
             raise UnknownLevel(f"no approximant built at level k={k}")
         return self.approximants[k]
 
-    @property
-    def o1_certificates(self):
-        return [a.certificate for a in self.approximants.values()]
-
 
 def build_growth_condition(P, vertex, k_levels=(1, 2, 4)):
     """Normalize P at the vertex and assemble representative, approximants

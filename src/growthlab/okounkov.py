@@ -9,7 +9,8 @@ import numpy as np
 
 from . import convexfn as cf
 from . import polytope as pt
-from .errors import DimensionMismatch, EmptySupport, IncomparableFamilies
+from .errors import (DegenerateInput, DimensionMismatch, EmptySupport,
+                     IncomparableFamilies)
 from .rationals import rat_str
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -113,7 +114,15 @@ class GradedMonomialSeries:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls({int(k): [tuple(a) for a in v] for k, v in d["degrees"].items()})
+        """Inverse of to_json_dict; malformed JSON raises DegenerateInput."""
+        try:
+            degrees = {int(k): [tuple(a) for a in v] for k, v in d["degrees"].items()}
+            ok = all(type(x) is int for v in degrees.values() for a in v for x in a)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise DegenerateInput('series JSON needs "degrees": {k: [[int, ...], ...]}')
+        return cls(degrees)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Polytopes carry both a vertex and a facet description, kept consistent by
 construction: points strictly inside an axis-parallel segment of the input
 are dropped, the convex hull of the rest is computed incrementally in exact
 arithmetic, and its simplicial facets are certified by incidence (each input
-point inside each facet halfspace, the facets an oriented boundary cycle).
+point inside each facet halfspace, the facets an oriented boundary cycle of
+degree 1).  Volumes and triangulations are cones over those simplices.
 Lower-dimensional polytopes (slices, faces) are stored in ambient
 coordinates together with an affine-span basis and a full-dimensional
 polytope in span coordinates.
@@ -13,7 +14,7 @@ polytope in span coordinates.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, prod
+from math import ceil, factorial, floor, prod
 
 from .errors import (
     DegenerateInput,
@@ -46,7 +47,7 @@ MAX_BOX_POINTS = 2_000_000
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The set {x : <normal, x> <= offset}, normal a primitive integer vector."""
+    """{x : <normal, x> <= offset}; (normal, offset) is a primitive integer vector."""
 
     normal: tuple
     offset: Fraction
@@ -54,9 +55,8 @@ class HalfSpace:
     def value(self, x):
         return dot(self.normal, x)
 
-    def contains(self, x, strict=False):
-        v = self.value(x)
-        return v < self.offset if strict else v <= self.offset
+    def contains(self, x):
+        return self.value(x) <= self.offset
 
     def to_json_dict(self):
         return {"normal": [rat_str(a) for a in self.normal],
@@ -83,10 +83,13 @@ class UnimodularMap:
 
 
 class Polytope:
-    """Immutable exact polytope; do not mutate attributes after construction."""
+    """Immutable exact polytope; do not mutate attributes after construction.
+
+    A full-dimensional one keeps its certified boundary complex: `_boundary[i]`
+    lists the simplices on facet i, `_incidence` each vertex's facet indices."""
 
     def __init__(self, ambient_dim, vertices, facets, dim, span_point=None,
-                 span_basis=None, span_poly=None):
+                 span_basis=None, span_poly=None, boundary=(), incidence=None):
         self.ambient_dim = ambient_dim
         self.vertices = tuple(sorted(vertices))
         self.facets = facets
@@ -94,7 +97,10 @@ class Polytope:
         self._span_point = span_point
         self._span_basis = span_basis
         self._span_poly = span_poly
+        self._boundary = boundary
+        self._incidence = incidence
         self._edges = None
+        self._volume = None
 
     # -- constructors --------------------------------------------------
 
@@ -121,8 +127,9 @@ class Polytope:
         if d == 0:
             return cls(ambient_dim, (base,), (), 0)
         if d == ambient_dim:
-            facets, verts = _hull_full_dim(pts, ambient_dim)
-            return cls(ambient_dim, verts, facets, ambient_dim)
+            incidence, facets, boundary = _hull_full_dim(pts, ambient_dim)
+            return cls(ambient_dim, incidence, facets, ambient_dim,
+                       boundary=boundary, incidence=incidence)
         # project to span coordinates and hull there
         coords = []
         cols = list(zip(*basis))  # n x d system
@@ -169,8 +176,8 @@ class Polytope:
         return self._span_poly.contains(s)
 
     def active_facets(self, v):
-        v = vec(v)
-        return tuple(f for f in self.facets if f.value(v) == f.offset)
+        """Facets through the vertex v of a full-dimensional polytope."""
+        return tuple(self.facets[i] for i in sorted(self._incidence[vec(v)]))
 
     def edges(self):
         """Vertex index pairs forming 1-faces, as a tuple computed once."""
@@ -180,8 +187,6 @@ class Polytope:
 
     def _find_edges(self):
         if not self.is_full_dim:
-            if self.dim == 1:
-                return [(0, 1)]
             if self.dim <= 0:
                 return []
             amb = [_from_span(self._span_point, self._span_basis, s)
@@ -190,17 +195,11 @@ class Polytope:
             return [(index[amb[i]], index[amb[j]])
                     for i, j in self._span_poly.edges()]
         n = self.ambient_dim
-        active = [frozenset(i for i, f in enumerate(self.facets)
-                            if f.value(v) == f.offset) for v in self.vertices]
-        out = []
-        for i, j in combinations(range(len(self.vertices)), 2):
-            common = active[i] & active[j]
-            if len(common) < n - 1:
-                continue
-            normals = [self.facets[k].normal for k in common]
-            if rank(normals) == n - 1:
-                out.append((i, j))
-        return out
+        active = [self._incidence[v] for v in self.vertices]
+        pairs = ((i, j, active[i] & active[j])
+                 for i, j in combinations(range(len(active)), 2))
+        return [(i, j) for i, j, common in pairs if len(common) >= n - 1
+                and rank([self.facets[k].normal for k in common]) == n - 1]
 
     def neighbors(self, v):
         v = vec(v)
@@ -352,14 +351,16 @@ def _incremental_hull(pts, n):
 
 
 def _certify(pts, facets, halfspaces, n):
-    """Check the simplicial facets of pts by incidence; return the vertices.
+    """Check the simplicial facets of pts by incidence; map vertices to facets.
 
-    halfspaces are the facets' planes a.x <= b, deduplicated.  Checks: (a) every point lies in every halfspace; (b) each simplicial
-    facet's n points lie on its plane a.x = b and have orientation sign
+    halfspaces is _dedupe_halfspaces(facets).  Checks: (a) every point lies
+    in every halfspace; (b) each simplicial facet's n points lie on its
+    plane a.x = b and have orientation sign
     s = sign det[p1 - p0, ..., p_{n-1} - p0, a] != 0; (c) the signed ridge
     sums of sum_i s (-1)^i [p0 .. ^pi .. p_{n-1}] over all simplicial facets
-    vanish.  Then the vertices are the points whose active normals have
-    rank n.
+    vanish; (d) on the plane with the fewest simplices, the barycenter m of
+    the first, s0, lies in no other.  The vertices, returned with the indices
+    of their halfspaces, are the points whose active normals have rank n.
 
     Soundness.  Let P = conv(pts).  By (a) and (b) each simplex lies in
     the face of P on its plane, so the chain c = sum s [p0 .. p_{n-1}] lies
@@ -373,7 +374,10 @@ def _certify(pts, facets, halfspaces, n):
     input point, and a point of P is a vertex iff its active normals have
     rank n.  The unsigned check "each ridge lies in exactly two simplices"
     is not enough: ab, bc, ac on three collinear points a, b, c pass it,
-    while their signed ridge sums are 2, 0, -2.
+    while their signed ridge sums are 2, 0, -2.  By (d), d = 1 and the
+    simplices triangulate bd P: m is in the relative interior of s0, so of
+    the facet F on its plane; if d >= 2, the points of s0 near m off every
+    ridge lie in d >= 2 simplices in aff F, so some closed s != s0 contains m.
     """
     ridge_sum = {}
     for ids, a, b in facets:
@@ -390,45 +394,49 @@ def _certify(pts, facets, halfspaces, n):
             ridge_sum[ridge] = ridge_sum.get(ridge, 0) + s * (-1) ** i
     if any(ridge_sum.values()):
         raise GrowthLabError("hull facets do not form an oriented cycle")
-    verts = []
+    group = [[pts[i] for i in sorted(ids)]
+             for ids, _, _ in min(halfspaces.values(), key=len)]
+    m = tuple(sum(xs) / n for xs in zip(*group[0]))
+    # barycentric coordinates of m in s: m - s0 = sum mu_i (s_i - s0)
+    mus = [solve_general(list(zip(*(vsub(q, s[0]) for q in s[1:]))), vsub(m, s[0]))
+           for s in group[1:]]
+    if any(min(mu) >= 0 and sum(mu) <= 1 for mu in mus):
+        raise GrowthLabError("hull facets cover the boundary more than once")
+    verts = {}
     for p in pts:
-        active = []
-        for hs in halfspaces:
+        active = {}
+        for i, hs in enumerate(halfspaces):
             v = hs.value(p)
             if v > hs.offset:
                 raise GrowthLabError("input point outside a hull facet")
             if v == hs.offset:
-                active.append(hs.normal)
-        if len(active) >= n and rank(active) == n:
-            verts.append(p)
-    return tuple(verts)
+                active[i] = hs.normal
+        if len(active) >= n and rank(list(active.values())) == n:
+            verts[p] = frozenset(active)
+    return verts
 
 
 def _dedupe_halfspaces(facets):
-    seen = set()
-    out = []
-    for _, a, b in facets:
-        hs = _canonical_halfspace(a, b)
-        if hs not in seen:
-            seen.add(hs)
-            out.append(hs)
-    return out
+    """The simplicial facets grouped by canonical plane, sorted by plane."""
+    groups = {}
+    for f in facets:
+        groups.setdefault(_canonical_halfspace(f[1], f[2]), []).append(f)
+    return dict(sorted(groups.items(), key=lambda g: (g[0].normal, g[0].offset)))
 
 
 def _hull_full_dim(pts, n):
+    """(vertex -> its facet indices, sorted facets, simplices on each facet)."""
     pts = _axis_endpoints(pts)
     if n == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        if lo == hi:
-            raise DegenerateInput("1-d hull of a single point")
-        facets = (HalfSpace((1,), Fraction(hi)), HalfSpace((-1,), Fraction(-lo)))
-        return tuple(sorted(facets, key=lambda h: (h.normal, h.offset))), ((lo,), (hi,))
+        lo, hi = min(pts), max(pts)
+        facets = (HalfSpace((-1,), -lo[0]), HalfSpace((1,), hi[0]))
+        return {lo: frozenset({0}), hi: frozenset({1})}, facets, (((lo,),), ((hi,),))
     facets = _incremental_hull(pts, n)
     halfspaces = _dedupe_halfspaces(facets)
-    verts = _certify(pts, facets, halfspaces, n)
-    halfspaces = tuple(sorted(halfspaces, key=lambda h: (h.normal, h.offset)))
-    return halfspaces, verts
+    incidence = _certify(pts, facets, halfspaces, n)
+    boundary = tuple(tuple(tuple(pts[i] for i in sorted(ids)) for ids, _, _ in group)
+                     for group in halfspaces.values())
+    return incidence, tuple(halfspaces), boundary
 
 
 # -- public operations ------------------------------------------------------
@@ -573,41 +581,31 @@ def lattice_points(P, k=1):
 
 
 def triangulate(P):
-    """Simplices (tuples of dim+1 vertices) partitioning a full-dim polytope."""
+    """Simplices (tuples of dim+1 points of P) partitioning P: the cones from
+    the first vertex v0 over the certified boundary simplices on the facets
+    missing v0, or the span polytope's simplices for a lower-dimensional P."""
     if not P.is_full_dim:
         if P.dim <= 0:
             return []
         inner = triangulate(P._span_poly)
         return [tuple(_from_span(P._span_point, P._span_basis, s) for s in simplex)
                 for simplex in inner]
-    n = P.ambient_dim
-    if n == 1:
-        return [tuple(P.vertices)]
     v0 = P.vertices[0]
-    simplices = []
-    for f in P.facets:
-        if f.value(v0) == f.offset:
-            continue
-        face_pts = [v for v in P.vertices if f.value(v) == f.offset]
-        face = Polytope.from_points(face_pts, n)
-        for s in triangulate(face):
-            simplices.append((v0,) + s)
-    return simplices
+    through = P._incidence[v0]
+    return [(v0,) + s for i, group in enumerate(P._boundary) if i not in through
+            for s in group]
 
 
 def volume(P):
-    """Exact Lebesgue volume; 0 for empty or lower-dimensional input."""
+    """Exact Lebesgue volume, computed once per polytope: the sum of
+    |det(s - v0)| / n! over the cones of triangulate(P).  0 for empty or
+    lower-dimensional input."""
     if not P.is_full_dim:
         return Fraction(0)
-    n = P.ambient_dim
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    total = Fraction(0)
-    for s in triangulate(P):
-        M = [vsub(p, s[0]) for p in s[1:]]
-        total += abs(det(M))
-    return total / fact
+    if P._volume is None:
+        dets = (abs(det([vsub(p, s[0]) for p in s[1:]])) for s in triangulate(P))
+        P._volume = sum(dets, Fraction(0)) / factorial(P.ambient_dim)
+    return P._volume
 
 
 def integer_kernel(rows):
@@ -654,12 +652,8 @@ def relative_volume(P):
     if P.is_full_dim:
         return volume(P)
     n = P.ambient_dim
-    dirs = [primitive_integer(d) for d in P._span_basis]
     # orthogonal complement of the direction space, as integer rows
-    rowsA = [list(d) for d in dirs]
-    perp = []
-    for cand in integer_kernel(rowsA) or []:
-        perp.append(cand)
+    perp = integer_kernel([primitive_integer(d) for d in P._span_basis])
     if len(perp) != n - P.dim:
         raise GrowthLabError("span complement has wrong dimension")
     basis = integer_kernel(perp)

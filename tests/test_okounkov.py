@@ -8,7 +8,7 @@ from growthlab import convexfn as cf
 from growthlab import growth as gr
 from growthlab import okounkov as ok
 from growthlab import polytope as pt
-from growthlab.errors import EmptySupport
+from growthlab.errors import DegenerateInput, EmptySupport
 
 from _oracles import grid_conjugate_2d
 
@@ -88,6 +88,16 @@ class TestSeries:
         s = ok.GradedMonomialSeries.toric(SIGMA, 2)
         t = ok.GradedMonomialSeries.from_json_dict(s.to_json_dict())
         assert t.degrees == s.degrees
+
+    @pytest.mark.parametrize("d", [
+        [[0, 1]], {"degree": {}}, {"degrees": [[0, 1]]},
+        {"degrees": {"x": [[0, 1]]}}, {"degrees": {"1": [[0, None]]}},
+        {"degrees": {"1": [[0, 0.5]]}}, {"degrees": {"1": [[0, "1"]]}},
+    ], ids=["not-a-dict", "no-degrees", "degrees-not-a-dict", "degree-key",
+            "exponent-null", "exponent-fraction", "exponent-string"])
+    def test_malformed_json_is_degenerate_input(self, d):
+        with pytest.raises(DegenerateInput):
+            ok.GradedMonomialSeries.from_json_dict(d)
 
 
 class TestBody:

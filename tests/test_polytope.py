@@ -90,6 +90,15 @@ class TestHull:
         with pytest.raises(GrowthLabError, match="oriented cycle"):
             pt._certify(pts, facets[1:], halfspaces, 3)
 
+    def test_certificate_rejects_double_cover(self):
+        # every simplex twice: the ridge sums still vanish, but the cycle
+        # covers the boundary twice and cone volumes would double
+        pts = sorted(pt.vec(p) for p in pt.lattice_points(pt.box([2, 2]), 1))
+        facets = pt._incremental_hull(pts, 2)
+        doubled = facets + facets
+        with pytest.raises(GrowthLabError, match="more than once"):
+            pt._certify(pts, doubled, pt._dedupe_halfspaces(doubled), 2)
+
     def test_duplicated_and_fractional_points(self):
         P = pt.hull([(0, 0), (0, 0), (1, 0), (1, 0), (F(1, 3), F(1, 3)),
                      (0, 1), (F(1, 4), F(1, 2))])
@@ -180,6 +189,25 @@ def rational_point_clouds(draw):
     return pts, k
 
 
+@st.composite
+def rational_clouds(draw, n):
+    """(points, d): n + 1 to n + 5 points in R^n with coordinates a/d for
+    |a| <= 3 and one d in 1..3, so d conv(points) is a lattice polytope."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(lambda a: F(a, d))
+    return draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                         max_size=n + 5)), d
+
+
+def cone_volume(s):
+    """Volume of a 1- or 2-simplex, by its own length or cross product."""
+    rows = [[x - y for x, y in zip(p, s[0])] for p in s[1:]]
+    if len(rows) == 1:
+        return abs(rows[0][0])
+    (a, b), (c, e) = rows
+    return abs(a * e - b * c) / 2
+
+
 class TestLatticePoints:
     @given(rational_point_clouds())
     def test_matches_brute_force_oracle(self, cloud):
@@ -264,6 +292,45 @@ class TestVolume:
                 base = pt.volume(P)
                 for k in (1, 2, 3):
                     assert pt.volume(P.scaled(k)) == k ** n * base
+
+
+class TestVolumeProperties:
+    @given(rational_clouds(2))
+    def test_area_matches_pick_on_lattice_dilate(self, cloud):
+        pts, d = cloud
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        lattice = brute_force_lattice_points(pts, d)
+        facets = brute_force_facets([tuple(d * x for x in p) for p in pts])
+        interior = sum(all(a[0] * x + a[1] * y < b for a, b in facets)
+                       for x, y in lattice)
+        assert (pt.volume(P)
+                == pick_area(interior, len(lattice) - interior) / d ** 2)
+
+    @given(st.one_of(rational_clouds(1), rational_clouds(2)))
+    def test_cones_are_full_dimensional_and_sum_to_volume(self, cloud):
+        pts, _ = cloud
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        vols = [cone_volume(s) for s in pt.triangulate(P)]
+        assert vols and all(v > 0 for v in vols)
+        assert sum(vols) == pt.volume(P)
+        if P.ambient_dim == 1:
+            assert pt.volume(P) == max(pts)[0] - min(pts)[0]
+
+
+class TestVolumeAvoidsHull:
+    def test_volume_and_triangulate_read_the_certified_complex(self, monkeypatch):
+        polys = [pt.box([2, 2, 2]), pt.hull(TRAP.vertices), pt.box([1, 1, 1, 1]),
+                 pt.standard_simplex(4), pt.sum_slice(pt.box([2, 2, 2]), 3)]
+
+        def refuse(*args):
+            raise AssertionError("volume or triangulate re-hulled")
+
+        monkeypatch.setattr(pt.Polytope, "from_points", refuse)
+        for P, vol in zip(polys, (8, 2, 1, F(1, 24), 0)):
+            assert pt.volume(P) == vol
+            assert pt.triangulate(P)
 
 
 class TestSimplexInclusion:
