@@ -25,6 +25,8 @@ from .lp import envelope_min
 from .rationals import dot, rat, rat_str, vec
 
 INF = math.inf
+# Fubini-Study dim bound: the exact hull of the 48-simplex takes about 2 s.
+MAX_FS_DIM = 48
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,8 @@ class SmoothToricPotential:
             self.dim = int(dim)
             if self.dim < 1:
                 raise ValueError("scaled Fubini-Study needs dim >= 1")
+            if self.dim > MAX_FS_DIM:
+                raise ValueError(f"scaled Fubini-Study needs dim <= {MAX_FS_DIM}")
         else:
             raise ValueError(f"unknown family {family!r}")
 

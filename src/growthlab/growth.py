@@ -50,7 +50,8 @@ class GrowthCondition:
 
 def build_growth_condition(P, vertex, k_levels=(1, 2, 4)):
     """Normalize P at the vertex and assemble representative, approximants
-    and their bounded-difference certificates."""
+    and their bounded-difference certificates; all levels share one
+    lattice-point budget."""
     report = pt.is_delzant(P)
     if not report.ok:
         from .errors import NotDelzantVertex
@@ -58,8 +59,10 @@ def build_growth_condition(P, vertex, k_levels=(1, 2, 4)):
             f"polytope is not Delzant at {report.failing_vertices()}")
     Q, umap = pt.normalize_at_vertex(P, vertex)
     h = cf.MaxAffineFunction.support_function(Q)
+    levels = sorted(set(int(k) for k in k_levels))
+    pt.dilate_boxes(Q, levels)
     approx = {}
-    for k in sorted(set(int(k) for k in k_levels)):
+    for k in levels:
         u = cf.logsumexp_from_polytope(Q, k)
         cert = cf.sup_difference(u, h)
         approx[k] = Approximant(k, u, u.lattice_count, cert)
@@ -173,14 +176,9 @@ class SeshadriResult:
 
 
 def _simplex_fits(P, lam):
-    if lam < 0:
-        return False
     n = P.ambient_dim
-    for i in range(n):
-        e = tuple(lam if j == i else Fraction(0) for j in range(n))
-        if not P.contains(e):
-            return False
-    return True
+    return lam >= 0 and all(P.contains(tuple(lam if j == i else 0 for j in range(n)))
+                            for i in range(n))
 
 
 def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):

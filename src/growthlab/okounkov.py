@@ -83,8 +83,11 @@ class GradedMonomialSeries:
 
     @classmethod
     def toric(cls, P, k_max):
-        """W_k = lattice points of kP, the full toric series."""
-        return cls({k: pt.lattice_points(P, k) for k in range(1, k_max + 1)})
+        """W_k = lattice points of kP, the full toric series, after one
+        lattice-point budget check for all levels."""
+        levels = range(1, k_max + 1)
+        pt.dilate_boxes(P, levels)
+        return cls({k: pt.lattice_points(P, k) for k in levels})
 
     def filtered(self, predicate):
         """Sub-series keeping exponents with predicate(k, alpha)."""
@@ -148,8 +151,9 @@ def okounkov_body(series, order=None, k_max=None):
 
     Every monomial of W_k is a section with valuation vector equal to its own
     exponent, so the degree-k hull is the hull of W_k / k, independent of the
-    order.  The limit is recorded when all computed levels agree (the toric
-    series stabilizes at every level).
+    order: the integer exponents are hulled and the result scaled by 1/k.
+    The limit is recorded when all computed levels agree (the toric series
+    stabilizes at every level).
     """
     if order is None:
         order = MonomialOrder("deglex")
@@ -162,8 +166,7 @@ def okounkov_body(series, order=None, k_max=None):
     for k in sorted(series.degrees):
         if k > k_max:
             continue
-        pts = [tuple(Fraction(a, k) for a in alpha) for alpha in series.degrees[k]]
-        hull_at[k] = pt.Polytope.from_points(pts, series.dim)
+        hull_at[k] = pt.Polytope.from_points(series.degrees[k], series.dim).scaled(Fraction(1, k))
     if not hull_at:
         raise EmptySupport("series empty below k_max")
     bodies = list(hull_at.values())

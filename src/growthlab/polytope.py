@@ -1,20 +1,22 @@
 """Exact rational polytope algebra.
 
 Polytopes carry both a vertex and a facet description, kept consistent by
-construction: points strictly inside an axis-parallel segment of the input
-are dropped, the convex hull of the rest is computed incrementally in exact
-arithmetic, and its simplicial facets are certified by incidence (each input
-point inside each facet halfspace, the facets an oriented boundary cycle of
-degree 1).  Volumes and triangulations are cones over those simplices.
-Lower-dimensional polytopes (slices, faces) are stored in ambient
-coordinates together with an affine-span basis and a full-dimensional
+construction.  The hull runs in ints on the input times D, the lcm of its
+denominators: points strictly inside an axis-parallel segment are dropped,
+the hull of the rest is built incrementally with primitive integer normals,
+and its simplicial facets are certified by incidence (each input point
+inside each facet halfspace, the facets an oriented boundary cycle of degree
+1).  Only vertices, facets and simplices are divided by D.  Volumes and
+triangulations are cones over those simplices; a positive scaling maps them
+with no new hull.  Lower-dimensional polytopes (slices, faces) are stored
+in ambient coordinates with an affine-span basis and a full-dimensional
 polytope in span coordinates.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, factorial, floor, prod
+from math import ceil, factorial, floor, gcd, lcm, prod
 
 from .errors import (
     DegenerateInput,
@@ -25,12 +27,12 @@ from .errors import (
     NotNormalized,
 )
 from .rationals import (
-    _eliminate,
     det,
     dot,
     inverse,
     is_integral,
     mat_vec,
+    null_vector,
     primitive_integer,
     rank,
     rat,
@@ -41,22 +43,21 @@ from .rationals import (
     vsub,
 )
 
-# lattice_points refuses a dilate whose bounding box holds more points.
+# dilate_boxes refuses dilates whose bounding boxes hold more lattice points,
+# one box alone or a series of them together.
 MAX_BOX_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """{x : <normal, x> <= offset}; (normal, offset) is a primitive integer vector."""
+    """{x : <normal, x> <= offset}; (normal, offset) is a primitive integer
+    vector, except in dimension 1: normal (1,) or (-1,), offset an endpoint."""
 
     normal: tuple
     offset: Fraction
 
     def value(self, x):
         return dot(self.normal, x)
-
-    def contains(self, x):
-        return self.value(x) <= self.offset
 
     def to_json_dict(self):
         return {"normal": [rat_str(a) for a in self.normal],
@@ -110,8 +111,9 @@ class Polytope:
 
     @classmethod
     def from_points(cls, points, ambient_dim=None):
-        """Convex hull of arbitrary points; lower-dimensional results allowed."""
-        pts = [vec(p) for p in points]
+        """Convex hull of arbitrary points; lower-dimensional results allowed.
+        The hull runs on the points times D > 0, which keeps their order."""
+        pts = [tuple(x if type(x) is int else rat(x) for x in p) for p in points]
         if ambient_dim is None:
             if not pts:
                 raise DegenerateInput("ambient dimension unknown for empty input")
@@ -120,17 +122,18 @@ class Polytope:
             raise DimensionMismatch("points of mixed dimension")
         if not pts:
             return cls.empty(ambient_dim)
-        pts = sorted(set(pts))
+        D = lcm(*(x.denominator for p in pts for x in p))
+        pts = sorted({tuple(x.numerator * (D // x.denominator) for x in p) for p in pts})
         base = pts[0]
-        basis = _affine_basis(pts, base)
+        basis = [vsub(pts[i], base) for i in _affine_basis(pts)]
         d = len(basis)
-        if d == 0:
-            return cls(ambient_dim, (base,), (), 0)
         if d == ambient_dim:
-            incidence, facets, boundary = _hull_full_dim(pts, ambient_dim)
+            incidence, facets, boundary = _hull_full_dim(pts, ambient_dim, D)
             return cls(ambient_dim, incidence, facets, ambient_dim,
                        boundary=boundary, incidence=incidence)
-        # project to span coordinates and hull there
+        if d == 0:
+            return cls(ambient_dim, (_unscaled(base, D),), (), 0)
+        # project to span coordinates, which scaling by D leaves unchanged
         coords = []
         cols = list(zip(*basis))  # n x d system
         for p in pts:
@@ -139,9 +142,10 @@ class Polytope:
                 raise GrowthLabError("span projection failed")
             coords.append(s)
         span_poly = cls.from_points(coords, d)
+        base, basis = _unscaled(base, D), tuple(_unscaled(b, D) for b in basis)
         verts = tuple(_from_span(base, basis, s) for s in span_poly.vertices)
         return cls(ambient_dim, verts, (), d, span_point=base,
-                   span_basis=tuple(basis), span_poly=span_poly)
+                   span_basis=basis, span_poly=span_poly)
 
     # -- basic queries --------------------------------------------------
 
@@ -166,7 +170,11 @@ class Polytope:
         if self.is_point:
             return x == self.vertices[0]
         if self.is_full_dim:
-            return all(f.contains(x) for f in self.facets)
+            # a.x <= b as a.(x d) <= b d in ints, d the lcm of x's denominators
+            d = lcm(*(c.denominator for c in x))
+            xd = [c.numerator * (d // c.denominator) for c in x]
+            return all(dot(f.normal, xd) * f.offset.denominator <= f.offset.numerator * d
+                       for f in self.facets)
         cols = list(zip(*self._span_basis))
         s = solve_general(cols, vsub(x, self._span_point))
         if s is None:
@@ -207,10 +215,28 @@ class Polytope:
         return [self.vertices[j if i == idx else i]
                 for i, j in self.edges() if idx in (i, j)]
 
-    def scaled(self, k):
-        k = rat(k)
-        return Polytope.from_points([tuple(k * x for x in v) for v in self.vertices],
-                                    self.ambient_dim)
+    def scaled(self, c):
+        """cP.  For c > 0 a full-dimensional P maps its certified data with no
+        new hull; a facet a.x <= b becomes a.x <= c b, primitive again."""
+        c = rat(c)
+        if c <= 0 or not self.is_full_dim:
+            return Polytope.from_points([tuple(c * x for x in v) for v in self.vertices],
+                                        self.ambient_dim)
+        facets = []
+        for f in self.facets:
+            b = c * f.offset  # = p/q, and (q a, p) / gcd(a, p) is primitive
+            q, g = (b.denominator, gcd(*f.normal, b.numerator)) if self.dim > 1 else (1, 1)
+            facets.append(HalfSpace(tuple(q * x // g for x in f.normal), b * q / g))
+        order = sorted(range(len(facets)), key=lambda i: (facets[i].normal, facets[i].offset))
+        index = {i: j for j, i in enumerate(order)}
+        incidence = {tuple(c * x for x in v): frozenset(index[i] for i in fs)
+                     for v, fs in self._incidence.items()}
+        points = {id(p): p for group in self._boundary for s in group for p in s}
+        image = {i: tuple(c * x for x in p) for i, p in points.items()}
+        boundary = tuple(tuple(tuple(image[id(p)] for p in s) for s in self._boundary[i])
+                         for i in order)
+        return Polytope(self.ambient_dim, incidence, tuple(facets[i] for i in order),
+                        self.ambient_dim, boundary=boundary, incidence=incidence)
 
     # -- serialization ---------------------------------------------------
 
@@ -254,15 +280,19 @@ def _from_span(base, basis, s):
     return tuple(out)
 
 
-def _affine_basis(pts, base):
-    basis = []
-    for p in pts[1:]:
-        d = vsub(p, base)
-        if rank(basis + [d]) > len(basis):
-            basis.append(d)
-            if len(basis) == len(base):
+def _unscaled(p, D):
+    return tuple(Fraction(x, D) for x in p)
+
+
+def _affine_basis(pts):
+    """Indices i with the pts[i] - pts[0] a basis of the affine span's directions."""
+    ids = []
+    for i in range(1, len(pts)):
+        if rank([vsub(pts[j], pts[0]) for j in ids + [i]]) > len(ids):
+            ids.append(i)
+            if len(ids) == len(pts[0]):
                 break
-    return basis
+    return ids
 
 
 def _axis_endpoints(pts):
@@ -283,52 +313,25 @@ def _axis_endpoints(pts):
     return [p for p in pts if p in keep]
 
 
-def _hyperplane(points):
-    """Exact hyperplane through n affinely independent points in R^n."""
-    p0 = points[0]
-    n = len(p0)
-    # row reduce the difference rows to find the one-dimensional null space
-    rows = [list(vsub(p, p0)) for p in points[1:]]
-    pivots = _eliminate(rows)
-    if len(pivots) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    a = [Fraction(0)] * n
-    a[free] = Fraction(1)
-    for i, c in enumerate(pivots):
-        a[c] = -rows[i][free]
-    a = tuple(a)
-    return a, dot(a, p0)
-
-
-def _canonical_halfspace(a, b):
-    scaled = primitive_integer(tuple(a) + (rat(b),))
-    return HalfSpace(scaled[:-1], Fraction(scaled[-1]))
-
-
-def _oriented_facet(pts, ids, ref):
-    """(ids, a, b) for the plane through pts[ids], with ref on the side a.x <= b."""
-    hp = _hyperplane([pts[i] for i in ids])
-    if hp is None:
+def _facet(pts, ids, total):
+    """(ids, a, b) for the plane a.x = b through pts[ids], a the primitive cofactor
+    vector of the difference rows, with total / (n + 1) on the side a.x <= b."""
+    p0 = pts[ids[0]]
+    a = null_vector([vsub(pts[i], p0) for i in ids[1:]])
+    if a is None:
         raise GrowthLabError("degenerate hull facet")
-    a, b = hp
-    if dot(a, ref) > b:
-        a, b = tuple(-x for x in a), -b
-    return frozenset(ids), a, b
+    g = gcd(*a)
+    if dot(a, total) > (len(p0) + 1) * dot(a, p0):
+        g = -g
+    a = tuple(x // g for x in a)
+    return frozenset(ids), a, dot(a, p0)
 
 
 def _incremental_hull(pts, n):
-    """Simplicial facet list [(ids frozenset, a, b)] of the hull of pts."""
-    base = pts[0]
-    simplex = [0]
-    for i in range(1, len(pts)):
-        cur = [vsub(pts[j], base) for j in simplex[1:]]
-        if rank(cur + [vsub(pts[i], base)]) > len(cur):
-            simplex.append(i)
-            if len(simplex) == n + 1:
-                break
-    ref = tuple(sum(pts[i][c] for i in simplex) / (n + 1) for c in range(n))
-    facets = [_oriented_facet(pts, simplex[:drop] + simplex[drop + 1:], ref)
+    """Simplicial facets [(ids frozenset, a, b)] of the hull of integer pts."""
+    simplex = [0] + _affine_basis(pts)
+    total = tuple(map(sum, zip(*(pts[i] for i in simplex))))
+    facets = [_facet(pts, simplex[:drop] + simplex[drop + 1:], total)
               for drop in range(n + 1)]
 
     in_simplex = set(simplex)
@@ -346,16 +349,16 @@ def _incremental_hull(pts, n):
         horizon = [r for r, cnt in ridge_count.items() if cnt == 1]
         visible_set = {f[0] for f in visible}
         facets = [f for f in facets if f[0] not in visible_set]
-        facets += [_oriented_facet(pts, ridge + (idx,), ref) for ridge in horizon]
+        facets += [_facet(pts, ridge + (idx,), total) for ridge in horizon]
     return facets
 
 
 def _certify(pts, facets, halfspaces, n):
-    """Check the simplicial facets of pts by incidence; map vertices to facets.
+    """Check the simplicial facets of integer points pts; map vertex indices to facets.
 
-    halfspaces is _dedupe_halfspaces(facets).  Checks: (a) every point lies
-    in every halfspace; (b) each simplicial facet's n points lie on its
-    plane a.x = b and have orientation sign
+    halfspaces is _dedupe_halfspaces(facets, D).  Checks: (a) every point
+    lies in every facet plane's halfspace a.x <= b; (b) each simplicial
+    facet's n points lie on its plane a.x = b and have orientation sign
     s = sign det[p1 - p0, ..., p_{n-1} - p0, a] != 0; (c) the signed ridge
     sums of sum_i s (-1)^i [p0 .. ^pi .. p_{n-1}] over all simplicial facets
     vanish; (d) on the plane with the fewest simplices, the barycenter m of
@@ -396,47 +399,53 @@ def _certify(pts, facets, halfspaces, n):
         raise GrowthLabError("hull facets do not form an oriented cycle")
     group = [[pts[i] for i in sorted(ids)]
              for ids, _, _ in min(halfspaces.values(), key=len)]
-    m = tuple(sum(xs) / n for xs in zip(*group[0]))
-    # barycentric coordinates of m in s: m - s0 = sum mu_i (s_i - s0)
-    mus = [solve_general(list(zip(*(vsub(q, s[0]) for q in s[1:]))), vsub(m, s[0]))
+    nm = tuple(map(sum, zip(*group[0])))  # n times the barycenter m
+    # n times the barycentric coordinates of m in s: n m - n s0 = sum nu_i (s_i - s0)
+    nus = [solve_general(list(zip(*(vsub(q, s[0]) for q in s[1:]))),
+                         tuple(x - n * y for x, y in zip(nm, s[0])))
            for s in group[1:]]
-    if any(min(mu) >= 0 and sum(mu) <= 1 for mu in mus):
+    if any(min(nu) >= 0 and sum(nu) <= n for nu in nus):
         raise GrowthLabError("hull facets cover the boundary more than once")
+    planes = [g[0][1:] for g in halfspaces.values()]
     verts = {}
-    for p in pts:
-        active = {}
-        for i, hs in enumerate(halfspaces):
-            v = hs.value(p)
-            if v > hs.offset:
+    for idx, p in enumerate(pts):
+        active = []
+        for i, (a, b) in enumerate(planes):
+            v = dot(a, p)
+            if v > b:
                 raise GrowthLabError("input point outside a hull facet")
-            if v == hs.offset:
-                active[i] = hs.normal
-        if len(active) >= n and rank(list(active.values())) == n:
-            verts[p] = frozenset(active)
+            if v == b:
+                active.append(i)
+        if len(active) >= n and rank([planes[i][0] for i in active]) == n:
+            verts[idx] = frozenset(active)
     return verts
 
 
-def _dedupe_halfspaces(facets):
-    """The simplicial facets grouped by canonical plane, sorted by plane."""
+def _dedupe_halfspaces(facets, D):
+    """Simplicial facets grouped by plane, keyed and sorted by its HalfSpace in
+    x = p / D: a.p <= b is (D a).x <= b, and gcd(D a, b) = gcd(D, b)."""
     groups = {}
     for f in facets:
-        groups.setdefault(_canonical_halfspace(f[1], f[2]), []).append(f)
-    return dict(sorted(groups.items(), key=lambda g: (g[0].normal, g[0].offset)))
+        groups.setdefault(f[1:], []).append(f)
+    canonical = {HalfSpace(tuple(D // gcd(D, b) * x for x in a), Fraction(b // gcd(D, b))): g
+                 for (a, b), g in groups.items()}
+    return dict(sorted(canonical.items(), key=lambda g: (g[0].normal, g[0].offset)))
 
 
-def _hull_full_dim(pts, n):
-    """(vertex -> its facet indices, sorted facets, simplices on each facet)."""
+def _hull_full_dim(pts, n, D):
+    """(vertex -> facet indices, sorted facets, simplices per facet) of conv(pts) / D."""
     pts = _axis_endpoints(pts)
     if n == 1:
-        lo, hi = min(pts), max(pts)
+        lo, hi = _unscaled(min(pts), D), _unscaled(max(pts), D)
         facets = (HalfSpace((-1,), -lo[0]), HalfSpace((1,), hi[0]))
         return {lo: frozenset({0}), hi: frozenset({1})}, facets, (((lo,),), ((hi,),))
     facets = _incremental_hull(pts, n)
-    halfspaces = _dedupe_halfspaces(facets)
+    halfspaces = _dedupe_halfspaces(facets, D)
     incidence = _certify(pts, facets, halfspaces, n)
-    boundary = tuple(tuple(tuple(pts[i] for i in sorted(ids)) for ids, _, _ in group)
+    frac = {i: _unscaled(pts[i], D) for i in set(incidence).union(*(f[0] for f in facets))}
+    boundary = tuple(tuple(tuple(frac[i] for i in sorted(ids)) for ids, _, _ in group)
                      for group in halfspaces.values())
-    return incidence, tuple(halfspaces), boundary
+    return {frac[i]: fs for i, fs in incidence.items()}, tuple(halfspaces), boundary
 
 
 # -- public operations ------------------------------------------------------
@@ -489,20 +498,12 @@ def is_delzant(P):
         raise DegenerateInput("Delzant check requires a full-dimensional polytope")
     if not all(is_integral(v) for v in P.vertices):
         raise NotLatticePolytope("vertices must be integral")
-    n = P.ambient_dim
     entries = []
-    all_ok = True
     for v in P.vertices:
         gens = _edge_generators(P, v)
-        if len(gens) != n:
-            entries.append(DelzantVertexReport(v, False, tuple(gens), None))
-            all_ok = False
-            continue
-        d = det([list(g) for g in gens])
-        ok = abs(d) == 1
-        entries.append(DelzantVertexReport(v, ok, tuple(gens), d))
-        all_ok = all_ok and ok
-    return DelzantReport(tuple(entries), all_ok)
+        d = det(gens) if len(gens) == P.ambient_dim else None
+        entries.append(DelzantVertexReport(v, d in (1, -1), tuple(gens), d))
+    return DelzantReport(tuple(entries), all(e.ok for e in entries))
 
 
 def normalize_at_vertex(P, v):
@@ -540,24 +541,12 @@ def lattice_points(P, k=1):
     interval of the last coordinate, cut out by r = floor(k b) - a'.x' as
     x_n <= r // a_n (a_n > 0), x_n >= -(r // -a_n) (a_n < 0) or nothing at
     all (a_n = 0, r < 0).  A lower-dimensional P tests each box point for
-    membership instead.  Before any loop the bounding box is checked
-    against MAX_BOX_POINTS; a larger box raises ValueError.
+    membership instead.  The box is first checked by dilate_boxes.
     """
     if P.is_empty:
         return []
     k = int(k)
-    if k < 1:
-        raise ValueError("dilation factor must be a positive integer")
-    n = P.ambient_dim
-    los, his = [], []
-    for c in range(n):
-        vals = [k * v[c] for v in P.vertices]
-        los.append(ceil(min(vals)))
-        his.append(floor(max(vals)))
-    box_points = prod(hi - lo + 1 for lo, hi in zip(los, his))
-    if box_points > MAX_BOX_POINTS:
-        raise ValueError(f"the bounding box of {k}P has {box_points} lattice "
-                         f"points, above the limit of {MAX_BOX_POINTS}")
+    [(los, his)] = dilate_boxes(P, (k,))
     ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
     if not P.is_full_dim:
         return [x for x in product(*ranges)
@@ -578,6 +567,30 @@ def lattice_points(P, k=1):
                 break
         out.extend(head + (x,) for x in range(lo, hi + 1))
     return out
+
+
+def dilate_boxes(P, ks):
+    """Integer bounding boxes (lows, highs) of kP for the ascending ks, checked
+    before any enumeration: ValueError if they hold more than MAX_BOX_POINTS
+    lattice points, one box alone or all together."""
+    if P.is_empty:
+        return []
+    cols = list(zip(*P.vertices))
+    mins, maxs = [min(c) for c in cols], [max(c) for c in cols]
+    boxes, total = [], 0
+    for k in ks:
+        if k < 1:
+            raise ValueError("dilation factor must be a positive integer")
+        los, his = [ceil(k * x) for x in mins], [floor(k * x) for x in maxs]
+        box = prod(hi - lo + 1 for lo, hi in zip(los, his))
+        total += box
+        if total > MAX_BOX_POINTS:
+            what = (f"the bounding box of {k}P has {box} lattice points" if box > MAX_BOX_POINTS
+                    else f"the bounding boxes of kP for k up to {k} have {total} "
+                         "lattice points together")
+            raise ValueError(f"{what}, above the limit of {MAX_BOX_POINTS}")
+        boxes.append((los, his))
+    return boxes
 
 
 def triangulate(P):
@@ -677,14 +690,8 @@ def simplex_inclusion(P):
     over facets whose normal has a positive coordinate.
     """
     _require_normalized(P)
-    best = None
-    for f in P.facets:
-        m = max(f.normal)
-        if m <= 0:
-            continue
-        lam = Fraction(f.offset, m)
-        if best is None or lam < best:
-            best = lam
+    best = min((Fraction(f.offset, max(f.normal)) for f in P.facets if max(f.normal) > 0),
+               default=None)
     if best is None:
         raise GrowthLabError("bounded polytope must bound the simplex scale")
     return best
@@ -741,11 +748,7 @@ def sum_slice(P, lam):
 
 def standard_simplex(n):
     """conv{0, e_1, ..., e_n}."""
-    zero = tuple(Fraction(0) for _ in range(n))
-    pts = [zero]
-    for i in range(n):
-        pts.append(tuple(Fraction(1 if j == i else 0) for j in range(n)))
-    return hull(pts)
+    return hull([tuple(Fraction(int(j == i)) for j in range(n)) for i in range(-1, n)])
 
 
 def box(sides):

@@ -1,12 +1,14 @@
-"""Exact rational vectors and small dense linear algebra over Fraction.
+"""Exact rational vectors and small dense linear algebra.
 
-Everything here is exact.  Vectors are plain tuples of Fraction, matrices are
-tuples of row tuples.  Floats are converted with Fraction(float), which is
-exact for every finite float.
+Vectors are tuples of int or Fraction (floats convert exactly), matrices
+tuples of rows; `dot` stays an int on ints.  `det`, `rank` and `null_vector`
+share one fraction-free integer elimination (Bareiss) on rows cleared of
+denominators; `solve`, `solve_general` and `inverse` pivot over Fraction.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def rat(x) -> Fraction:
@@ -38,7 +40,7 @@ def vsub(a, b):
 
 
 def dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b))
 
 
 def is_integral(v) -> bool:
@@ -77,31 +79,66 @@ def _eliminate(rows):
     return pivots
 
 
+def _integer_rows(rows):
+    """Rows scaled to ints by the lcm of their denominators; the scales' product."""
+    out, scale = [], 1
+    for row in rows:
+        row = [x if type(x) is int else rat(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return out, scale
+
+
+def _bareiss(rows):
+    """Fraction-free echelon form of integer rows in place (Bareiss, Math.
+    Comp. 22, 1968): row_i = (p row_i - row_i[c] row_r) / p_prev is exact, as
+    every entry is a minor.  Returns (rank, +-last pivot); det if square."""
+    r, sign, prev = 0, 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = pv
+        r += 1
+        if r == len(rows):
+            break
+    return r, sign * prev
+
+
+def null_vector(rows):
+    """+-the cofactor vector of n - 1 integer rows of rank n - 1 in Z^n, or
+    None: the free column gets the last pivot, +-its cofactor, and exact
+    back substitution the rest, since the solution is integral."""
+    rows = [list(r) for r in rows]
+    n = len(rows[0])
+    if _bareiss(rows)[0] != n - 1:
+        return None
+    pivots = [next(c for c in range(n) if row[c]) for row in rows]
+    a = [0] * n
+    a[next(c for c in range(n) if c not in pivots)] = rows[-1][pivots[-1]]
+    for row, c in reversed(list(zip(rows, pivots))):
+        a[c] = -sum(x * y for x, y in zip(row[c + 1:], a[c + 1:])) // row[c]
+    return a
+
+
 def rank(vectors) -> int:
-    rows = [list(map(rat, v)) for v in vectors if any(x != 0 for x in v)]
-    if not rows:
-        return 0
-    return len(_eliminate(rows))
+    return _bareiss(_integer_rows(vectors)[0])[0]
 
 
-def det(A) -> Fraction:
-    n = len(A)
-    rows = [list(map(rat, row)) for row in A]
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+def det(A):
+    rows, scale = _integer_rows(A)
+    r, d = _bareiss(rows)
+    d = d if r == len(rows) else 0
+    return d if scale == 1 else Fraction(d, scale)
 
 
 def solve(A, b):
@@ -141,14 +178,9 @@ def inverse(A):
 def primitive_integer(v):
     """Scale a nonzero rational vector to a primitive integer vector (same direction)."""
     v = vec(v)
-    from math import lcm
-    denom = 1
-    for x in v:
-        denom = lcm(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in v))
     ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)

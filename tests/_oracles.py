@@ -5,7 +5,9 @@ package uses: facets by cofactor-expansion hyperplanes through point
 subsets, areas by Pick's theorem, volumes by Ehrhart differences, radial
 components and conjugates by grid search, simplex inclusion by bisection
 with membership tests, lattice points by testing every point of the
-bounding box against those facets.
+bounding box against those facets, vertices and membership by those facets
+too, determinants by Laplace expansion and ranks by the largest nonzero
+minor.
 """
 
 from fractions import Fraction
@@ -99,6 +101,44 @@ def brute_force_lattice_points(points, k):
                if all(sum(ai * x for ai, x in zip(a, p)) == b for p in scaled)}
     return [x for x in product(*ranges)
             if all(sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in facets)]
+
+
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row, in Fraction."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x != 0)
+
+
+def minor_rank(rows):
+    """Largest r with a nonzero r x r minor."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for r in range(min(m, n), 0, -1):
+        if any(laplace_det([[rows[i][j] for j in cols] for i in ids]) != 0
+               for ids in combinations(range(m), r)
+               for cols in combinations(range(n), r)):
+            return r
+    return 0
+
+
+def brute_force_vertices(points):
+    """Sorted points of a full-dimensional cloud lying on facets of
+    brute_force_facets whose normals have a nonzero n x n minor."""
+    points = sorted({tuple(Fraction(x) for x in p) for p in points})
+    facets = brute_force_facets(points)
+    n = len(points[0])
+    return [p for p in points
+            if minor_rank([a for a, b in facets
+                           if sum(ai * x for ai, x in zip(a, p)) == b]) == n]
+
+
+def in_hull(points, x):
+    """Whether x satisfies every facet of brute_force_facets(points), for a
+    full-dimensional cloud."""
+    return all(sum(ai * Fraction(xi) for ai, xi in zip(a, x)) <= b
+               for a, b in brute_force_facets(points))
 
 
 def pick_area(interior, boundary):

@@ -168,7 +168,8 @@ class TestBadInput:
          for flag, value in (("--R", "nan"), ("--R", "inf"), ("--R", "1e300"),
                              ("--epsilon", "nan"))]
        + [(["okounkov", "--polytope", "{segment}", "--k-max", "2"],
-           "NotNormalized")])
+           "NotNormalized"),
+          (["chebyshev", "--fs-lambda", "1", "--dim", "100000000"], "ValueError")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         (files["tmp"] / "no_vertices.json").write_text('{"dim": 2}')
         (files["tmp"] / "no_dim.json").write_text('{"vertices": [["0", "0"]]}')
@@ -185,6 +186,30 @@ class TestBadInput:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+    def test_fs_dim_limit_edge(self, capsys, monkeypatch):
+        from growthlab import convexfn as cf
+        monkeypatch.setattr(cf, "MAX_FS_DIM", 3)
+        code, _ = run_cli(["chebyshev", "--fs-lambda", "1", "--dim", "3"], capsys)
+        assert code == 0
+        code, out = run_cli(["chebyshev", "--fs-lambda", "1", "--dim", "4"], capsys)
+        assert code == 2 and json.loads(out)["error"]["type"] == "ValueError"
+        with pytest.raises(ValueError, match="dim <= 3"):
+            cf.SmoothToricPotential.from_json_dict(
+                {"family": "fs", "lambda": "1", "dim": 4})
+
+    @pytest.mark.parametrize("argv", [
+        ["okounkov", "--polytope", "{square2}", "--k-max", "100000"],
+        ["growth", "--polytope", "{square2}", "--vertex", "0,0", "--k", "500,600"],
+    ], ids=["k-max", "k-list"])
+    def test_series_budget_exits_instead_of_hanging(self, files, argv):
+        # the levels' boxes pass the budget together before any one box does
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthlab"] + [a.format(**files) for a in argv],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "ValueError" and "together" in error["message"]
 
     def test_oversized_dilate_exits_instead_of_hanging(self, files):
         proc = subprocess.run(

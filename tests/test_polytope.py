@@ -14,12 +14,16 @@ from growthlab.errors import (
     NotLatticePolytope,
     NotNormalized,
 )
-from growthlab.rationals import rank
+from growthlab.rationals import det, rank
 
 from _oracles import (
     bisection_simplex_inclusion,
     brute_force_facets,
     brute_force_lattice_points,
+    brute_force_vertices,
+    in_hull,
+    laplace_det,
+    minor_rank,
     pick_area,
 )
 
@@ -76,16 +80,16 @@ class TestHull:
     def test_certificate_rejects_unsigned_ridge_cycle(self):
         # ab, bc, ac on a line: every ridge lies in exactly two simplices,
         # but the signed ridge sums are 2, 0, -2
-        pts = [pt.vec(p) for p in [(0, 0), (1, 0), (2, 0)]]
-        a, b = (F(0), F(-1)), F(0)
+        pts = [(0, 0), (1, 0), (2, 0)]
+        a, b = (0, -1), 0
         facets = [(frozenset(ids), a, b) for ids in ((0, 1), (1, 2), (0, 2))]
         with pytest.raises(GrowthLabError, match="oriented cycle"):
-            pt._certify(pts, facets, pt._dedupe_halfspaces(facets), 2)
+            pt._certify(pts, facets, pt._dedupe_halfspaces(facets, 1), 2)
 
     def test_certificate_rejects_missing_facet(self):
-        pts = sorted(pt.vec(p) for p in pt.lattice_points(pt.box([2, 2, 2]), 1))
+        pts = sorted(pt.lattice_points(pt.box([2, 2, 2]), 1))
         facets = pt._incremental_hull(pts, 3)
-        halfspaces = pt._dedupe_halfspaces(facets)
+        halfspaces = pt._dedupe_halfspaces(facets, 1)
         assert len(pt._certify(pts, facets, halfspaces, 3)) == 8
         with pytest.raises(GrowthLabError, match="oriented cycle"):
             pt._certify(pts, facets[1:], halfspaces, 3)
@@ -93,11 +97,11 @@ class TestHull:
     def test_certificate_rejects_double_cover(self):
         # every simplex twice: the ridge sums still vanish, but the cycle
         # covers the boundary twice and cone volumes would double
-        pts = sorted(pt.vec(p) for p in pt.lattice_points(pt.box([2, 2]), 1))
+        pts = sorted(pt.lattice_points(pt.box([2, 2]), 1))
         facets = pt._incremental_hull(pts, 2)
         doubled = facets + facets
         with pytest.raises(GrowthLabError, match="more than once"):
-            pt._certify(pts, doubled, pt._dedupe_halfspaces(doubled), 2)
+            pt._certify(pts, doubled, pt._dedupe_halfspaces(doubled, 1), 2)
 
     def test_duplicated_and_fractional_points(self):
         P = pt.hull([(0, 0), (0, 0), (1, 0), (1, 0), (F(1, 3), F(1, 3)),
@@ -234,6 +238,24 @@ class TestLatticePoints:
         monkeypatch.setattr(pt, "MAX_BOX_POINTS", 26)
         with pytest.raises(ValueError, match="27 lattice points"):
             pt.lattice_points(pt.box([2, 2, 2]), 1)
+
+    def test_series_budget_checked_before_enumeration(self, monkeypatch):
+        from growthlab import growth as gr
+        from growthlab import okounkov as ok
+
+        def refuse(*args):
+            raise AssertionError("enumerated before the budget check")
+
+        # the boxes of kSQUARE hold 9 and 25 points: each fits, not both
+        monkeypatch.setattr(pt, "MAX_BOX_POINTS", 30)
+        assert len(pt.lattice_points(SQUARE, 2)) == 25
+        with pytest.raises(ValueError, match="34 lattice points together"):
+            pt.dilate_boxes(SQUARE, [1, 2])
+        monkeypatch.setattr(pt, "lattice_points", refuse)
+        with pytest.raises(ValueError, match="together"):
+            ok.GradedMonomialSeries.toric(SQUARE, 2)
+        with pytest.raises(ValueError, match="together"):
+            gr.build_growth_condition(SQUARE, (0, 0), (1, 2))
 
     def test_simplex_dilate(self):
         assert len(pt.lattice_points(SIGMA, 2)) == 6
@@ -434,3 +456,79 @@ class TestSerialization:
         d = P.to_json_dict()
         assert ["1/2", "0"] in d["vertices"]
         assert pt.Polytope.from_json_dict(d) == P
+
+
+# Coordinates with mixed denominators: a/d for d in 1..6, and floats
+# m / 2^52 converted exactly, whose denominators reach 2^52.
+mixed_coord = st.one_of(
+    st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+    st.integers(-2 ** 53, 2 ** 53).map(lambda m: F(m / 2 ** 52)))
+
+
+@st.composite
+def mixed_clouds(draw):
+    """n + 1 to n + 4 points in R^n, n = 2..4, with mixed_coord coordinates."""
+    n = draw(st.integers(2, 4))
+    return draw(st.lists(st.tuples(*[mixed_coord] * n), min_size=n + 1,
+                         max_size=n + 4))
+
+
+@st.composite
+def matrices(draw, square):
+    """1-4 rows of int or Fraction entries; some are a product of two
+    random factors so that the rank drops."""
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-5, 5), st.builds(F, st.integers(-5, 5),
+                                                    st.integers(1, 4)))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, min(m, n)))
+        A = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                          min_size=m, max_size=m))
+        B = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=r, max_size=r))
+        return [[sum(a * B[t][j] for t, a in enumerate(row)) for j in range(n)]
+                for row in A]
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+class TestIntegerKernel:
+    @given(mixed_clouds())
+    def test_hull_matches_brute_force(self, pts):
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        assert facet_set(P) == brute_force_facets(pts)
+        assert list(P.vertices) == brute_force_vertices(pts)
+
+    @given(mixed_clouds(), st.sampled_from([F(3, 2), F(2)]) | st.integers(1, 5)
+           .map(lambda k: F(1, k)))
+    def test_scaled_matches_rehull(self, pts, c):
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        Q = P.scaled(c)
+        R = pt.Polytope.from_points([tuple(c * x for x in v) for v in P.vertices])
+        assert Q.vertices == R.vertices
+        assert Q.facets == R.facets
+        assert pt.volume(Q) == pt.volume(R) == c ** P.ambient_dim * pt.volume(P)
+        assert all(Q.active_facets(v) == R.active_facets(v) for v in Q.vertices)
+
+    @given(mixed_clouds(), st.data())
+    def test_contains_matches_oracle(self, pts, data):
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        n = P.ambient_dim
+        u, v = (data.draw(st.sampled_from(P.vertices)) for _ in range(2))
+        t = data.draw(st.builds(F, st.integers(0, 4), st.integers(1, 4)))
+        on_chord = tuple(a + t * (b - a) for a, b in zip(u, v))
+        free = data.draw(st.tuples(*[mixed_coord] * n))
+        for x in (u, on_chord, free):
+            assert P.contains(x) == in_hull(pts, x)
+
+    @given(matrices(square=True))
+    def test_det_matches_laplace(self, A):
+        assert det(A) == laplace_det(A)
+
+    @given(matrices(square=False))
+    def test_rank_matches_minors(self, A):
+        assert rank(A) == minor_rank(A)
