@@ -352,7 +352,7 @@ class BoundedDifferenceCertificate:
 
 def _separating_direction(point, P):
     """A direction d with <d, point> strictly above max over P; exact."""
-    from .rationals import inverse, mat_vec, solve, vsub
+    from .rationals import solve, vsub
     if P.is_point:
         return vsub(point, P.vertices[0])
     if P.is_full_dim:
@@ -370,7 +370,7 @@ def _separating_direction(point, P):
     if any(x != 0 for x in r):
         return r
     inner = _separating_direction(s, P._span_poly)
-    coef = mat_vec(inverse(gram), inner)  # dual basis lift of the in-span normal
+    coef = solve(gram, inner)  # dual basis lift of the in-span normal
     return tuple(sum(c * b[i] for c, b in zip(coef, B)) for i in range(len(point)))
 
 

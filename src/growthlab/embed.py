@@ -168,6 +168,8 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
         raise ValueError("ball radius and epsilon must be finite")
     if R <= 0:
         raise ValueError("ball radius must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     ok, witness = cf.slope_inclusion_witness(
         source.slope_polytope, gc.representative.slope_polytope)
     if not ok:

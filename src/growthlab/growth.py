@@ -80,19 +80,22 @@ def recover_polytope(gc):
     return hull
 
 
-def _sample_ball(rng, n, samples, radius):
+def _sampled_gradients(gc, k, samples, radius, seed, chunk=20000):
+    """Gradients of u_k at `samples` seeded uniform points of the radius ball
+    in x-space.  ValueError for fewer than 1 sample, or fewer than the n + 1
+    that qhull needs for a hull in dimension n >= 2."""
+    n = gc.dim
+    least = n + 1 if n >= 2 else 1
+    if samples < least:
+        raise ValueError(f"samples must be at least {least} in dimension {n}")
+    u = gc.approximant(k).potential
+    rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, n))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     r = radius * rng.random(samples) ** (1.0 / n)
-    return X / norms * r[:, None]
-
-
-def _gradients(potential, X, chunk=20000):
-    outs = []
-    for i in range(0, X.shape[0], chunk):
-        outs.append(potential.grad_many(X[i:i + chunk]))
-    return np.concatenate(outs, axis=0)
+    X = X / norms * r[:, None]
+    return np.concatenate([u.grad_many(X[i:i + chunk]) for i in range(0, samples, chunk)])
 
 
 def recover_polytope_numeric(gc, k, samples=10 ** 4, radius=50.0, seed=0):
@@ -103,10 +106,7 @@ def recover_polytope_numeric(gc, k, samples=10 ** 4, radius=50.0, seed=0):
     the samples over the exact vertices, valid because every gradient lies
     inside the polytope.
     """
-    u = gc.approximant(k).potential
-    rng = np.random.default_rng(seed)
-    X = _sample_ball(rng, gc.dim, samples, radius)
-    G = _gradients(u, X)
+    G = _sampled_gradients(gc, k, samples, radius, seed)
     V = np.array([[float(c) for c in v] for v in gc.polytope.vertices])
     dists = np.sqrt(((V[:, None, :] - G[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
     bound = float(dists.max())
@@ -145,10 +145,7 @@ class MonteCarloVolume:
 def monge_ampere_volume_numeric(gc, k=4, samples=10 ** 5, radius=50.0, seed=0):
     """Monte-Carlo route: n! times the volume of the hull of sampled
     softmax gradients of u_k."""
-    u = gc.approximant(k).potential
-    rng = np.random.default_rng(seed)
-    X = _sample_ball(rng, gc.dim, samples, radius)
-    G = _gradients(u, X)
+    G = _sampled_gradients(gc, k, samples, radius, seed)
     if gc.dim == 1:
         vol = float(G.max() - G.min())
     else:

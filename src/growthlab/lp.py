@@ -7,7 +7,7 @@ this package (tens of variables, a handful of equality rows).
 
 from fractions import Fraction
 
-from .rationals import pivot, rat
+from .rationals import rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -59,7 +59,14 @@ def _reduced_cost(rows, basis, cost, j):
 
 
 def _pivot(rows, basis, r, j):
-    pivot(rows, r, j)
+    """Gauss-Jordan step: scale row r to a unit entry in column j, clear
+    column j elsewhere, and make j basic in row r."""
+    pv = rows[r][j]
+    rows[r] = [x / pv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[j] != 0:
+            f = row[j]
+            rows[i] = [x - f * y for x, y in zip(row, rows[r])]
     basis[r] = j
 
 
@@ -109,12 +116,6 @@ def envelope_min(points, values, y):
     sum l_i points_i = y and sum l_i = 1.  Returns the optimal Fraction, or
     None when y is outside the convex hull of the points.
     """
-    d = len(y)
-    A = [[rat(p[r]) for p in points] for r in range(d)]
-    A.append([Fraction(1)] * len(points))
-    b = [rat(y[r]) for r in range(d)] + [Fraction(1)]
-    c = [rat(v) for v in values]
-    status, value, _ = solve_lp(A, b, c)
-    if status != OPTIMAL:
-        return None
-    return value
+    A = [[p[r] for p in points] for r in range(len(y))] + [[1] * len(points)]
+    status, value, _ = solve_lp(A, [*y, 1], values)
+    return value if status == OPTIMAL else None

@@ -216,12 +216,22 @@ class Polytope:
                 for i, j in self.edges() if idx in (i, j)]
 
     def scaled(self, c):
-        """cP.  For c > 0 a full-dimensional P maps its certified data with no
-        new hull; a facet a.x <= b becomes a.x <= c b, primitive again."""
+        """cP.  For c > 0 and dim P >= 1 there is no new hull.  A
+        lower-dimensional P keeps its span polytope, as x = p0 + sum s_i b_i
+        maps to c x = c p0 + sum s_i (c b_i).  A full-dimensional P maps its
+        certified data; a facet a.x <= b becomes a.x <= c b, primitive again."""
         c = rat(c)
-        if c <= 0 or not self.is_full_dim:
-            return Polytope.from_points([tuple(c * x for x in v) for v in self.vertices],
-                                        self.ambient_dim)
+
+        def image(p):
+            return tuple(c * x for x in p)
+
+        if c <= 0 or self.dim < 1:
+            return Polytope.from_points([image(v) for v in self.vertices], self.ambient_dim)
+        if not self.is_full_dim:
+            return Polytope(self.ambient_dim, [image(v) for v in self.vertices], (), self.dim,
+                            span_point=image(self._span_point),
+                            span_basis=tuple(map(image, self._span_basis)),
+                            span_poly=self._span_poly)
         facets = []
         for f in self.facets:
             b = c * f.offset  # = p/q, and (q a, p) / gcd(a, p) is primitive
@@ -229,11 +239,11 @@ class Polytope:
             facets.append(HalfSpace(tuple(q * x // g for x in f.normal), b * q / g))
         order = sorted(range(len(facets)), key=lambda i: (facets[i].normal, facets[i].offset))
         index = {i: j for j, i in enumerate(order)}
-        incidence = {tuple(c * x for x in v): frozenset(index[i] for i in fs)
+        incidence = {image(v): frozenset(index[i] for i in fs)
                      for v, fs in self._incidence.items()}
         points = {id(p): p for group in self._boundary for s in group for p in s}
-        image = {i: tuple(c * x for x in p) for i, p in points.items()}
-        boundary = tuple(tuple(tuple(image[id(p)] for p in s) for s in self._boundary[i])
+        images = {i: image(p) for i, p in points.items()}
+        boundary = tuple(tuple(tuple(images[id(p)] for p in s) for s in self._boundary[i])
                          for i in order)
         return Polytope(self.ambient_dim, incidence, tuple(facets[i] for i in order),
                         self.ambient_dim, boundary=boundary, incidence=incidence)
@@ -251,7 +261,10 @@ class Polytope:
     def from_json_dict(cls, d):
         if not isinstance(d, dict) or "vertices" not in d or "dim" not in d:
             raise DegenerateInput('polytope JSON needs "dim" and "vertices"')
-        pts = [[rat(x) for x in v] for v in d["vertices"]]
+        try:
+            pts = [[rat(x) for x in v] for v in d["vertices"]]
+        except (TypeError, OverflowError):  # a non-list, null or infinite coordinate
+            raise DegenerateInput('polytope "vertices" must be a list of rational lists') from None
         return cls.from_points(pts, d["dim"])
 
     def __eq__(self, other):

@@ -1,9 +1,10 @@
 """Exact rational vectors and small dense linear algebra.
 
 Vectors are tuples of int or Fraction (floats convert exactly), matrices
-tuples of rows; `dot` stays an int on ints.  `det`, `rank` and `null_vector`
-share one fraction-free integer elimination (Bareiss) on rows cleared of
-denominators; `solve`, `solve_general` and `inverse` pivot over Fraction.
+tuples of rows; `dot` stays an int on ints.  Every elimination is one
+fraction-free integer elimination (Bareiss) on rows cleared of
+denominators: `det`, `rank` and `null_vector` read its echelon form, and
+`solve`, `solve_general` and `inverse` back-substitute in it.
 """
 
 from fractions import Fraction
@@ -49,34 +50,6 @@ def is_integral(v) -> bool:
 
 def mat_vec(A, x):
     return tuple(dot(row, x) for row in A)
-
-
-def pivot(rows, r, c):
-    """Scale row r to a unit entry in column c and clear column c elsewhere."""
-    pv = rows[r][c]
-    rows[r] = [x / pv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-
-
-def _eliminate(rows):
-    """Row-reduce in place; returns list of pivot column indices."""
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot(rows, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def _integer_rows(rows):
@@ -141,38 +114,48 @@ def det(A):
     return d if scale == 1 else Fraction(d, scale)
 
 
+def _solve_columns(A, bs):
+    """(pivot columns of A, [x with A x = b, every free unknown 0, for b in
+    bs]), or None if some b is inconsistent.  Bareiss runs on [A | b ...]
+    cleared of denominators (scaling a row keeps the solutions); its last
+    pivot D is the minor of A's pivot rows and columns, so D x is integral
+    (Cramer) and the back substitution exact in ints."""
+    n = len(A[0]) if A else 0
+    rows = _integer_rows([[*a, *c] for a, c in zip(A, zip(*bs))])[0]
+    r = _bareiss(rows)[0]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows[:r]]
+    if pivots and pivots[-1] >= n:
+        return None
+    D = rows[r - 1][pivots[-1]] if r else 1
+    xs = []
+    for j in range(n, n + len(bs)):
+        y = [0] * n
+        for row, c in reversed(list(zip(rows, pivots))):
+            y[c] = (D * row[j] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
+        xs.append(tuple(Fraction(v, D) for v in y))
+    return pivots, xs
+
+
 def solve(A, b):
     """Solve a square exact system; returns a tuple or None if singular."""
-    n = len(A)
-    rows = [list(map(rat, A[i])) + [rat(b[i])] for i in range(n)]
-    pivots = _eliminate(rows)
-    if pivots != list(range(n)):
+    found = _solve_columns(A, [b])
+    if found is None or len(found[0]) < len(A):
         return None
-    return tuple(rows[i][n] for i in range(n))
+    return found[1][0]
 
 
 def solve_general(A, b):
-    """One solution of a possibly rectangular consistent system, else None."""
-    m = len(A)
-    ncols = len(A[0]) if m else 0
-    rows = [list(map(rat, A[i])) + [rat(b[i])] for i in range(m)]
-    pivots = _eliminate(rows)
-    if pivots and pivots[-1] == ncols:  # a pivot in b: inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    return tuple(x)
+    """One solution of a possibly rectangular consistent system, else None:
+    the one whose free unknowns are 0."""
+    found = _solve_columns(A, [b])
+    return None if found is None else found[1][0]
 
 
 def inverse(A):
+    """The inverse of a square matrix as a tuple of rows, or None if singular."""
     n = len(A)
-    rows = [list(map(rat, A[i])) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    pivots = _eliminate(rows)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    found = _solve_columns(A, [[int(i == j) for i in range(n)] for j in range(n)])
+    return None if found is None else tuple(zip(*found[1]))
 
 
 def primitive_integer(v):

@@ -28,6 +28,17 @@ def files(tmp_path):
     return paths
 
 
+# Polytope JSON that from_json_dict must reject with DegenerateInput.
+MALFORMED_POLYTOPES = {
+    "no_vertices": '{"dim": 2}',
+    "no_dim": '{"vertices": [["0", "0"]]}',
+    "flat_vertices": '{"dim": 2, "vertices": [1, 2]}',
+    "scalar_vertices": '{"dim": 2, "vertices": 5}',
+    "null_coordinate": '{"dim": 2, "vertices": [[null, 0]]}',
+    "infinite_coordinate": '{"dim": 2, "vertices": [[1e400, 0]]}',
+}
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -169,15 +180,51 @@ class TestBadInput:
                              ("--epsilon", "nan"))]
        + [(["okounkov", "--polytope", "{segment}", "--k-max", "2"],
            "NotNormalized"),
-          (["chebyshev", "--fs-lambda", "1", "--dim", "100000000"], "ValueError")])
+          (["chebyshev", "--fs-lambda", "1", "--dim", "100000000"], "ValueError")]
+       + [(["check-delzant", "--polytope", "{%s}" % name], "DegenerateInput")
+          for name in ("flat_vertices", "scalar_vertices", "null_coordinate",
+                       "infinite_coordinate")]
+       + [(["corpus", "--dir", "{bad_dir}"], "DegenerateInput")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
-        (files["tmp"] / "no_vertices.json").write_text('{"dim": 2}')
-        (files["tmp"] / "no_dim.json").write_text('{"vertices": [["0", "0"]]}')
-        paths = dict(files, no_vertices=str(files["tmp"] / "no_vertices.json"),
-                     no_dim=str(files["tmp"] / "no_dim.json"))
+        paths = dict(files)
+        for name, text in MALFORMED_POLYTOPES.items():
+            (files["tmp"] / f"{name}.json").write_text(text)
+            paths[name] = str(files["tmp"] / f"{name}.json")
+        bad_dir = files["tmp"] / "bad_dir"
+        bad_dir.mkdir()
+        (bad_dir / "scalar.json").write_text(MALFORMED_POLYTOPES["scalar_vertices"])
+        paths["bad_dir"] = str(bad_dir)
         code, out = run_cli([a.format(**paths) for a in argv], capsys)
         assert code == 2
         assert json.loads(out)["error"]["type"] == error
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--polytope", "{cube2}", "--vertex", "0,0,0", "--k", "1",
+         "--numeric", "--samples", "3"],
+        ["volume", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
+         "--samples", "2"],
+        ["volume", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
+         "--samples", "0"],
+        ["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
+         "--fs-lambda", "3/2", "--samples", "0"],
+    ], ids=["growth-3d-3", "volume-2d-2", "volume-0", "embed-ball-0"])
+    def test_too_few_samples_exit_2(self, files, capsys, argv):
+        # qhull needs n + 1 points in dimension n; no check may sample nothing
+        code, out = run_cli([a.format(**files) for a in argv], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and "samples" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--polytope", "{cube2}", "--vertex", "0,0,0", "--k", "1",
+         "--numeric", "--samples", "4"],
+        ["volume", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
+         "--samples", "3"],
+    ], ids=["growth-3d-4", "volume-2d-3"])
+    def test_fewest_samples_run(self, files, capsys, argv):
+        code, out = run_cli([a.format(**files) for a in argv], capsys)
+        assert code == 0
+        assert json.loads(out)["volume_MA_numeric"]["samples"] == int(argv[-1])
 
     def test_zero_tolerance_exits_instead_of_hanging(self, files):
         proc = subprocess.run(

@@ -65,6 +65,18 @@ class TestRecover:
         assert verts.shape[1] == 2
 
 
+    def test_too_few_samples_is_value_error(self, gc_square):
+        for numeric in (gr.recover_polytope_numeric, gr.monge_ampere_volume_numeric):
+            with pytest.raises(ValueError, match="samples"):
+                numeric(gc_square, 4, samples=2)
+        verts, _ = gr.recover_polytope_numeric(gc_square, 4, samples=3)
+        assert verts.shape == (3, 2)
+        gc = gr.build_growth_condition(pt.box([5]), (0,), [1])
+        with pytest.raises(ValueError, match="samples"):
+            gr.monge_ampere_volume_numeric(gc, 1, samples=0)
+        assert gr.monge_ampere_volume_numeric(gc, 1, samples=1).value == 0
+
+
 class TestVolume:
     def test_exact_values(self, gc_sigma, gc_square, gc_trap):
         assert gr.monge_ampere_volume(gc_sigma) == 1

@@ -119,6 +119,23 @@ class TestBody:
         v8 = pt.volume(body.hull_at[8])
         assert abs(2 * v8 - 2 * pt.volume(target)) <= F(1, 10)
 
+    def test_lower_dimensional_levels_hull_once(self, monkeypatch):
+        segment = pt.Polytope.from_points([(0, 0), (2, 1)])
+        series = ok.GradedMonomialSeries.toric(segment, 3)
+        hulls = []
+        real = pt.Polytope.from_points.__func__
+
+        def counted(cls, *args):
+            hulls.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(pt.Polytope, "from_points", classmethod(counted))
+        body = ok.okounkov_body(series)
+        # one hull of W_k per level, which hulls its span coordinates once more
+        assert len(hulls) == 6
+        assert body.limit == segment
+        assert all(pt.relative_volume(B) == 1 for B in body.hull_at.values())
+
     def test_superadditive_chain(self):
         series = ok.GradedMonomialSeries.toric(TRAP, 4)
         body = ok.okounkov_body(series)

@@ -14,7 +14,7 @@ from growthlab.errors import (
     NotLatticePolytope,
     NotNormalized,
 )
-from growthlab.rationals import det, rank
+from growthlab.rationals import det, inverse, rank, solve, solve_general
 
 from _oracles import (
     bisection_simplex_inclusion,
@@ -474,23 +474,95 @@ def mixed_clouds(draw):
 
 
 @st.composite
+def flat_clouds(draw):
+    """2 to 5 points p0 + sum t_j d_j in R^n, n = 2..4, on a flat of
+    dimension 1..n-1 spanned by mixed_coord directions d_j."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, n - 1))
+    p0 = draw(st.tuples(*[mixed_coord] * n))
+    dirs = draw(st.lists(st.tuples(*[mixed_coord] * n), min_size=d, max_size=d))
+    coef = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    ts = draw(st.lists(st.lists(coef, min_size=d, max_size=d), min_size=2, max_size=5))
+    return [tuple(x + sum(t * e[i] for t, e in zip(row, dirs)) for i, x in enumerate(p0))
+            for row in ts]
+
+
+exact_entry = st.one_of(st.integers(-5, 5), st.builds(F, st.integers(-5, 5),
+                                                      st.integers(1, 4)))
+
+
+@st.composite
 def matrices(draw, square):
-    """1-4 rows of int or Fraction entries; some are a product of two
-    random factors so that the rank drops."""
+    """1-4 rows of exact_entry; some are a product of two random factors so
+    that the rank drops."""
     m = draw(st.integers(1, 4))
     n = m if square else draw(st.integers(1, 4))
-    entry = st.one_of(st.integers(-5, 5), st.builds(F, st.integers(-5, 5),
-                                                    st.integers(1, 4)))
     if draw(st.booleans()):
         r = draw(st.integers(1, min(m, n)))
-        A = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+        A = draw(st.lists(st.lists(exact_entry, min_size=r, max_size=r),
                           min_size=m, max_size=m))
-        B = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+        B = draw(st.lists(st.lists(exact_entry, min_size=n, max_size=n),
                           min_size=r, max_size=r))
         return [[sum(a * B[t][j] for t, a in enumerate(row)) for j in range(n)]
                 for row in A]
-    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+    return draw(st.lists(st.lists(exact_entry, min_size=n, max_size=n),
                          min_size=m, max_size=m))
+
+
+def _times(A, x):
+    return [sum(a * y for a, y in zip(row, x)) for row in A]
+
+
+@st.composite
+def systems(draw, square):
+    """(A, b) with A from matrices() or zero, and b random, zero or A x."""
+    A = draw(matrices(square))
+    m, n = len(A), len(A[0])
+    if draw(st.integers(0, 5)) == 0:
+        A = [[0] * n for _ in range(m)]
+    kind = draw(st.sampled_from(["random", "zero", "image"]))
+    if kind == "random":
+        b = draw(st.lists(exact_entry, min_size=m, max_size=m))
+    elif kind == "zero":
+        b = [0] * m
+    else:
+        b = _times(A, draw(st.lists(exact_entry, min_size=n, max_size=n)))
+    return A, b
+
+
+class TestSolvers:
+    @given(systems(square=False))
+    def test_solve_general_matches_ranks(self, system):
+        A, b = system
+        x = solve_general(A, b)
+        augmented = [row + [c] for row, c in zip(A, b)]
+        assert (x is None) == (minor_rank(augmented) > minor_rank(A))
+        if x is None:
+            return
+        assert all(type(c) is F for c in x)
+        assert _times(A, x) == b
+        # an unknown is free iff its column adds no rank; free unknowns are 0
+        for j in range(len(x)):
+            if minor_rank([row[:j + 1] for row in A]) == minor_rank([row[:j] for row in A]):
+                assert x[j] == 0
+
+    @given(systems(square=True))
+    def test_solve_square(self, system):
+        A, b = system
+        x = solve(A, b)
+        assert (x is None) == (laplace_det(A) == 0)
+        if x is not None:
+            assert all(type(c) is F for c in x)
+            assert _times(A, x) == b
+
+    @given(matrices(square=True))
+    def test_inverse(self, A):
+        inv = inverse(A)
+        assert (inv is None) == (laplace_det(A) == 0)
+        if inv is not None:
+            n = len(A)
+            columns = [_times(inv, col) for col in zip(*A)]  # of inv . A
+            assert columns == [[int(i == j) for i in range(n)] for j in range(n)]
 
 
 class TestIntegerKernel:
@@ -512,6 +584,33 @@ class TestIntegerKernel:
         assert Q.facets == R.facets
         assert pt.volume(Q) == pt.volume(R) == c ** P.ambient_dim * pt.volume(P)
         assert all(Q.active_facets(v) == R.active_facets(v) for v in Q.vertices)
+
+    @given(flat_clouds(), st.sampled_from([F(3, 2), F(2)]) | st.integers(1, 5)
+           .map(lambda k: F(1, k)), st.data())
+    def test_lower_dimensional_scaled_matches_rehull_without_hull(self, pts, c, data):
+        P = pt.Polytope.from_points(pts)
+        assume(1 <= P.dim < P.ambient_dim)
+        hulls = []
+        real = pt.Polytope.from_points.__func__
+
+        def counted(cls, *args):
+            hulls.append(args)
+            return real(cls, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pt.Polytope, "from_points", classmethod(counted))
+            Q = P.scaled(c)
+        assert hulls == []
+        R = pt.Polytope.from_points([tuple(c * x for x in v) for v in P.vertices])
+        assert Q.vertices == R.vertices
+        assert Q.dim == R.dim == P.dim
+        assert pt.relative_volume(Q) == pt.relative_volume(R)
+        u, v = (data.draw(st.sampled_from(R.vertices)) for _ in range(2))
+        t = data.draw(st.builds(F, st.integers(-2, 6), st.integers(1, 4)))
+        on_line = tuple(a + t * (b - a) for a, b in zip(u, v))
+        free = data.draw(st.tuples(*[mixed_coord] * P.ambient_dim))
+        for x in (u, on_line, free):
+            assert Q.contains(x) == R.contains(x)
 
     @given(mixed_clouds(), st.data())
     def test_contains_matches_oracle(self, pts, data):
