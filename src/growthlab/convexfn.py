@@ -200,10 +200,12 @@ class SmoothToricPotential:
 
     def __init__(self, family, *, k=None, exponents=None, lam=None, dim=None,
                  polytope=None):
+        """lse exponents are stored as given: sorted int tuples, which
+        lattice_points returns and log_sum_exp makes of any other input."""
         self.family = family
         if family == "lse":
             self.k = int(k)
-            self.exponents = tuple(sorted(tuple(int(a) for a in e) for e in exponents))
+            self.exponents = tuple(exponents)
             if not self.exponents:
                 raise EmptyInput("log-sum-exp needs at least one exponent")
             self.dim = len(self.exponents[0])
@@ -222,6 +224,7 @@ class SmoothToricPotential:
 
     @classmethod
     def log_sum_exp(cls, exponents, k, polytope=None):
+        exponents = sorted(tuple(int(a) for a in e) for e in exponents)
         return cls("lse", k=k, exponents=exponents, polytope=polytope)
 
     @classmethod
@@ -313,8 +316,7 @@ def logsumexp_from_polytope(P, k):
     from .rationals import is_integral
     if not all(is_integral(v) for v in P.vertices):
         raise NotNormalized("polytope must be a lattice polytope")
-    exps = pt.lattice_points(P, k)
-    return SmoothToricPotential.log_sum_exp(exps, k, polytope=P)
+    return SmoothToricPotential("lse", k=k, exponents=pt.lattice_points(P, k), polytope=P)
 
 
 @dataclass(frozen=True)

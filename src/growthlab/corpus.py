@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import growth as gr
@@ -71,35 +71,52 @@ class CorpusRow:
 
 def corpus_rows(entries, k_levels=(1, 2, 4), k_max_body=3):
     """One exact row per (polytope, vertex); a bad entry flags its own rows
-    and never aborts the run."""
-    rows = []
+    and never aborts the run.  A row's values depend only on the polytope Q
+    normalized at its vertex, so within one call they are computed once per
+    distinct Q and shared by its rows, a GrowthLabError's text included."""
+    rows, by_q = [], {}
     for name, P in entries:
         try:
-            vertices = P.vertices
+            gr.require_delzant(P)
+            failed = None
         except GrowthLabError as e:
-            rows.append(CorpusRow(name, (), -1, None, None, None, None, None,
-                                  None, None, error=str(e)))
-            continue
-        for v in vertices:
-            try:
-                rows.append(_corpus_row(name, P, v, k_levels, k_max_body))
-            except GrowthLabError as e:
-                rows.append(CorpusRow(name, v, P.ambient_dim, None, None, None,
-                                      None, None, None, None,
-                                      error=f"{type(e).__name__}: {e}"))
+            failed = _error_row(P, e)
+        for v in P.vertices:
+            row = failed or _shared_row(P, v, by_q, k_levels, k_max_body)
+            rows.append(replace(row, name=name, vertex=v))
     return rows
 
 
-def _corpus_row(name, P, v, k_levels, k_max_body):
-    gc = gr.build_growth_condition(P, v, k_levels)
+def _error_row(P, e):
+    return CorpusRow("", (), P.ambient_dim, None, None, None, None, None, None,
+                     None, error=f"{type(e).__name__}: {e}")
+
+
+def _shared_row(P, v, by_q, k_levels, k_max_body):
+    """The row at the vertex v of the Delzant P, name and vertex blank, from
+    by_q or computed into it for the normalized polytope Q."""
+    try:
+        Q, umap = pt.normalize_at_vertex(P, v)
+    except GrowthLabError as e:
+        return _error_row(P, e)
+    if Q not in by_q:
+        try:
+            gc = gr.normalized_growth_condition(P, v, Q, umap, k_levels)
+            by_q[Q] = _exact_row(gc, k_max_body)
+        except GrowthLabError as e:
+            by_q[Q] = _error_row(P, e)
+    return by_q[Q]
+
+
+def _exact_row(gc, k_max_body):
     vol = gr.monge_ampere_volume(gc)
     ses = gr.seshadri_constant(gc)
     series = ok.GradedMonomialSeries.toric(gc.polytope, k_max_body)
     body = ok.okounkov_body(series)
     verdict = ok.volume_identity_check(body, vol)
     return CorpusRow(
-        name=name,
-        vertex=v,
+        name="",
+        vertex=(),
         dim=gc.dim,
         volume_MA=vol,
         seshadri_lp=ses.lp_value,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import convexfn as cf
 from . import polytope as pt
-from .errors import UnknownLevel
+from .errors import NotDelzantVertex, UnknownLevel
 from .rationals import rat, rat_str, simplest_fraction_in, vec
 
 
@@ -48,16 +48,27 @@ class GrowthCondition:
         return self.approximants[k]
 
 
+def require_delzant(P):
+    """NotDelzantVertex unless every vertex of the lattice polytope P is
+    Delzant; DegenerateInput or NotLatticePolytope for other input."""
+    report = pt.is_delzant(P)
+    if not report.ok:
+        raise NotDelzantVertex(f"polytope is not Delzant at {report.failing_vertices()}")
+
+
 def build_growth_condition(P, vertex, k_levels=(1, 2, 4)):
     """Normalize P at the vertex and assemble representative, approximants
     and their bounded-difference certificates; all levels share one
     lattice-point budget."""
-    report = pt.is_delzant(P)
-    if not report.ok:
-        from .errors import NotDelzantVertex
-        raise NotDelzantVertex(
-            f"polytope is not Delzant at {report.failing_vertices()}")
+    require_delzant(P)
     Q, umap = pt.normalize_at_vertex(P, vertex)
+    return normalized_growth_condition(P, vertex, Q, umap, k_levels)
+
+
+def normalized_growth_condition(P, vertex, Q, umap, k_levels=(1, 2, 4)):
+    """The growth condition of the Delzant polytope P at the vertex from its
+    normalization (Q, umap) there; everything but the provenance fields
+    depends on Q alone."""
     h = cf.MaxAffineFunction.support_function(Q)
     levels = sorted(set(int(k) for k in k_levels))
     pt.dilate_boxes(Q, levels)

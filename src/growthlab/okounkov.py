@@ -177,15 +177,15 @@ def okounkov_body(series, order=None, k_max=None):
 def infinitesimal_map(B):
     """Image under alpha -> (sum(alpha), alpha_1, ..., alpha_{n-1}).
 
-    The map is linear and unimodular, so the image of a polytope is the hull
-    of the images of its vertices.  It converts the deglex body at a point
-    into the lex body on the blowup.
+    The map is linear and unimodular, so a full-dimensional body maps its
+    certified hull (UnimodularMap.image).  It converts the deglex body at a
+    point into the lex body on the blowup.
     """
     if B.is_empty:
         return B
     n = B.ambient_dim
-    imgs = [(sum(v),) + tuple(v[:n - 1]) for v in B.vertices]
-    return pt.Polytope.from_points(imgs, n)
+    matrix = ((1,) * n,) + tuple(tuple(int(j == i) for j in range(n)) for i in range(n - 1))
+    return pt.UnimodularMap(matrix, (0,) * n).image(B)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ the hull of the rest is built incrementally with primitive integer normals,
 and its simplicial facets are certified by incidence (each input point
 inside each facet halfspace, the facets an oriented boundary cycle of degree
 1).  Only vertices, facets and simplices are divided by D.  Volumes and
-triangulations are cones over those simplices; a positive scaling maps them
-with no new hull.  Lower-dimensional polytopes (slices, faces) are stored
-in ambient coordinates with an affine-span basis and a full-dimensional
-polytope in span coordinates.
+triangulations are cones over those simplices; a positive scaling or a
+unimodular map carries them over with no new hull.  Lower-dimensional
+polytopes (slices, faces) are stored in ambient coordinates with an
+affine-span basis and a full-dimensional polytope in span coordinates.
 """
 
 from dataclasses import dataclass
@@ -77,6 +77,16 @@ class UnimodularMap:
     def inverse_apply(self, q):
         inv = inverse(self.matrix)
         return tuple(x + b for x, b in zip(mat_vec(inv, vec(q)), self.base))
+
+    def image(self, P):
+        """The polytope A (P - base).  A full-dimensional P maps its certified
+        data with no new hull: with x = G y + base, G = A^-1 integral, a facet
+        a.x <= b becomes (G^T a).y <= b - a.base.  Any other P is re-hulled."""
+        if not P.is_full_dim:
+            return Polytope.from_points([self.apply(v) for v in P.vertices], P.ambient_dim)
+        Gt = [[int(x) for x in col] for col in zip(*inverse(self.matrix))]
+        return P._image(self.apply,
+                        lambda a, b: (tuple(dot(g, a) for g in Gt), b - dot(a, self.base)))
 
     def to_json_dict(self):
         return {"matrix": [[rat_str(x) for x in row] for row in self.matrix],
@@ -219,7 +229,7 @@ class Polytope:
         """cP.  For c > 0 and dim P >= 1 there is no new hull.  A
         lower-dimensional P keeps its span polytope, as x = p0 + sum s_i b_i
         maps to c x = c p0 + sum s_i (c b_i).  A full-dimensional P maps its
-        certified data; a facet a.x <= b becomes a.x <= c b, primitive again."""
+        certified data; a facet a.x <= b becomes a.x <= c b."""
         c = rat(c)
 
         def image(p):
@@ -232,17 +242,25 @@ class Polytope:
                             span_point=image(self._span_point),
                             span_basis=tuple(map(image, self._span_basis)),
                             span_poly=self._span_poly)
+        return self._image(image, lambda a, b: (a, c * b))
+
+    def _image(self, point, facet):
+        """The image of a full-dimensional P under an invertible affine map,
+        given on points and on facet pairs (a, b) -> (a', b') with a' integer,
+        from the certified data of P with no new hull.  Each image facet is
+        made primitive again and the facets re-sorted."""
         facets = []
         for f in self.facets:
-            b = c * f.offset  # = p/q, and (q a, p) / gcd(a, p) is primitive
-            q, g = (b.denominator, gcd(*f.normal, b.numerator)) if self.dim > 1 else (1, 1)
-            facets.append(HalfSpace(tuple(q * x // g for x in f.normal), b * q / g))
+            a, b = facet(f.normal, f.offset)  # b = p/q: (q a, p) / gcd(a, p) is primitive
+            q, g = (b.denominator, gcd(*a, b.numerator)) if self.dim > 1 else (1, 1)
+            facets.append(HalfSpace(tuple(q * x // g for x in a), b * q / g))
         order = sorted(range(len(facets)), key=lambda i: (facets[i].normal, facets[i].offset))
         index = {i: j for j, i in enumerate(order)}
-        incidence = {image(v): frozenset(index[i] for i in fs)
-                     for v, fs in self._incidence.items()}
         points = {id(p): p for group in self._boundary for s in group for p in s}
-        images = {i: image(p) for i, p in points.items()}
+        points.update((id(v), v) for v in self._incidence)
+        images = {i: point(p) for i, p in points.items()}
+        incidence = {images[id(v)]: frozenset(index[i] for i in fs)
+                     for v, fs in self._incidence.items()}
         boundary = tuple(tuple(tuple(images[id(p)] for p in s) for s in self._boundary[i])
                          for i in order)
         return Polytope(self.ambient_dim, incidence, tuple(facets[i] for i in order),
@@ -261,11 +279,16 @@ class Polytope:
     def from_json_dict(cls, d):
         if not isinstance(d, dict) or "vertices" not in d or "dim" not in d:
             raise DegenerateInput('polytope JSON needs "dim" and "vertices"')
+        dim = d["dim"]
+        if type(dim) is not int or dim < 1:  # type() also refuses bool
+            raise DegenerateInput('polytope "dim" must be a positive integer')
         try:
             pts = [[rat(x) for x in v] for v in d["vertices"]]
         except (TypeError, OverflowError):  # a non-list, null or infinite coordinate
-            raise DegenerateInput('polytope "vertices" must be a list of rational lists') from None
-        return cls.from_points(pts, d["dim"])
+            pts = None
+        if pts is None or any(type(x) is bool for v in d["vertices"] for x in v):
+            raise DegenerateInput('polytope "vertices" must be a list of rational lists')
+        return cls.from_points(pts, dim)
 
     def __eq__(self, other):
         return (isinstance(other, Polytope)
@@ -537,9 +560,8 @@ def normalize_at_vertex(P, v):
     G = tuple(tuple(rat(gens[c][r]) for c in range(n)) for r in range(n))
     if abs(det(G)) != 1:
         raise NotDelzantVertex(f"edge generators at {v} are not unimodular")
-    A = inverse(G)
-    umap = UnimodularMap(A, v)
-    Q = Polytope.from_points([umap.apply(p) for p in P.vertices], n)
+    umap = UnimodularMap(inverse(G), v)
+    Q = umap.image(P)
     if any(any(x < 0 for x in q) for q in Q.vertices):
         raise GrowthLabError("normalized polytope left the positive orthant")
     return Q, umap

@@ -36,6 +36,10 @@ MALFORMED_POLYTOPES = {
     "scalar_vertices": '{"dim": 2, "vertices": 5}',
     "null_coordinate": '{"dim": 2, "vertices": [[null, 0]]}',
     "infinite_coordinate": '{"dim": 2, "vertices": [[1e400, 0]]}',
+    "null_dim": '{"dim": null, "vertices": [[0, 0], [1, 0], [0, 1]]}',
+    "bool_dim": '{"dim": true, "vertices": [[0], [1]]}',
+    "string_dim": '{"dim": "2", "vertices": [[0, 0], [1, 0], [0, 1]]}',
+    "bool_coordinate": '{"dim": 2, "vertices": [[true, 0], [0, 0], [0, 1]]}',
 }
 
 
@@ -184,7 +188,9 @@ class TestBadInput:
        + [(["check-delzant", "--polytope", "{%s}" % name], "DegenerateInput")
           for name in ("flat_vertices", "scalar_vertices", "null_coordinate",
                        "infinite_coordinate")]
-       + [(["corpus", "--dir", "{bad_dir}"], "DegenerateInput")])
+       + [(["corpus", "--dir", "{bad_dir}"], "DegenerateInput")]
+       + [(["check-delzant", "--polytope", "{%s}" % name], "DegenerateInput")
+          for name in ("null_dim", "bool_dim", "string_dim", "bool_coordinate")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         paths = dict(files)
         for name, text in MALFORMED_POLYTOPES.items():

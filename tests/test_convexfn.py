@@ -363,6 +363,14 @@ class TestSerialization:
         v = cf.SmoothToricPotential.from_json_dict(d)
         assert v.exponents == u.exponents
 
+    def test_lse_exponents_stored_as_sorted_int_tuples(self):
+        # lattice points are taken as given; any other input is converted and sorted
+        u = cf.logsumexp_from_polytope(SQUARE, 2)
+        assert u.exponents == tuple(pt.lattice_points(SQUARE, 2))
+        v = cf.SmoothToricPotential.log_sum_exp([[1.0, F(2)], (0, 1)], 1)
+        assert v.exponents == ((0, 1), (1, 2))
+        assert all(type(x) is int for e in v.exponents for x in e)
+
     def test_fs_json_roundtrip(self):
         u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)
         v = cf.SmoothToricPotential.from_json_dict(u.to_json_dict())

@@ -1,0 +1,108 @@
+"""corpus_rows shares one exact computation per normalized polytope; the rows
+must equal one full growth/Seshadri/Okounkov chain per (polytope, vertex)."""
+
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from growthlab import corpus
+from growthlab import growth as gr
+from growthlab import okounkov as ok
+from growthlab import polytope as pt
+from growthlab.errors import GrowthLabError
+
+from conftest import random_unimodular
+
+
+def reference_rows(entries, k_levels, k_max_body=3):
+    """Every row on its own: build_growth_condition, then the volume,
+    Seshadri and Okounkov chain, with no sharing between rows."""
+    rows = []
+    for name, P in entries:
+        for v in P.vertices:
+            try:
+                gc = gr.build_growth_condition(P, v, k_levels)
+                vol = gr.monge_ampere_volume(gc)
+                ses = gr.seshadri_constant(gc)
+                body = ok.okounkov_body(ok.GradedMonomialSeries.toric(gc.polytope, k_max_body))
+                verdict = ok.volume_identity_check(body, vol)
+                rows.append(corpus.CorpusRow(
+                    name, v, gc.dim, vol, ses.lp_value, ses.domination_value,
+                    bool(verdict.exact_equal), ses.lp_value, ses.upper_bound,
+                    ses.upper_bound - float(ses.lp_value)))
+            except GrowthLabError as e:
+                rows.append(corpus.CorpusRow(
+                    name, v, P.ambient_dim, None, None, None, None, None, None, None,
+                    error=f"{type(e).__name__}: {e}"))
+    return rows
+
+
+def _embedded(points, seed, shift):
+    rng = random.Random(seed)
+    M = random_unimodular(rng, len(points[0]))
+    return [[str(sum(a * x for a, x in zip(row, p)) + t) for row, t in zip(M, shift)]
+            for p in points]
+
+
+@pytest.fixture()
+def user_dir(tmp_path):
+    trapezoid = [(0, 0), (3, 0), (1, 1), (0, 1)]
+    entries = {
+        "a_not_delzant": [["0", "0"], ["2", "0"], ["0", "1"]],
+        "b_not_lattice": [["0", "0"], ["1/2", "0"], ["0", "1/2"]],
+        "c_segment": [["0", "0"], ["2", "1"]],
+        "d_trapezoid": _embedded(trapezoid, 1, (2, -1)),
+        "e_trapezoid": _embedded(trapezoid, 2, (-3, 4)),
+    }
+    for name, vertices in entries.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"dim": 2, "vertices": vertices}))
+    return str(tmp_path)
+
+
+class TestSharedRows:
+    def test_builtin_rows_equal_per_vertex_chain(self):
+        entries = corpus.builtin_corpus()
+        assert corpus.corpus_rows(entries, (1, 2)) == reference_rows(entries, (1, 2))
+
+    def test_user_rows_equal_per_vertex_chain(self, user_dir):
+        entries = corpus.builtin_corpus() + corpus.load_user_corpus(user_dir)
+        rows = corpus.corpus_rows(entries, (1, 2, 4))
+        assert rows == reference_rows(entries, (1, 2, 4))
+        errors = {r.name: r.error.split(":")[0] for r in rows if r.error}
+        assert errors == {"a_not_delzant": "NotDelzantVertex",
+                          "b_not_lattice": "NotLatticePolytope",
+                          "c_segment": "DegenerateInput"}
+        assert [r.vertex for r in rows if r.name == "c_segment"] == [(0, 0), (2, 1)]
+
+    def test_one_computation_per_normalized_polytope(self, monkeypatch):
+        entries = corpus.builtin_corpus()
+        calls = {"okounkov_body": 0, "is_delzant": 0, "normalize_at_vertex": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        distinct = {pt.normalize_at_vertex(P, v)[0] for _, P in entries for v in P.vertices}
+        counted(ok, "okounkov_body")
+        counted(pt, "is_delzant")
+        counted(pt, "normalize_at_vertex")
+        rows = corpus.corpus_rows(entries, (1, 2))
+        assert len(rows) == 27 and len(distinct) == 9
+        assert calls == {"okounkov_body": 9, "is_delzant": len(entries),
+                         "normalize_at_vertex": 27}
+
+    def test_shared_error_text(self, monkeypatch):
+        # a failure past normalization is computed once and copied to every row of Q
+        def fail(*args):
+            raise GrowthLabError("no body")
+        monkeypatch.setattr(ok, "okounkov_body", fail)
+        rows = corpus.corpus_rows([("square", pt.box([2, 2]))], (1,))
+        assert [r.error for r in rows] == ["GrowthLabError: no body"] * 4
+        assert [r.vertex for r in rows] == [(F(0), F(0)), (F(0), F(2)), (F(2), F(0)),
+                                            (F(2), F(2))]

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from growthlab import convexfn as cf
+from growthlab import okounkov as ok
 from growthlab import polytope as pt
 from growthlab.errors import (
     DegenerateInput,
@@ -441,7 +443,9 @@ class TestFourDimensional:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("d", [{"dim": 2}, {"vertices": [["0", "0"]]}, []])
+    @pytest.mark.parametrize("d", [{"dim": 2}, {"vertices": [["0", "0"]]}, [],
+                                   {"dim": 2.0, "vertices": [[0, 0], [1, 0], [0, 1]]},
+                                   {"dim": 0, "vertices": [[0, 0]]}])
     def test_malformed_json_is_degenerate_input(self, d):
         with pytest.raises(DegenerateInput):
             pt.Polytope.from_json_dict(d)
@@ -631,3 +635,72 @@ class TestIntegerKernel:
     @given(matrices(square=False))
     def test_rank_matches_minors(self, A):
         assert rank(A) == minor_rank(A)
+
+
+size = st.builds(F, st.integers(1, 4), st.integers(1, 3))
+
+
+@st.composite
+def delzant_embeddings(draw):
+    """A box, simplex, Hirzebruch trapezoid or trapezoid prism with rational
+    sizes, through a seeded unimodular map and a rational translation; every
+    vertex has unimodular edge generators."""
+    kind = draw(st.sampled_from(["box", "simplex", "trapezoid", "prism"]))
+    if kind == "box":
+        base = list(product(*[(0, a) for a in draw(st.lists(size, min_size=1, max_size=3))]))
+    elif kind == "simplex":
+        n, k = draw(st.integers(1, 3)), draw(size)
+        base = [tuple(k * (j == i) for j in range(n)) for i in range(-1, n)]
+    else:
+        a, b, c = draw(size), draw(size), draw(st.integers(1, 2))
+        base = [(0, 0), (a + c * b, 0), (a, b), (0, b)]
+        if kind == "prism":
+            base = [p + (z,) for p in base for z in (0, draw(size))]
+    n = len(base[0])
+    if n == 1:
+        M = ((draw(st.sampled_from([1, -1])),),)
+    else:
+        from conftest import random_unimodular
+        M = random_unimodular(random.Random(draw(st.integers(0, 10 ** 6))), n)
+    t = draw(st.tuples(*[st.builds(F, st.integers(-3, 3), st.integers(1, 3))] * n))
+    return pt.Polytope.from_points([tuple(sum(m * x for m, x in zip(row, p)) + s
+                                          for row, s in zip(M, t)) for p in base])
+
+
+def assert_same_certified(Q, R):
+    """The mapped Q and the re-hull R agree on vertices, facets, incidence
+    and the volume of their boundary complexes."""
+    assert Q.vertices == R.vertices
+    assert Q.facets == R.facets
+    assert Q._incidence == R._incidence
+    assert pt.volume(Q) == pt.volume(R)
+
+
+class TestUnimodularImage:
+    @given(delzant_embeddings())
+    def test_normalize_matches_rehull_at_every_vertex(self, P):
+        for v in P.vertices:
+            Q, umap = pt.normalize_at_vertex(P, v)
+            R = pt.Polytope.from_points([umap.apply(p) for p in P.vertices])
+            assert_same_certified(Q, R)
+            assert pt.volume(Q) == pt.volume(P)
+
+    @given(mixed_clouds())
+    def test_infinitesimal_map_matches_rehull(self, pts):
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        n = P.ambient_dim
+        R = pt.Polytope.from_points([(sum(v),) + v[:n - 1] for v in P.vertices])
+        assert_same_certified(ok.infinitesimal_map(P), R)
+
+    def test_no_hull_on_full_dimensional_input(self, monkeypatch):
+        shapes = [pt.box([3]), TRAP, pt.box([2, 1, F(1, 2)])]
+
+        def refuse(cls, *args):
+            raise AssertionError("re-hulled")
+
+        monkeypatch.setattr(pt.Polytope, "from_points", classmethod(refuse))
+        for P in shapes:
+            for v in P.vertices:
+                assert pt.normalize_at_vertex(P, v)[0].is_full_dim
+            assert ok.infinitesimal_map(P).is_full_dim
