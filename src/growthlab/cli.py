@@ -38,7 +38,7 @@ from .rationals import rat, rat_str
 PRECONDITION_ERRORS = (
     GrowthViolation, NotDelzantVertex, NotLatticePolytope, NotNormalized,
     DegenerateInput, DimensionMismatch, IncomparableFamilies, EmptySupport,
-    EmptyInput, UnknownLevel, NonpositiveEpsilon, FileNotFoundError,
+    EmptyInput, UnknownLevel, NonpositiveEpsilon, OSError,
     json.JSONDecodeError, ValueError,
 )
 
@@ -66,11 +66,15 @@ def _emit(args, obj):
         print(text)
 
 
-def _load_polytope(path):
+def _load_polytope(path, svg=None):
+    """The polytope at path; a ValueError if --svg is set and it is not 2-d."""
     if path is None:
         raise ValueError("--polytope is required")
     with open(path) as fh:
-        return pt.Polytope.from_json_dict(json.load(fh))
+        P = pt.Polytope.from_json_dict(json.load(fh))
+    if svg and P.ambient_dim != 2:
+        raise ValueError(f"--svg draws 2-d polytopes, not {P.ambient_dim}-d ones")
+    return P
 
 
 def _parse_vertex(s):
@@ -119,7 +123,7 @@ def cmd_normalize(args):
 
 
 def _build(args):
-    P = _load_polytope(args.polytope)
+    P = _load_polytope(args.polytope, getattr(args, "svg", None))
     return gr.build_growth_condition(P, _parse_vertex(args.vertex),
                                      _parse_klist(args.k))
 
@@ -132,9 +136,9 @@ def cmd_growth(args):
                               seed=seed)
     out = report.to_json_dict()
     out["seed"] = seed
-    _emit(args, out)
-    if args.svg and gc.dim == 2:
+    if args.svg:
         _svg_out(args.svg, _simplex_overlay(gc.polytope, report.seshadri.lp_value))
+    _emit(args, out)
     return 0
 
 
@@ -156,10 +160,10 @@ def cmd_seshadri(args):
     gc = _build(args)
     tol = rat(args.tol) if args.tol else DEFAULT_TOL
     ses = gr.seshadri_constant(gc, tol=tol)
+    if args.svg:
+        _svg_out(args.svg, _simplex_overlay(gc.polytope, ses.lp_value))
     _emit(args, {"seshadri": ses.to_json_dict(), "seed": _seed(args),
                  "tolerance": rat_str(tol)})
-    if args.svg and gc.dim == 2:
-        _svg_out(args.svg, _simplex_overlay(gc.polytope, ses.lp_value))
     return 0
 
 
@@ -177,7 +181,7 @@ def cmd_decompose(args):
 
 
 def cmd_okounkov(args):
-    P = _load_polytope(args.polytope)
+    P = _load_polytope(args.polytope, args.svg)
     order = ok.MonomialOrder(args.order,
                              tuple(int(i) for i in args.perm.split(","))
                              if args.perm else None)
@@ -188,13 +192,13 @@ def cmd_okounkov(args):
         out["seshadri_from_body"] = rat_str(ok.seshadri_from_body(body.limit))
         out["infinitesimal_image"] = ok.infinitesimal_map(body.limit) \
             .to_json_dict(with_facets=False)
-    _emit(args, out)
-    if args.svg and P.ambient_dim == 2 and body.limit is not None:
+    if args.svg and body.limit is not None:
         layers = [{"points": render.polygon_cycle(body.limit),
                    "stroke": "#1f3b70", "fill": "#9db8e8", "label": "body"},
                   {"points": render.polygon_cycle(ok.infinitesimal_map(body.limit)),
                    "stroke": "#2e7d32", "fill": "#a5d6a7", "label": "flag image"}]
         _svg_out(args.svg, layers)
+    _emit(args, out)
     return 0
 
 
@@ -238,13 +242,13 @@ def cmd_embed_ball(args):
                         samples=args.samples, seed=seed)
     out = glued.certificate.to_json_dict()
     out["seed"] = seed
-    _emit(args, out)
     if args.profile:
         rows = em.radial_profile(glued)
         with open(args.profile, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
+    _emit(args, out)
     return 0
 
 

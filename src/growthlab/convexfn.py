@@ -223,9 +223,9 @@ class SmoothToricPotential:
             raise ValueError(f"unknown family {family!r}")
 
     @classmethod
-    def log_sum_exp(cls, exponents, k, polytope=None):
+    def log_sum_exp(cls, exponents, k):
         exponents = sorted(tuple(int(a) for a in e) for e in exponents)
-        return cls("lse", k=k, exponents=exponents, polytope=polytope)
+        return cls("lse", k=k, exponents=exponents)
 
     @classmethod
     def fubini_study(cls, lam, dim):
@@ -271,9 +271,6 @@ class SmoothToricPotential:
         E = np.exp(X - m)
         denom = np.exp(-m[:, 0]) + E.sum(axis=1)
         return float(self.lam) * E / denom[:, None]
-
-    def grad(self, x):
-        return self.grad_many(np.array([[float(c) for c in x]]))[0]
 
     @cached_property
     def slope_polytope(self):

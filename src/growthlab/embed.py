@@ -145,10 +145,6 @@ class ObstructionVerdict:
     target_mass: Fraction
     ok: bool
 
-    def to_json_dict(self):
-        return {"source_mass": rat_str(self.source_mass),
-                "target_mass": rat_str(self.target_mass), "ok": self.ok}
-
 
 def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
              horizon=1e280):

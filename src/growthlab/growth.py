@@ -217,7 +217,7 @@ def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
     return SeshadriResult(lp_value, snapped, upper, (lo, hi))
 
 
-def decompose(gc, lams=None, extras=()):
+def decompose(gc, lams=None):
     """Radial components of the representative at the requested levels.
 
     Defaults to the vertex-relevant levels: the distinct coordinate sums of
@@ -226,7 +226,6 @@ def decompose(gc, lams=None, extras=()):
     """
     if lams is None:
         lams = sorted({sum(v) for v in gc.polytope.vertices})
-        lams = list(lams) + [rat(x) for x in extras]
     return {rat(lam): cf.radial_component(gc.representative, lam)
             for lam in lams}
 
@@ -289,14 +288,13 @@ class GrowthReport:
         return d
 
 
-def growth_report(gc, name="polytope", numeric=False, k=None, samples=10 ** 5,
-                  seed=0):
+def growth_report(gc, name="polytope", numeric=False, samples=10 ** 5, seed=0):
     """Assemble the full report for a growth condition."""
     vol = monge_ampere_volume(gc)
     mc = None
     if numeric:
-        k_mc = k if k is not None else max(gc.approximants)
-        mc = monge_ampere_volume_numeric(gc, k=k_mc, samples=samples, seed=seed)
+        mc = monge_ampere_volume_numeric(gc, k=max(gc.approximants), samples=samples,
+                                         seed=seed)
     ses = seshadri_constant(gc)
     return GrowthReport(
         name=name,

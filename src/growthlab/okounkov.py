@@ -94,10 +94,6 @@ class GradedMonomialSeries:
         return GradedMonomialSeries(
             {k: {a for a in v if predicate(k, a)} for k, v in self.degrees.items()})
 
-    @property
-    def max_degree(self):
-        return max(self.degrees)
-
     def check_multiplicativity(self):
         """W_j + W_k inside W_{j+k} for all stored degree pairs."""
         for j in self.degrees:
@@ -134,7 +130,6 @@ class OkounkovBody:
 
     hull_at: dict
     limit: pt.Polytope | None
-    order: MonomialOrder
 
     def to_json_dict(self):
         d = {"hull_at": {str(k): P.to_json_dict(with_facets=False)
@@ -146,7 +141,7 @@ class OkounkovBody:
         return d
 
 
-def okounkov_body(series, order=None, k_max=None):
+def okounkov_body(series, order=None):
     """Body of a graded monomial series under a monomial order.
 
     Every monomial of W_k is a section with valuation vector equal to its own
@@ -155,23 +150,14 @@ def okounkov_body(series, order=None, k_max=None):
     The limit is recorded when all computed levels agree (the toric series
     stabilizes at every level).
     """
-    if order is None:
-        order = MonomialOrder("deglex")
-    if order.perm is not None and len(order.perm) != series.dim:
+    if order is not None and order.perm is not None and len(order.perm) != series.dim:
         raise DimensionMismatch(f"perm {order.perm} does not permute "
                                 f"{series.dim} coordinates")
-    if k_max is None:
-        k_max = series.max_degree
-    hull_at = {}
-    for k in sorted(series.degrees):
-        if k > k_max:
-            continue
-        hull_at[k] = pt.Polytope.from_points(series.degrees[k], series.dim).scaled(Fraction(1, k))
-    if not hull_at:
-        raise EmptySupport("series empty below k_max")
+    hull_at = {k: pt.Polytope.from_points(series.degrees[k], series.dim).scaled(Fraction(1, k))
+               for k in sorted(series.degrees)}
     bodies = list(hull_at.values())
     limit = bodies[0] if all(b == bodies[0] for b in bodies) else None
-    return OkounkovBody(hull_at, limit, order)
+    return OkounkovBody(hull_at, limit)
 
 
 def infinitesimal_map(B):
@@ -194,12 +180,6 @@ class VolumeIdentityVerdict:
     reference: Fraction
     per_k_gap: dict
     trend_nonincreasing: bool
-
-    def to_json_dict(self):
-        return {"exact_equal": self.exact_equal,
-                "reference": rat_str(self.reference),
-                "per_k_gap": {str(k): float(v) for k, v in self.per_k_gap.items()},
-                "trend_nonincreasing": self.trend_nonincreasing}
 
 
 def volume_identity_check(body, vol_L):
@@ -249,7 +229,10 @@ def chebyshev_transform(u):
         conj = cf.legendre(u)
         return ChebyshevTransform("exact-lp", conj.domain, conj)
     if isinstance(u, cf.SmoothToricPotential) and u.family == "fs":
-        lam = float(u.lam)
+        try:
+            lam = float(u.lam)
+        except OverflowError:
+            raise ValueError("Fubini-Study lambda is too large for a float") from None
         dom = u.slope_polytope
 
         def entropy(y):

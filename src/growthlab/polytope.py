@@ -27,6 +27,7 @@ from .errors import (
     NotNormalized,
 )
 from .rationals import (
+    _integer_rows,
     det,
     dot,
     inverse,
@@ -656,65 +657,24 @@ def volume(P):
     return P._volume
 
 
-def integer_kernel(rows):
-    """Basis of {x in Z^n : R x = 0} for an integer matrix R, via column ops."""
-    m = len(rows)
-    n = len(rows[0])
-    A = [list(map(int, r)) for r in rows]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_addmul(t, s, f):
-        for i in range(m):
-            A[i][t] += f * A[i][s]
-        for i in range(n):
-            U[i][t] += f * U[i][s]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    r = 0
-    for i in range(m):
-        while True:
-            nz = [j for j in range(r, n) if A[i][j] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(A[i][j]))
-            q = A[i][nz[1]] // A[i][nz[0]]
-            col_addmul(nz[1], nz[0], -q)
-        nz = [j for j in range(r, n) if A[i][j] != 0]
-        if nz:
-            col_swap(r, nz[0])
-            r += 1
-    return [tuple(U[i][j] for i in range(n)) for j in range(r, n)]
-
-
 def relative_volume(P):
-    """Volume in the affine span, normalized so a lattice cell has volume 1."""
+    """Volume in the affine span, normalized so a lattice cell has volume 1.
+
+    With the span basis rows b_i scaled to integer rows c_i = d_i b_i, the
+    span coordinates s of x = p0 + sum s_i b_i are t_i = s_i / d_i in the
+    basis C.  The lattice points of the span's directions contain Z C with
+    index the gcd g of C's maximal minors (the product of its Smith
+    invariant factors), so the value is volume(span polytope) g / prod d_i."""
     if P.is_empty:
         return Fraction(0)
     if P.is_point:
         return Fraction(1)
     if P.is_full_dim:
         return volume(P)
-    n = P.ambient_dim
-    # orthogonal complement of the direction space, as integer rows
-    perp = integer_kernel([primitive_integer(d) for d in P._span_basis])
-    if len(perp) != n - P.dim:
-        raise GrowthLabError("span complement has wrong dimension")
-    basis = integer_kernel(perp)
-    if len(basis) != P.dim:
-        raise GrowthLabError("direction lattice has wrong rank")
-    cols = list(zip(*basis))
-    coords = []
-    for v in P.vertices:
-        s = solve_general(cols, vsub(v, P.vertices[0]))
-        if s is None:
-            raise GrowthLabError("vertex outside direction lattice span")
-        coords.append(s)
-    return volume(Polytope.from_points(coords, P.dim))
+    rows, scale = _integer_rows(P._span_basis)
+    g = gcd(*(det([[r[j] for j in cols] for r in rows])
+              for cols in combinations(range(P.ambient_dim), P.dim)))
+    return volume(P._span_poly) * g / scale
 
 
 def simplex_inclusion(P):

@@ -7,12 +7,13 @@ components and conjugates by grid search, simplex inclusion by bisection
 with membership tests, lattice points by testing every point of the
 bounding box against those facets, vertices and membership by those facets
 too, determinants by Laplace expansion and ranks by the largest nonzero
-minor.
+minor, relative volumes by vertex coordinates in an integer-kernel basis of
+the span's lattice, and simplest fractions by scanning denominators.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 
 def _cofactor_normal(points):
@@ -217,3 +218,91 @@ def grid_conjugate_2d(f, y, lo=-40.0, hi=40.0, steps=161):
         half = half * 4 / (steps - 1)
         best, arg = scan(arg[0], arg[1], half, steps)
     return best
+
+
+def integer_kernel(rows):
+    """Basis of {x in Z^n : R x = 0} for an integer matrix R, via column ops."""
+    m = len(rows)
+    n = len(rows[0])
+    A = [list(map(int, r)) for r in rows]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_addmul(t, s, f):
+        for i in range(m):
+            A[i][t] += f * A[i][s]
+        for i in range(n):
+            U[i][t] += f * U[i][s]
+
+    def col_swap(i, j):
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+        for r in U:
+            r[i], r[j] = r[j], r[i]
+
+    r = 0
+    for i in range(m):
+        while True:
+            nz = [j for j in range(r, n) if A[i][j] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda j: abs(A[i][j]))
+            q = A[i][nz[1]] // A[i][nz[0]]
+            col_addmul(nz[1], nz[0], -q)
+        nz = [j for j in range(r, n) if A[i][j] != 0]
+        if nz:
+            col_swap(r, nz[0])
+            r += 1
+    return [tuple(U[i][j] for i in range(n)) for j in range(r, n)]
+
+
+def _coordinates(basis, w):
+    """t with sum_j t_j basis[j] = w, for independent basis vectors and w in
+    their span, by Gauss-Jordan elimination in Fraction."""
+    d = len(basis)
+    rows = [[Fraction(b[i]) for b in basis] + [Fraction(w[i])] for i in range(len(w))]
+    for c in range(d):
+        p = next(i for i in range(c, len(rows)) if rows[i][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    if any(row[d] != 0 for row in rows[d:]):
+        raise ValueError("point off the span")
+    return tuple(row[d] for row in rows[:d])
+
+
+def kernel_relative_volume(vertices, volume):
+    """Lattice-normalized volume of conv(vertices) in its affine span, for a
+    cloud that is not full-dimensional: the vertex differences, cleared of
+    denominators, have the integer kernel K, and the integer kernel of K is a
+    basis of the span's integer directions.  volume(coords) is the volume of
+    the hull of the vertices' coordinates in that basis; a point has 1."""
+    vs = [tuple(Fraction(x) for x in v) for v in vertices]
+    diffs = [[x - y for x, y in zip(v, vs[0])] for v in vs]
+    rows = []
+    for row in diffs:
+        if any(row):
+            scale = lcm(*(x.denominator for x in row))
+            rows.append([int(x * scale) for x in row])
+    if not rows:
+        return Fraction(1)
+    basis = integer_kernel(integer_kernel(rows))
+    return volume([_coordinates(basis, row) for row in diffs])
+
+
+def scan_simplest_fraction(lo, hi):
+    """The fraction in [lo, hi] with the least denominator q, then the least
+    absolute numerator: 0 if the interval holds 0, the mirror image of
+    [-hi, -lo] if it is negative, else ceil(lo q) / q for the first q = 1,
+    2, ... with ceil(lo q) <= floor(hi q)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -scan_simplest_fraction(-hi, -lo)
+    q = 1
+    while ceil(lo * q) > floor(hi * q):
+        q += 1
+    return Fraction(ceil(lo * q), q)

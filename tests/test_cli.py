@@ -84,7 +84,8 @@ class TestCommands:
         assert code == 0
         data = json.loads(out)
         assert data["passing"] is True
-        header = open(profile).readline().strip().split(",")
+        with open(profile) as fh:
+            header = fh.readline().strip().split(",")
         assert header == ["t", "source_plus_C", "target", "glued"]
 
     def test_normalize(self, files, capsys):
@@ -100,8 +101,60 @@ class TestCommands:
         code, _ = run_cli(["seshadri", "--polytope", files["trapezoid"],
                            "--vertex", "0,0", "--svg", svg], capsys)
         assert code == 0
-        text = open(svg).read()
+        with open(svg) as fh:
+            text = fh.read()
         assert text.startswith("<svg") and "polygon" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--polytope", "{trapezoid}", "--vertex", "0,0"],
+        ["okounkov", "--polytope", "{trapezoid}"],
+    ], ids=["growth", "okounkov"])
+    def test_svg_on_2d(self, files, capsys, argv):
+        svg = files["tmp"] / "overlay.svg"
+        code, out = run_cli([a.format(**files) for a in argv] + ["--svg", str(svg)],
+                            capsys)
+        assert code == 0 and json.loads(out)
+        assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--polytope", "{cube2}", "--vertex", "0,0,0"],
+        ["seshadri", "--polytope", "{cube2}", "--vertex", "0,0,0"],
+        ["okounkov", "--polytope", "{cube2}"],
+        ["okounkov", "--polytope", "{interval}"],
+    ], ids=["growth-3d", "seshadri-3d", "okounkov-3d", "okounkov-1d"])
+    def test_svg_off_2d_is_rejected_before_any_work(self, files, capsys, argv,
+                                                     monkeypatch):
+        from growthlab import growth as gr
+        from growthlab import okounkov as ok
+
+        def refuse(*args):
+            raise AssertionError("work started before the --svg check")
+
+        monkeypatch.setattr(gr, "build_growth_condition", refuse)
+        monkeypatch.setattr(ok, "okounkov_body", refuse)
+        interval = files["tmp"] / "interval.json"
+        interval.write_text(json.dumps(pt.box([3]).to_json_dict()))
+        svg = files["tmp"] / "overlay.svg"
+        argv = [a.format(interval=interval, **files) for a in argv]
+        code, out = run_cli(argv + ["--svg", str(svg)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--polytope", "{square2}", "--vertex", "0,0", "--k", "1,2"],
+        ["okounkov", "--polytope", "{trapezoid}", "--k-max", "2"],
+        ["chebyshev", "--fs-lambda", "3", "--dim", "2"],
+        ["corpus", "--k", "1"],
+    ], ids=["growth", "okounkov", "chebyshev", "corpus"])
+    def test_out_file_holds_the_stdout_report(self, files, capsys, argv):
+        argv = [a.format(**files) for a in argv] + ["--seed", "5"]
+        code, shown = run_cli(argv, capsys)
+        assert code == 0
+        out = files["tmp"] / "report.json"
+        code, printed = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 0 and printed == ""
+        assert out.read_text() == shown
 
     def test_decompose(self, files, capsys):
         code, out = run_cli(["decompose", "--polytope", files["simplex"],
@@ -190,7 +243,17 @@ class TestBadInput:
                        "infinite_coordinate")]
        + [(["corpus", "--dir", "{bad_dir}"], "DegenerateInput")]
        + [(["check-delzant", "--polytope", "{%s}" % name], "DegenerateInput")
-          for name in ("null_dim", "bool_dim", "string_dim", "bool_coordinate")])
+          for name in ("null_dim", "bool_dim", "string_dim", "bool_coordinate")]
+       # a directory where a file is read or written; the report of a command
+       # that writes a file is held back until the file is written
+       + [(argv, "IsADirectoryError") for argv in (
+           ["check-delzant", "--polytope", "{tmp}"],
+           ["chebyshev", "--fs-lambda", "1", "--out", "{tmp}"],
+           ["seshadri", "--polytope", "{trapezoid}", "--vertex", "0,0", "--svg", "{tmp}"],
+           ["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
+            "--fs-lambda", "3/2", "--R", "5", "--profile", "{tmp}"],
+           ["corpus", "--k", "1", "--dir", "{dir_corpus}"])]
+       + [(["chebyshev", "--fs-lambda", "1e400"], "ValueError")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         paths = dict(files)
         for name, text in MALFORMED_POLYTOPES.items():
@@ -200,8 +263,11 @@ class TestBadInput:
         bad_dir.mkdir()
         (bad_dir / "scalar.json").write_text(MALFORMED_POLYTOPES["scalar_vertices"])
         paths["bad_dir"] = str(bad_dir)
+        (files["tmp"] / "dir_corpus" / "x.json").mkdir(parents=True)
+        paths["dir_corpus"] = str(files["tmp"] / "dir_corpus")
         code, out = run_cli([a.format(**paths) for a in argv], capsys)
         assert code == 2
+        # json.loads refuses a second document after the first
         assert json.loads(out)["error"]["type"] == error
 
     @pytest.mark.parametrize("argv", [

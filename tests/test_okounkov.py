@@ -110,7 +110,7 @@ class TestBody:
     def test_restricted_series_levels(self):
         series = ok.GradedMonomialSeries.toric(SIGMA, 8).filtered(
             lambda k, a: a[0] >= math.ceil(k / 2))
-        body = ok.okounkov_body(series, DEGLEX, 8)
+        body = ok.okounkov_body(series, DEGLEX)
         target = pt.hull([(F(1, 2), 0), (1, 0), (F(1, 2), F(1, 2))])
         assert body.hull_at[8] == target
         # Hausdorff distance at k = 8 within 1/8: here the hull is exact,
@@ -181,7 +181,7 @@ class TestVolumeIdentity:
     def test_restricted_gap_reported(self):
         series = ok.GradedMonomialSeries.toric(SIGMA, 8).filtered(
             lambda k, a: a[0] >= math.ceil(k / 2))
-        body = ok.okounkov_body(series, DEGLEX, 8)
+        body = ok.okounkov_body(series, DEGLEX)
         target_vol = 2 * pt.volume(
             pt.hull([(F(1, 2), 0), (1, 0), (F(1, 2), F(1, 2))]))
         verdict = ok.volume_identity_check(body, target_vol)

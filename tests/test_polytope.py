@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthlab import convexfn as cf
@@ -16,7 +16,8 @@ from growthlab.errors import (
     NotLatticePolytope,
     NotNormalized,
 )
-from growthlab.rationals import det, inverse, rank, solve, solve_general
+from growthlab.rationals import (det, inverse, rank, simplest_fraction_in, solve,
+                                 solve_general)
 
 from _oracles import (
     bisection_simplex_inclusion,
@@ -24,9 +25,11 @@ from _oracles import (
     brute_force_lattice_points,
     brute_force_vertices,
     in_hull,
+    kernel_relative_volume,
     laplace_det,
     minor_rank,
     pick_area,
+    scan_simplest_fraction,
 )
 
 
@@ -567,6 +570,36 @@ class TestSolvers:
             n = len(A)
             columns = [_times(inv, col) for col in zip(*A)]  # of inv . A
             assert columns == [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+class TestSimplestFraction:
+    @given(st.one_of(
+        st.tuples(*[st.builds(F, st.integers(-60, 60), st.integers(1, 12))] * 2),
+        st.builds(lambda x, a, b: (x - F(1, 2 ** a), x + F(1, 2 ** b)),
+                  st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
+                  st.integers(8, 48), st.integers(8, 48))))
+    def test_matches_denominator_scan(self, ends):
+        # narrow intervals around a/b, as bisection leaves them, walk the
+        # continued-fraction descent
+        lo, hi = sorted(ends)
+        assert simplest_fraction_in(lo, hi) == scan_simplest_fraction(lo, hi)
+
+
+def span_volume(coords):
+    return pt.volume(pt.Polytope.from_points(coords))
+
+
+class TestRelativeVolume:
+    @settings(max_examples=100)
+    @given(flat_clouds(), st.sampled_from([F(3, 2), F(2)]) | st.integers(1, 5)
+           .map(lambda k: F(1, k)))
+    def test_matches_integer_kernel_route(self, pts, c):
+        P = pt.Polytope.from_points(pts)
+        Q = P.scaled(c)
+        assert not P.is_full_dim
+        assert pt.relative_volume(P) == kernel_relative_volume(P.vertices, span_volume)
+        assert pt.relative_volume(Q) == kernel_relative_volume(Q.vertices, span_volume)
+        assert pt.relative_volume(Q) == c ** P.dim * pt.relative_volume(P)
 
 
 class TestIntegerKernel:
