@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 precondition errors (machine-readable error JSON on
 stdout), 1 internal errors.  The seed is always recorded in the output; the
-GROWTHLAB_SEED environment variable overrides the default.
+GROWTHLAB_SEED environment variable overrides the default.  growthlab's
+modules import numpy and scipy inside their float routes only, so the exact
+commands start without them.
 """
 
 import argparse
@@ -58,7 +60,8 @@ SHARED_FLAGS = {
 def _emit(args, obj):
     if isinstance(obj, dict) and "seed" not in obj:
         obj = dict(obj, seed=_seed(args))
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    # a NaN or an infinity raises ValueError: neither is JSON (RFC 8259)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -192,7 +195,10 @@ def cmd_okounkov(args):
         out["seshadri_from_body"] = rat_str(ok.seshadri_from_body(body.limit))
         out["infinitesimal_image"] = ok.infinitesimal_map(body.limit) \
             .to_json_dict(with_facets=False)
-    if args.svg and body.limit is not None:
+    if args.svg:
+        if body.limit is None:
+            raise ValueError("--svg draws the limit body; the levels up to "
+                             "--k-max disagree, so there is none")
         layers = [{"points": render.polygon_cycle(body.limit),
                    "stroke": "#1f3b70", "fill": "#9db8e8", "label": "body"},
                   {"points": render.polygon_cycle(ok.infinitesimal_map(body.limit)),
@@ -269,50 +275,54 @@ def cmd_corpus(args):
     return 0
 
 
-def build_parser():
+BUILD = ("--polytope", "--vertex", "--k")  # what _build reads
+
+# name -> (handler, shared flags it reads, its own flags), in usage order
+COMMANDS = {
+    "check-delzant": (cmd_check_delzant, ("--polytope",), {}),
+    "normalize": (cmd_normalize, ("--polytope", "--vertex"), {}),
+    "growth": (cmd_growth, BUILD + ("--numeric", "--samples", "--svg"), {}),
+    "volume": (cmd_volume, BUILD + ("--numeric", "--samples"), {}),
+    "seshadri": (cmd_seshadri, BUILD + ("--svg",), {"--tol": {}}),
+    "decompose": (cmd_decompose, BUILD, {"--lams": {}}),
+    "okounkov": (cmd_okounkov, ("--polytope", "--svg"), {
+        "--k-max": {"type": int, "default": 3},
+        "--order": {"default": "deglex", "choices": ("deglex", "lex")},
+        "--perm": {}}),
+    "chebyshev": (cmd_chebyshev, ("--polytope", "--vertex"), {
+        "--k": {"type": int}, "--fs-lambda": {}, "--dim": {"type": int, "default": 2}}),
+    "embed-ball": (cmd_embed_ball, BUILD, {
+        "--samples": {"type": int, "default": 1000}, "--fs-lambda": {},
+        "--R": {"type": float, "default": 10.0},
+        "--epsilon": {"type": float, "default": 0.25}, "--profile": {}}),
+    "gromov": (cmd_gromov, BUILD, {}),
+    "corpus": (cmd_corpus, ("--k",), {"--dir": {}}),
+}
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or of `command` alone.  The one-command
+    parser lists every name in its usage, so both print the same usage and
+    errors for an argv that starts with `command`."""
     p = argparse.ArgumentParser(prog="growthlab", allow_abbrev=False)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, *flags):
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        fn, shared, own = COMMANDS[name]
         sp = sub.add_parser(name, allow_abbrev=False)
-        for flag in flags + ("--seed", "--out"):
+        for flag in shared + ("--seed", "--out"):
             sp.add_argument(flag, **SHARED_FLAGS[flag])
+        for flag, kwargs in own.items():
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(fn=fn)
-        return sp
-
-    build = ("--polytope", "--vertex", "--k")  # what _build reads
-    command("check-delzant", cmd_check_delzant, "--polytope")
-    command("normalize", cmd_normalize, "--polytope", "--vertex")
-    command("growth", cmd_growth, *build, "--numeric", "--samples", "--svg")
-    command("volume", cmd_volume, *build, "--numeric", "--samples")
-    command("seshadri", cmd_seshadri, *build, "--svg").add_argument("--tol")
-    command("decompose", cmd_decompose, *build).add_argument("--lams")
-
-    sp = command("okounkov", cmd_okounkov, "--polytope", "--svg")
-    sp.add_argument("--k-max", type=int, default=3)
-    sp.add_argument("--order", default="deglex", choices=("deglex", "lex"))
-    sp.add_argument("--perm")
-
-    sp = command("chebyshev", cmd_chebyshev, "--polytope", "--vertex")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--fs-lambda")
-    sp.add_argument("--dim", type=int, default=2)
-
-    sp = command("embed-ball", cmd_embed_ball, *build)
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--fs-lambda")
-    sp.add_argument("--R", type=float, default=10.0)
-    sp.add_argument("--epsilon", type=float, default=0.25)
-    sp.add_argument("--profile")
-
-    command("gromov", cmd_gromov, *build)
-    command("corpus", cmd_corpus, "--k").add_argument("--dir")
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # -h, an empty argv and an unknown command need the full parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         if args.command == "chebyshev":
             if not args.fs_lambda and not args.polytope:

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import polytope as pt
 from .errors import (
     DegenerateInput,
@@ -84,11 +82,13 @@ class MaxAffineFunction:
 
     @cached_property
     def _float_data(self):
+        import numpy as np
         A = np.array([[float(s) for s in p.slope] for p in self.pieces])
         c = np.array([float(p.offset) for p in self.pieces])
         return A, c
 
-    def eval_many(self, X, dtype=np.float64):
+    def eval_many(self, X, dtype=float):
+        import numpy as np
         A, c = self._float_data
         X = np.asarray(X, dtype=dtype)
         return (X @ A.T.astype(dtype) + c.astype(dtype)).max(axis=1)
@@ -239,15 +239,16 @@ class SmoothToricPotential:
 
     @cached_property
     def _exp_arr(self):
+        import numpy as np
         return np.array(self.exponents, dtype=float)
 
     def __call__(self, x):
         if len(x) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        xs = np.array([float(c) for c in x])
-        return float(self.value_many(xs[None, :])[0])
+        return float(self.value_many([[float(c) for c in x]])[0])
 
-    def value_many(self, X, dtype=np.float64):
+    def value_many(self, X, dtype=float):
+        import numpy as np
         X = np.asarray(X, dtype=dtype)
         if self.family == "lse":
             XA = X @ self._exp_arr.T.astype(dtype)
@@ -260,6 +261,7 @@ class SmoothToricPotential:
     def grad_many(self, X):
         """Exact-formula gradients; for lse this is the softmax average of
         exponents over k, which lies in the slope polytope."""
+        import numpy as np
         X = np.asarray(X, dtype=float)
         if self.family == "lse":
             XA = X @ self._exp_arr.T
@@ -554,6 +556,7 @@ def regularized_max_many(a, b, eps):
     """Vectorized regularized max; branch values match max(a, b) bitwise."""
     if eps <= 0:
         raise NonpositiveEpsilon("regularization width must be positive")
+    import numpy as np
     a = np.asarray(a)
     b = np.asarray(b)
     s = a - b

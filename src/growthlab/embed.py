@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import convexfn as cf
 from . import growth as gr
 from . import polytope as pt
@@ -82,18 +80,17 @@ class GluedPotential:
     epsilon: float
     certificate: GluingCertificate
 
-    def components(self, X, dtype=np.float64):
+    def components(self, X, dtype=float):
         a = self.source.value_many(X, dtype=dtype) + dtype(self.constant)
         b = self.target.eval_many(X, dtype=dtype)
         return a, b
 
-    def value_many(self, X, dtype=np.float64):
+    def value_many(self, X, dtype=float):
         a, b = self.components(X, dtype=dtype)
         return cf.regularized_max_many(a, b, dtype(self.epsilon))
 
     def __call__(self, x):
-        X = np.array([[float(c) for c in x]])
-        return float(self.value_many(X)[0])
+        return float(self.value_many([[float(c) for c in x]])[0])
 
 
 def _axis_reach(P, i):
@@ -108,6 +105,7 @@ def _axis_reach(P, i):
 
 
 def _sample_inner_x(rng, n, R, count):
+    import numpy as np
     Z = rng.standard_normal((count, 2 * n))
     nrm = np.linalg.norm(Z, axis=1, keepdims=True)
     nrm[nrm == 0] = 1.0
@@ -120,6 +118,7 @@ def _sample_inner_x(rng, n, R, count):
 def _sample_peak_x(rng, n, m_lo, m_hi, count):
     """Points whose largest coordinate m is uniform in [m_lo, m_hi] and whose
     remaining coordinates stay below m; then sum(exp x) is within [e^m, n e^m]."""
+    import numpy as np
     m = rng.uniform(m_lo, m_hi, count)
     X = rng.uniform(0.0, 1.0, (count, n)) * (m[:, None] + 60.0) - 60.0
     j = rng.integers(0, n, count)
@@ -157,6 +156,7 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
     outer radius comes from the exact axis-margin rate of properness for
     Fubini-Study sources and from a doubling search otherwise.
     """
+    import numpy as np
     if not isinstance(source, cf.SmoothToricPotential):
         raise IncomparableFamilies(
             "ball gluing needs a strictly convex source family (fs or lse)")
@@ -286,6 +286,7 @@ def gromov_lower_bound(gc):
 
 def radial_profile(glued, t_lo=-30.0, t_hi=None, count=241):
     """Values of source + C, target and the glued potential along x = t*ones."""
+    import numpy as np
     if t_hi is None:
         t_hi = 2.0 * math.log(glued.certificate.R_prime) + 5.0
     ts = np.linspace(t_lo, t_hi, count)

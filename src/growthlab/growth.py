@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import convexfn as cf
 from . import polytope as pt
 from .errors import NotDelzantVertex, UnknownLevel
@@ -99,6 +97,7 @@ def _sampled_gradients(gc, k, samples, radius, seed, chunk=20000):
     least = n + 1 if n >= 2 else 1
     if samples < least:
         raise ValueError(f"samples must be at least {least} in dimension {n}")
+    import numpy as np
     u = gc.approximant(k).potential
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, n))
@@ -117,6 +116,7 @@ def recover_polytope_numeric(gc, k, samples=10 ** 4, radius=50.0, seed=0):
     the samples over the exact vertices, valid because every gradient lies
     inside the polytope.
     """
+    import numpy as np
     G = _sampled_gradients(gc, k, samples, radius, seed)
     V = np.array([[float(c) for c in v] for v in gc.polytope.vertices])
     dists = np.sqrt(((V[:, None, :] - G[None, :, :]) ** 2).sum(axis=2)).min(axis=1)

@@ -5,8 +5,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import convexfn as cf
 from . import polytope as pt
 from .errors import (DegenerateInput, DimensionMismatch, EmptySupport,
@@ -248,6 +246,7 @@ def chebyshev_transform(u):
         width = math.log(u.lattice_count) / u.k
 
         def numeric(y):
+            import numpy as np
             from scipy.optimize import minimize
             yf = np.array([float(c) for c in y])
 

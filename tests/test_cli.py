@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from growthlab import cli
 from growthlab import polytope as pt
 from growthlab.cli import main
 
@@ -253,9 +254,18 @@ class TestBadInput:
            ["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
             "--fs-lambda", "3/2", "--R", "5", "--profile", "{tmp}"],
            ["corpus", "--k", "1", "--dir", "{dir_corpus}"])]
-       + [(["chebyshev", "--fs-lambda", "1e400"], "ValueError")])
+       + [(["chebyshev", "--fs-lambda", "1e400"], "ValueError")]
+       # the closed form overflows to -inf, which is not JSON
+       + [(["chebyshev", "--fs-lambda", "1.7e308"], "ValueError")]
+       # a non-lattice polytope's levels disagree: no limit body to draw
+       + [(["okounkov", "--polytope", "{rational_square}", "--svg", "{svg}"],
+           "ValueError")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         paths = dict(files)
+        rational = files["tmp"] / "rational_square.json"
+        rational.write_text(json.dumps(pt.box([F(3, 2), F(3, 2)]).to_json_dict()))
+        paths["rational_square"] = str(rational)
+        paths["svg"] = str(files["tmp"] / "out.svg")
         for name, text in MALFORMED_POLYTOPES.items():
             (files["tmp"] / f"{name}.json").write_text(text)
             paths[name] = str(files["tmp"] / f"{name}.json")
@@ -269,6 +279,7 @@ class TestBadInput:
         assert code == 2
         # json.loads refuses a second document after the first
         assert json.loads(out)["error"]["type"] == error
+        assert not (files["tmp"] / "out.svg").exists()
 
     @pytest.mark.parametrize("argv", [
         ["growth", "--polytope", "{cube2}", "--vertex", "0,0,0", "--k", "1",
@@ -337,6 +348,79 @@ class TestBadInput:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+
+# One argv per command that makes no float computation.
+EXACT_ARGVS = {
+    "check-delzant": ["check-delzant", "--polytope", "{trapezoid}"],
+    "okounkov": ["okounkov", "--polytope", "{trapezoid}"],
+    "corpus": ["corpus", "--k", "1"],
+    "chebyshev-polytope": ["chebyshev", "--polytope", "{trapezoid}", "--vertex", "0,0"],
+    "chebyshev-fs": ["chebyshev", "--fs-lambda", "3"],
+} | {cmd: [cmd, "--polytope", "{trapezoid}", "--vertex", "0,0"]
+     for cmd in ("normalize", "growth", "volume", "seshadri", "decompose", "gromov")}
+
+# Run in a fresh interpreter, since this one has numpy loaded: which of numpy
+# and scipy `import growthlab.cli` loads, main's exit code, and which are
+# loaded after main.
+FLOAT_STACK_PROBE = """
+import json, sys
+import growthlab.cli
+stack = ("numpy", "scipy")
+on_import = [m for m in stack if m in sys.modules]
+code = growthlab.cli.main(json.loads(sys.argv[1]))
+sys.stderr.write(json.dumps([on_import, code, [m for m in stack if m in sys.modules]]))
+"""
+
+
+def float_stack_loaded(argv):
+    proc = subprocess.run([sys.executable, "-c", FLOAT_STACK_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr)
+
+
+class TestImportHygiene:
+    @pytest.mark.parametrize("argv", list(EXACT_ARGVS.values()), ids=list(EXACT_ARGVS))
+    def test_exact_commands_load_no_float_stack(self, files, argv):
+        argv = [a.format(**files) for a in argv]
+        assert float_stack_loaded(argv) == [[], 0, []]
+
+    def test_numeric_route_loads_numpy(self, files):
+        # the control: the probe sees a float import when there is one
+        on_import, code, after = float_stack_loaded(
+            ["growth", "--polytope", files["trapezoid"], "--vertex", "0,0",
+             "--numeric", "--samples", "100"])
+        assert on_import == [] and code == 0 and "numpy" in after
+
+
+def parse_outcome(fn, argv, capsys):
+    try:
+        code = fn(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserEquivalence:
+    """main builds the parser of its command alone; on argvs that end in
+    argparse it must print and exit as the full parser does."""
+
+    @pytest.mark.parametrize("argv", [
+        [cmd] + tail for cmd in cli.COMMANDS
+        for tail in (["-h"], ["--bogus"], ["--seed"], ["--pol", "x"],
+                     # a flag that only another command reads
+                     ["--tol", "1"] if cmd == "decompose" else ["--lams", "1"])
+    ] + [["bogus"], [], ["-h"]], ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_answer_as_the_full_parser(self, argv, capsys, monkeypatch):
+        expected = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        built, full = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or full(command))
+        assert parse_outcome(main, argv, capsys) == expected
+        assert expected[0] in (0, 2)
+        assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
 
 
 class TestPruningAvoidsSimplex:
