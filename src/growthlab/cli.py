@@ -185,14 +185,10 @@ def cmd_decompose(args):
 
 def cmd_okounkov(args):
     P = _load_polytope(args.polytope, args.svg)
-    order = ok.MonomialOrder(args.order,
-                             tuple(int(i) for i in args.perm.split(","))
-                             if args.perm else None)
-    series = ok.GradedMonomialSeries.toric(P, args.k_max)
-    body = ok.okounkov_body(series, order)
+    body = ok.okounkov_body(ok.GradedMonomialSeries.toric(P, args.k_max))
     out = body.to_json_dict()
     if body.limit is not None:
-        out["seshadri_from_body"] = rat_str(ok.seshadri_from_body(body.limit))
+        out["seshadri_from_body"] = rat_str(pt.simplex_inclusion(body.limit))
         out["infinitesimal_image"] = ok.infinitesimal_map(body.limit) \
             .to_json_dict(with_facets=False)
     if args.svg:
@@ -285,10 +281,8 @@ COMMANDS = {
     "volume": (cmd_volume, BUILD + ("--numeric", "--samples"), {}),
     "seshadri": (cmd_seshadri, BUILD + ("--svg",), {"--tol": {}}),
     "decompose": (cmd_decompose, BUILD, {"--lams": {}}),
-    "okounkov": (cmd_okounkov, ("--polytope", "--svg"), {
-        "--k-max": {"type": int, "default": 3},
-        "--order": {"default": "deglex", "choices": ("deglex", "lex")},
-        "--perm": {}}),
+    "okounkov": (cmd_okounkov, ("--polytope", "--svg"),
+                 {"--k-max": {"type": int, "default": 3}}),
     "chebyshev": (cmd_chebyshev, ("--polytope", "--vertex"), {
         "--k": {"type": int}, "--fs-lambda": {}, "--dim": {"type": int, "default": 2}}),
     "embed-ball": (cmd_embed_ball, BUILD, {

@@ -147,11 +147,6 @@ class MaxAffineFunction:
         return {"pieces": [{"slope": [rat_str(s) for s in p.slope],
                             "offset": rat_str(p.offset)} for p in self.pieces]}
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls([([rat(s) for s in p["slope"]], rat(p["offset"]))
-                    for p in d["pieces"]])
-
     def __repr__(self):
         return f"MaxAffineFunction({len(self.pieces)} pieces, dim={self.dim})"
 
@@ -282,21 +277,6 @@ class SmoothToricPotential:
             pts = [tuple(Fraction(a, self.k) for a in e) for e in self.exponents]
             return pt.Polytope.from_points(pts, self.dim)
         return pt.standard_simplex(self.dim).scaled(self.lam)
-
-    def to_json_dict(self):
-        if self.family == "lse":
-            return {"family": "lse", "k": self.k,
-                    "polytope": self.slope_polytope.to_json_dict(with_facets=False)}
-        return {"family": "fs", "lambda": rat_str(self.lam), "dim": self.dim}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        if d["family"] == "lse":
-            P = pt.Polytope.from_json_dict(d["polytope"])
-            return logsumexp_from_polytope(P, int(d["k"]))
-        if d["family"] == "fs":
-            return cls.fubini_study(rat(d["lambda"]), d["dim"])
-        raise ValueError(f"unknown family {d['family']!r}")
 
     def __repr__(self):
         if self.family == "lse":

@@ -11,6 +11,8 @@ from . import polytope as pt
 from .errors import GrowthLabError
 from .rationals import rat_str
 
+K_MAX_BODY = 3  # Okounkov body levels 1..K_MAX_BODY of each row
+
 
 def builtin_corpus():
     """Standard simplices (n = 1, 2, 3), boxes [0, 2]^n, and the Hirzebruch
@@ -69,7 +71,7 @@ class CorpusRow:
                 "slack": self.slack}
 
 
-def corpus_rows(entries, k_levels=(1, 2, 4), k_max_body=3):
+def corpus_rows(entries, k_levels=(1, 2, 4)):
     """One exact row per (polytope, vertex); a bad entry flags its own rows
     and never aborts the run.  A row's values depend only on the polytope Q
     normalized at its vertex, so within one call they are computed once per
@@ -82,7 +84,7 @@ def corpus_rows(entries, k_levels=(1, 2, 4), k_max_body=3):
         except GrowthLabError as e:
             failed = _error_row(P, e)
         for v in P.vertices:
-            row = failed or _shared_row(P, v, by_q, k_levels, k_max_body)
+            row = failed or _shared_row(P, v, by_q, k_levels)
             rows.append(replace(row, name=name, vertex=v))
     return rows
 
@@ -92,7 +94,7 @@ def _error_row(P, e):
                      None, error=f"{type(e).__name__}: {e}")
 
 
-def _shared_row(P, v, by_q, k_levels, k_max_body):
+def _shared_row(P, v, by_q, k_levels):
     """The row at the vertex v of the Delzant P, name and vertex blank, from
     by_q or computed into it for the normalized polytope Q."""
     try:
@@ -102,16 +104,16 @@ def _shared_row(P, v, by_q, k_levels, k_max_body):
     if Q not in by_q:
         try:
             gc = gr.normalized_growth_condition(P, v, Q, umap, k_levels)
-            by_q[Q] = _exact_row(gc, k_max_body)
+            by_q[Q] = _exact_row(gc)
         except GrowthLabError as e:
             by_q[Q] = _error_row(P, e)
     return by_q[Q]
 
 
-def _exact_row(gc, k_max_body):
+def _exact_row(gc):
     vol = gr.monge_ampere_volume(gc)
     ses = gr.seshadri_constant(gc)
-    series = ok.GradedMonomialSeries.toric(gc.polytope, k_max_body)
+    series = ok.GradedMonomialSeries.toric(gc.polytope, K_MAX_BODY)
     body = ok.okounkov_body(series)
     verdict = ok.volume_identity_check(body, vol)
     return CorpusRow(

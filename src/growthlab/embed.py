@@ -20,6 +20,9 @@ from .errors import (DimensionMismatch, GrowthViolation, IncomparableFamilies,
 from .rationals import rat_str
 
 LOG_FLOOR = 1e-280  # |z_i|^2 clamp so x-space stays finite
+HORIZON = 1e280     # largest outer radius R' the gluing accepts
+PROFILE_T_LO = -30.0  # radial_profile's t runs from here to 2 ln R' + 5
+PROFILE_POINTS = 241  # at this many evenly spaced values
 
 
 @dataclass(frozen=True)
@@ -93,17 +96,6 @@ class GluedPotential:
         return float(self.value_many([[float(c) for c in x]])[0])
 
 
-def _axis_reach(P, i):
-    """max t with t*e_i in P, from the facet description; exact."""
-    best = None
-    for f in P.facets:
-        if f.normal[i] > 0:
-            t = Fraction(f.offset, f.normal[i])
-            if best is None or t < best:
-                best = t
-    return best
-
-
 def _sample_inner_x(rng, n, R, count):
     import numpy as np
     Z = rng.standard_normal((count, 2 * n))
@@ -145,8 +137,7 @@ class ObstructionVerdict:
     ok: bool
 
 
-def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
-             horizon=1e280):
+def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     """Glue the source potential into the growth representative over the
     radius-R ball, with a sampled certificate.
 
@@ -166,6 +157,9 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
         raise ValueError("ball radius must be positive")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples * 2 * gc.dim > gr.MAX_SAMPLE_FLOATS:  # the z-space draw of the inner ball
+        raise ValueError(f"samples must be at most {gr.MAX_SAMPLE_FLOATS // (2 * gc.dim)} "
+                         f"in dimension {gc.dim}")
     ok, witness = cf.slope_inclusion_witness(
         source.slope_polytope, gc.representative.slope_polytope)
     if not ok:
@@ -191,13 +185,12 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
     method = "axis-margin"
     if source.family == "fs":
         lam = source.lam
-        reach = min(_axis_reach(gc.polytope, i) for i in range(n))
-        delta = reach - lam
+        delta = pt.simplex_inclusion(gc.polytope) - lam
         if delta <= 0:
             raise GrowthViolation("no axis margin left for the source weight")
         M = C + eps + 1.0 + float(lam) * math.log(n + 1)
         two_log_rp = M / float(delta) + math.log(n)
-        if two_log_rp / 2.0 > math.log(horizon):
+        if two_log_rp / 2.0 > math.log(HORIZON):
             # R' follows from R in closed form: a user-chosen R is too large
             raise ValueError("outer radius exceeds the horizon; choose a smaller R")
         R_prime = math.exp(two_log_rp / 2.0)
@@ -213,7 +206,7 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0,
             if margin >= eps + 1.0:
                 break
             R_prime *= 4.0
-            if R_prime > horizon:
+            if R_prime > HORIZON:
                 raise NonConvergence("outer radius search exceeded the horizon")
 
     rng = np.random.default_rng(seed)
@@ -279,17 +272,15 @@ class GromovBound:
 
 
 def gromov_lower_bound(gc):
-    ses = gr.seshadri_constant(gc)
-    lam = ses.lp_value
+    lam = pt.simplex_inclusion(gc.polytope)
     return GromovBound(lam, math.sqrt(float(lam) / math.pi))
 
 
-def radial_profile(glued, t_lo=-30.0, t_hi=None, count=241):
+def radial_profile(glued):
     """Values of source + C, target and the glued potential along x = t*ones."""
     import numpy as np
-    if t_hi is None:
-        t_hi = 2.0 * math.log(glued.certificate.R_prime) + 5.0
-    ts = np.linspace(t_lo, t_hi, count)
+    t_hi = 2.0 * math.log(glued.certificate.R_prime) + 5.0
+    ts = np.linspace(PROFILE_T_LO, t_hi, PROFILE_POINTS)
     n = glued.target.dim
     X = np.repeat(ts[:, None], n, axis=1)
     a, b = glued.components(X)

@@ -15,6 +15,10 @@ from . import polytope as pt
 from .errors import NotDelzantVertex, UnknownLevel
 from .rationals import rat, rat_str, simplest_fraction_in, vec
 
+SAMPLE_RADIUS = 50.0  # x-space ball the gradient samples are drawn from
+GRADIENT_CHUNK = 20000  # rows per grad_many call
+MAX_SAMPLE_FLOATS = 10 ** 7  # floats a sample array may hold (80 MB)
+
 
 @dataclass(frozen=True)
 class Approximant:
@@ -89,26 +93,30 @@ def recover_polytope(gc):
     return hull
 
 
-def _sampled_gradients(gc, k, samples, radius, seed, chunk=20000):
-    """Gradients of u_k at `samples` seeded uniform points of the radius ball
-    in x-space.  ValueError for fewer than 1 sample, or fewer than the n + 1
-    that qhull needs for a hull in dimension n >= 2."""
+def _sampled_gradients(gc, k, samples, seed):
+    """Gradients of u_k at `samples` seeded uniform points of the
+    SAMPLE_RADIUS ball in x-space.  ValueError for fewer than 1 sample, fewer
+    than the n + 1 that qhull needs for a hull in dimension n >= 2, or more
+    than MAX_SAMPLE_FLOATS / n."""
     n = gc.dim
     least = n + 1 if n >= 2 else 1
     if samples < least:
         raise ValueError(f"samples must be at least {least} in dimension {n}")
+    if samples * n > MAX_SAMPLE_FLOATS:
+        raise ValueError(f"samples must be at most {MAX_SAMPLE_FLOATS // n} in dimension {n}")
     import numpy as np
     u = gc.approximant(k).potential
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, n))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    r = radius * rng.random(samples) ** (1.0 / n)
+    r = SAMPLE_RADIUS * rng.random(samples) ** (1.0 / n)
     X = X / norms * r[:, None]
-    return np.concatenate([u.grad_many(X[i:i + chunk]) for i in range(0, samples, chunk)])
+    return np.concatenate([u.grad_many(X[i:i + GRADIENT_CHUNK])
+                           for i in range(0, samples, GRADIENT_CHUNK)])
 
 
-def recover_polytope_numeric(gc, k, samples=10 ** 4, radius=50.0, seed=0):
+def recover_polytope_numeric(gc, k, samples=10 ** 4, seed=0):
     """Float route: hull of sampled gradients of u_k on an x-space ball.
 
     Returns (hull vertex array, certified upper bound on the Hausdorff
@@ -117,7 +125,7 @@ def recover_polytope_numeric(gc, k, samples=10 ** 4, radius=50.0, seed=0):
     inside the polytope.
     """
     import numpy as np
-    G = _sampled_gradients(gc, k, samples, radius, seed)
+    G = _sampled_gradients(gc, k, samples, seed)
     V = np.array([[float(c) for c in v] for v in gc.polytope.vertices])
     dists = np.sqrt(((V[:, None, :] - G[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
     bound = float(dists.max())
@@ -153,16 +161,16 @@ class MonteCarloVolume:
                 "radius": self.radius, "seed": self.seed}
 
 
-def monge_ampere_volume_numeric(gc, k=4, samples=10 ** 5, radius=50.0, seed=0):
+def monge_ampere_volume_numeric(gc, k=4, samples=10 ** 5, seed=0):
     """Monte-Carlo route: n! times the volume of the hull of sampled
     softmax gradients of u_k."""
-    G = _sampled_gradients(gc, k, samples, radius, seed)
+    G = _sampled_gradients(gc, k, samples, seed)
     if gc.dim == 1:
         vol = float(G.max() - G.min())
     else:
         from scipy.spatial import ConvexHull
         vol = float(ConvexHull(G, qhull_options="QJ").volume)
-    return MonteCarloVolume(math.factorial(gc.dim) * vol, k, samples, radius, seed)
+    return MonteCarloVolume(math.factorial(gc.dim) * vol, k, samples, SAMPLE_RADIUS, seed)
 
 
 @dataclass(frozen=True)

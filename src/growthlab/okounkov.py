@@ -1,5 +1,9 @@
-"""Monomial orders, valuations of exponent supports, Okounkov bodies of
-graded monomial series, the flag blowup map, and Chebyshev transforms."""
+"""Okounkov bodies of graded monomial series, the flag blowup map, and
+Chebyshev transforms.
+
+A section of a graded monomial series is a monomial, and its valuation under
+any monomial order is its own exponent, so a body is the hull of W_k / k and
+no order is needed to compute it."""
 
 import math
 from dataclasses import dataclass
@@ -7,63 +11,8 @@ from fractions import Fraction
 
 from . import convexfn as cf
 from . import polytope as pt
-from .errors import (DegenerateInput, DimensionMismatch, EmptySupport,
-                     IncomparableFamilies)
+from .errors import DimensionMismatch, EmptySupport, IncomparableFamilies
 from .rationals import rat_str
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total additive order on N^n: 'lex' or 'deglex', after permuting the
-    coordinates by `perm` (the flag choice)."""
-
-    kind: str = "deglex"
-    perm: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "deglex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.perm is not None and sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"perm {self.perm} is not a permutation of 0..n-1")
-
-    def permuted(self, a):
-        if self.perm is None:
-            return tuple(a)
-        return tuple(a[i] for i in self.perm)
-
-    def compare(self, a, b):
-        if len(a) != len(b):
-            raise DimensionMismatch("exponents of different lengths")
-        if self.kind == "deglex":
-            da, db = sum(a), sum(b)
-            if da != db:
-                return LESS if da < db else GREATER
-        pa, pb = self.permuted(a), self.permuted(b)
-        if pa == pb:
-            return EQUAL
-        return LESS if pa < pb else GREATER
-
-
-def compare(a, b, order):
-    return order.compare(tuple(a), tuple(b))
-
-
-def valuation(support, order):
-    """Order-minimum of a nonempty exponent support.
-
-    For deglex this only depends on the slice of minimal total degree, the
-    support of the leading homogeneous part.
-    """
-    support = [tuple(int(x) for x in a) for a in support]
-    if not support:
-        raise EmptySupport("valuation of an empty support")
-    best = support[0]
-    for a in support[1:]:
-        if order.compare(a, best) < 0:
-            best = a
-    return best
 
 
 class GradedMonomialSeries:
@@ -105,22 +54,6 @@ class GradedMonomialSeries:
                             return False
         return True
 
-    def to_json_dict(self):
-        return {"degrees": {str(k): sorted(list(map(list, v)))
-                            for k, v in sorted(self.degrees.items())}}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        """Inverse of to_json_dict; malformed JSON raises DegenerateInput."""
-        try:
-            degrees = {int(k): [tuple(a) for a in v] for k, v in d["degrees"].items()}
-            ok = all(type(x) is int for v in degrees.values() for a in v for x in a)
-        except (AttributeError, KeyError, TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise DegenerateInput('series JSON needs "degrees": {k: [[int, ...], ...]}')
-        return cls(degrees)
-
 
 @dataclass(frozen=True)
 class OkounkovBody:
@@ -139,18 +72,15 @@ class OkounkovBody:
         return d
 
 
-def okounkov_body(series, order=None):
-    """Body of a graded monomial series under a monomial order.
+def okounkov_body(series):
+    """Body of a graded monomial series.
 
-    Every monomial of W_k is a section with valuation vector equal to its own
-    exponent, so the degree-k hull is the hull of W_k / k, independent of the
-    order: the integer exponents are hulled and the result scaled by 1/k.
-    The limit is recorded when all computed levels agree (the toric series
-    stabilizes at every level).
+    Every monomial of W_k is a section whose valuation vector is its own
+    exponent under every monomial order, so the degree-k hull is the hull of
+    W_k / k whatever the order: the integer exponents are hulled and the
+    result scaled by 1/k.  The limit is recorded when all computed levels
+    agree (the toric series stabilizes at every level).
     """
-    if order is not None and order.perm is not None and len(order.perm) != series.dim:
-        raise DimensionMismatch(f"perm {order.perm} does not permute "
-                                f"{series.dim} coordinates")
     hull_at = {k: pt.Polytope.from_points(series.degrees[k], series.dim).scaled(Fraction(1, k))
                for k in sorted(series.degrees)}
     bodies = list(hull_at.values())
@@ -198,11 +128,6 @@ def volume_identity_check(body, vol_L):
     vals = [gaps[k] for k in sorted(gaps)]
     trend = all(b <= a for a, b in zip(vals, vals[1:]))
     return VolumeIdentityVerdict(exact, vol_L, gaps, trend)
-
-
-def seshadri_from_body(B):
-    """Largest scaled standard simplex inside a normalized body; exact."""
-    return pt.simplex_inclusion(B)
 
 
 class ChebyshevTransform:

@@ -75,10 +75,6 @@ class UnimodularMap:
     def apply(self, p):
         return mat_vec(self.matrix, vsub(vec(p), self.base))
 
-    def inverse_apply(self, q):
-        inv = inverse(self.matrix)
-        return tuple(x + b for x, b in zip(mat_vec(inv, vec(q)), self.base))
-
     def image(self, P):
         """The polytope A (P - base).  A full-dimensional P maps its certified
         data with no new hull: with x = G y + base, G = A^-1 integral, a facet

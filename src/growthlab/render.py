@@ -1,5 +1,7 @@
 """Minimal SVG emission for 2-d polytopes (outline overlays only)."""
 
+SIZE = 420  # pixels along the longer side of the drawing
+
 
 def _bounds(layers):
     xs = [float(x) for layer in layers for x, _ in layer["points"]]
@@ -11,7 +13,7 @@ def _bounds(layers):
     return min(xs) - pad_x, min(ys) - pad_y, max(xs) + pad_x, max(ys) + pad_y
 
 
-def polygons_svg(layers, size=420):
+def polygons_svg(layers):
     """Render polygon layers: [{points, stroke, fill, label}].
 
     Points are vertex cycles in the plane; the y axis is flipped so the
@@ -19,7 +21,7 @@ def polygons_svg(layers, size=420):
     """
     x0, y0, x1, y1 = _bounds(layers)
     w, h = x1 - x0, y1 - y0
-    scale = size / max(w, h)
+    scale = SIZE / max(w, h)
 
     def tx(p):
         return (float(p[0]) - x0) * scale, (y1 - float(p[1])) * scale

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +216,9 @@ class TestBadInput:
         ["volume", "--svg", "x"],
         ["decompose", "--tol", "1"],
         ["okounkov", "--polytope", "x", "--k", "2"],
+        # okounkov's monomial order flags are gone: a body needs no order
+        ["okounkov", "--polytope", "x", "--order", "lex"],
+        ["okounkov", "--polytope", "x", "--perm", "1,0"],
     ])
     def test_flag_a_command_ignores_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -227,10 +231,11 @@ class TestBadInput:
         (["check-delzant", "--polytope", "{no_dim}"], "DegenerateInput"),
         (["decompose", "--polytope", "{simplex}", "--vertex", "0,0",
           "--lams", "1/0"], "ValueError"),
-        (["okounkov", "--polytope", "{trapezoid}", "--perm", "0,0"],
-         "ValueError"),
-        (["okounkov", "--polytope", "{trapezoid}", "--perm", "0"],
-         "DimensionMismatch"),
+        # more samples than MAX_SAMPLE_FLOATS holds, refused before any draw
+        (["volume", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
+          "--samples", "5000001"], "ValueError"),
+        (["growth", "--polytope", "{cube2}", "--vertex", "0,0,0", "--k", "1",
+          "--numeric", "--samples", "3333334"], "ValueError"),
         (["chebyshev", "--fs-lambda", "3", "--dim", "0"], "ValueError"),
     ] + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
            "--fs-lambda", "3/2", flag, value], "ValueError")
@@ -259,7 +264,10 @@ class TestBadInput:
        + [(["chebyshev", "--fs-lambda", "1.7e308"], "ValueError")]
        # a non-lattice polytope's levels disagree: no limit body to draw
        + [(["okounkov", "--polytope", "{rational_square}", "--svg", "{svg}"],
-           "ValueError")])
+           "ValueError")]
+       # the inner ball is drawn in z-space, 2n floats a sample
+       + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
+            "--fs-lambda", "3/2", "--samples", "2500001"], "ValueError")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         paths = dict(files)
         rational = files["tmp"] / "rational_square.json"
@@ -325,8 +333,7 @@ class TestBadInput:
         code, out = run_cli(["chebyshev", "--fs-lambda", "1", "--dim", "4"], capsys)
         assert code == 2 and json.loads(out)["error"]["type"] == "ValueError"
         with pytest.raises(ValueError, match="dim <= 3"):
-            cf.SmoothToricPotential.from_json_dict(
-                {"family": "fs", "lambda": "1", "dim": 4})
+            cf.SmoothToricPotential.fubini_study(1, dim=4)
 
     @pytest.mark.parametrize("argv", [
         ["okounkov", "--polytope", "{square2}", "--k-max", "100000"],
@@ -495,3 +502,29 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["volume_MA"] == "1"
+
+
+def readme_command_lines():
+    """The `growthlab ...` lines of README's "Command line" block, with their
+    continuation lines joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split("#", 1)[0].split() for line in lines if line.startswith("growthlab ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("words", readme_command_lines(),
+                             ids=lambda words: words[1])
+    def test_command_line_block_runs(self, words, files, capsys):
+        # every bracketed optional flag is passed, with its example value
+        names = {"P.json": files["square2"], "DIR": str(files["tmp"]), "K": "2"}
+        argv = []
+        for word in words[1:]:
+            word = word.strip("[]")
+            word = names.get(word, word)
+            if word.endswith((".svg", ".csv")):
+                word = str(files["tmp"] / word)
+            argv.append(word)
+        code, _, err = parse_outcome(main, argv, capsys)
+        assert code == 0, (argv, err)

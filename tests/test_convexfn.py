@@ -351,18 +351,6 @@ class TestRegularizedMax:
 
 
 class TestSerialization:
-    def test_max_affine_roundtrip(self):
-        f = cf.MaxAffineFunction([((F(1, 2), 0), F(-1, 3)), ((0, 1), 2)])
-        g = cf.MaxAffineFunction.from_json_dict(f.to_json_dict())
-        assert g.same_function(f)
-
-    def test_lse_json_carries_polytope(self):
-        u = cf.logsumexp_from_polytope(SIGMA, 2)
-        d = u.to_json_dict()
-        assert d["family"] == "lse" and d["k"] == 2 and "polytope" in d
-        v = cf.SmoothToricPotential.from_json_dict(d)
-        assert v.exponents == u.exponents
-
     def test_lse_exponents_stored_as_sorted_int_tuples(self):
         # lattice points are taken as given; any other input is converted and sorted
         u = cf.logsumexp_from_polytope(SQUARE, 2)
@@ -370,11 +358,6 @@ class TestSerialization:
         v = cf.SmoothToricPotential.log_sum_exp([[1.0, F(2)], (0, 1)], 1)
         assert v.exponents == ((0, 1), (1, 2))
         assert all(type(x) is int for e in v.exponents for x in e)
-
-    def test_fs_json_roundtrip(self):
-        u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)
-        v = cf.SmoothToricPotential.from_json_dict(u.to_json_dict())
-        assert v.family == "fs" and v.lam == F(3, 2) and v.dim == 2
 
     def test_fs_dimension_fixed_at_construction(self):
         u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)
