@@ -191,10 +191,11 @@ class SeshadriResult:
                 "slack": self.slack}
 
 
-def _simplex_fits(P, lam):
-    n = P.ambient_dim
-    return lam >= 0 and all(P.contains(tuple(lam if j == i else 0 for j in range(n)))
-                            for i in range(n))
+def _simplex_fits(P, p, q):
+    """lam e_i in P for every i, lam = p/q >= 0: a_i p <= b q for every facet
+    (a, b) of the full-dimensional P, in ints."""
+    return all(a * p * f.offset.denominator <= f.offset.numerator * q
+               for f in P.facets for a in f.normal)
 
 
 def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
@@ -204,21 +205,25 @@ def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
     bisects the growth-domination predicate "the scaled Fubini-Study
     potential is bounded above by the representative", i.e. membership of
     the scaled simplex vertices, then snaps the interval to the simplest
-    rational it contains.  Both routes agree exactly on rational data.
+    rational it contains.  Both routes agree exactly on rational data.  The
+    bisection runs in ints on [L/S, H/S] from [0, c_max + 1]: each step
+    doubles L, H and S and tests the midpoint (L + H) / 2 over S.
     """
     if tol <= 0:
         raise ValueError("bisection tolerance must be positive")
     lp_value = pt.simplex_inclusion(gc.polytope)
-    lo = Fraction(0)
-    hi = gc.c_max + 1
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _simplex_fits(gc.polytope, mid):
-            lo = mid
+    top = gc.c_max + 1
+    L, H, S = 0, top.numerator, top.denominator
+    while (H - L) * tol.denominator > tol.numerator * S:
+        L, H, S = 2 * L, 2 * H, 2 * S
+        M = (L + H) // 2
+        if _simplex_fits(gc.polytope, M, S):
+            L = M
         else:
-            hi = mid
+            H = M
+    lo, hi = Fraction(L, S), Fraction(H, S)
     snapped = simplest_fraction_in(lo, hi)
-    if not _simplex_fits(gc.polytope, snapped):
+    if not _simplex_fits(gc.polytope, snapped.numerator, snapped.denominator):
         snapped = lo
     n = gc.dim
     upper = (math.factorial(n) * float(pt.volume(gc.polytope))) ** (1.0 / n)

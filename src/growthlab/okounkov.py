@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import convexfn as cf
 from . import polytope as pt
 from .errors import DimensionMismatch, EmptySupport, IncomparableFamilies
-from .rationals import rat_str
+from .rationals import inverse, rat_str
 
 
 class GradedMonomialSeries:
@@ -99,7 +99,7 @@ def infinitesimal_map(B):
         return B
     n = B.ambient_dim
     matrix = ((1,) * n,) + tuple(tuple(int(j == i) for j in range(n)) for i in range(n - 1))
-    return pt.UnimodularMap(matrix, (0,) * n).image(B)
+    return pt.UnimodularMap(matrix, (0,) * n).image(B, inverse(matrix))
 
 
 @dataclass(frozen=True)

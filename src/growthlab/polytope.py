@@ -7,10 +7,11 @@ the hull of the rest is built incrementally with primitive integer normals,
 and its simplicial facets are certified by incidence (each input point
 inside each facet halfspace, the facets an oriented boundary cycle of degree
 1).  Only vertices, facets and simplices are divided by D.  Volumes and
-triangulations are cones over those simplices; a positive scaling or a
-unimodular map carries them over with no new hull.  Lower-dimensional
-polytopes (slices, faces) are stored in ambient coordinates with an
-affine-span basis and a full-dimensional polytope in span coordinates.
+triangulations are cones over those simplices, each cone's determinant taken
+in ints; a positive scaling or a unimodular map, which maps points in ints,
+carries them over with no new hull.  Lower-dimensional polytopes (slices,
+faces) are stored in ambient coordinates with an affine-span basis and a
+full-dimensional polytope in span coordinates.
 """
 
 from dataclasses import dataclass
@@ -27,12 +28,12 @@ from .errors import (
     NotNormalized,
 )
 from .rationals import (
+    _bareiss,
     _integer_rows,
     det,
     dot,
     inverse,
     is_integral,
-    mat_vec,
     null_vector,
     primitive_integer,
     rank,
@@ -67,21 +68,28 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class UnimodularMap:
-    """Affine map p -> A (p - base) with A in GL(n, Z)."""
+    """Affine map p -> A (p - base) with A in GL(n, Z), given by integer rows."""
 
     matrix: tuple
     base: tuple
 
     def apply(self, p):
-        return mat_vec(self.matrix, vsub(vec(p), self.base))
+        """A (p - base) in ints: p - base times the lcm d of their
+        denominators, multiplied by A's rows and divided by d at the end."""
+        p = vec(p)
+        d = lcm(*(x.denominator for x in p), *(x.denominator for x in self.base))
+        diff = [x.numerator * (d // x.denominator) - y.numerator * (d // y.denominator)
+                for x, y in zip(p, self.base)]
+        return tuple(Fraction(dot(row, diff), d) for row in self.matrix)
 
-    def image(self, P):
-        """The polytope A (P - base).  A full-dimensional P maps its certified
-        data with no new hull: with x = G y + base, G = A^-1 integral, a facet
-        a.x <= b becomes (G^T a).y <= b - a.base.  Any other P is re-hulled."""
+    def image(self, P, G):
+        """The polytope A (P - base), given G = A^-1; both routes map points by
+        apply.  A full-dimensional P maps its certified data with no new hull:
+        with x = G y + base, a facet a.x <= b becomes (G^T a).y <= b - a.base.
+        Any other P is re-hulled."""
         if not P.is_full_dim:
             return Polytope.from_points([self.apply(v) for v in P.vertices], P.ambient_dim)
-        Gt = [[int(x) for x in col] for col in zip(*inverse(self.matrix))]
+        Gt = [[int(x) for x in col] for col in zip(*G)]
         return P._image(self.apply,
                         lambda a, b: (tuple(dot(g, a) for g in Gt), b - dot(a, self.base)))
 
@@ -554,11 +562,11 @@ def normalize_at_vertex(P, v):
     gens = sorted(_edge_generators(P, v), reverse=True)
     if len(gens) != n:
         raise NotDelzantVertex(f"vertex {v} has {len(gens)} edges, expected {n}")
-    G = tuple(tuple(rat(gens[c][r]) for c in range(n)) for r in range(n))
+    G = tuple(tuple(gens[c][r] for c in range(n)) for r in range(n))
     if abs(det(G)) != 1:
         raise NotDelzantVertex(f"edge generators at {v} are not unimodular")
-    umap = UnimodularMap(inverse(G), v)
-    Q = umap.image(P)
+    umap = UnimodularMap(tuple(tuple(int(x) for x in row) for row in inverse(G)), v)
+    Q = umap.image(P, G)
     if any(any(x < 0 for x in q) for q in Q.vertices):
         raise GrowthLabError("normalized polytope left the positive orthant")
     return Q, umap
@@ -643,13 +651,21 @@ def triangulate(P):
 
 def volume(P):
     """Exact Lebesgue volume, computed once per polytope: the sum of
-    |det(s - v0)| / n! over the cones of triangulate(P).  0 for empty or
-    lower-dimensional input."""
+    |det(s - v0)| / n! over the cones of triangulate(P).  Each cone's
+    determinant is taken in ints on its points times the lcm d of their
+    denominators, and counts |det| / d^n, or 0 at rank below n.  0 for empty
+    or lower-dimensional input."""
     if not P.is_full_dim:
         return Fraction(0)
     if P._volume is None:
-        dets = (abs(det([vsub(p, s[0]) for p in s[1:]])) for s in triangulate(P))
-        P._volume = sum(dets, Fraction(0)) / factorial(P.ambient_dim)
+        n, total = P.ambient_dim, Fraction(0)
+        for s in triangulate(P):
+            d = lcm(*(x.denominator for p in s for x in p))
+            q = [[x.numerator * (d // x.denominator) for x in p] for p in s]
+            r, D = _bareiss([[x - y for x, y in zip(p, q[0])] for p in q[1:]])
+            if r == n:
+                total += Fraction(abs(D), d ** n)
+        P._volume = total / factorial(n)
     return P._volume
 
 

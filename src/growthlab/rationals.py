@@ -48,10 +48,6 @@ def is_integral(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
 
 
-def mat_vec(A, x):
-    return tuple(dot(row, x) for row in A)
-
-
 def _integer_rows(rows):
     """Rows scaled to ints by the lcm of their denominators; the scales' product."""
     out, scale = [], 1

@@ -98,6 +98,32 @@ class TestCommands:
         assert data["polytope"]["vertices"][0] == ["0", "0"]
         assert "normalization" in data
 
+    @pytest.mark.parametrize("tol, domination", [("1/3", "2"), ("1e-300", "2"), ("100", "0")])
+    def test_seshadri_tolerance(self, files, capsys, tol, domination):
+        code, out = run_cli(["seshadri", "--polytope", files["square2"],
+                             "--vertex", "0,0", "--tol", tol], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["seshadri"]["lp"] == "2"
+        assert data["seshadri"]["domination"] == domination
+        assert F(data["tolerance"]) == F(tol)
+
+    def test_normalize_rational_polytope(self, files, capsys):
+        path = files["tmp"] / "rational_triangle.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [["1/2", "1/3"], ["5/2", "1/3"],
+                                                           ["1/2", "7/3"]]}))
+        code, out = run_cli(["normalize", "--polytope", str(path), "--vertex", "5/2,1/3"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "normalization": {"base": ["5/2", "1/3"], "matrix": [["0", "1"], ["-1", "-1"]]},
+            "polytope": {"dim": 2,
+                         "facets": [{"normal": ["-1", "0"], "offset": "0"},
+                                    {"normal": ["0", "-1"], "offset": "0"},
+                                    {"normal": ["1", "1"], "offset": "2"}],
+                         "vertices": [["0", "0"], ["0", "2"], ["2", "0"]]},
+            "seed": 0}
+
     def test_seshadri_svg(self, files, capsys):
         svg = str(files["tmp"] / "overlay.svg")
         code, _ = run_cli(["seshadri", "--polytope", files["trapezoid"],

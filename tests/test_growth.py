@@ -126,6 +126,31 @@ class TestSeshadri:
             ses = gr.seshadri_constant(gc)
             assert ses.domination_value == ses.lp_value
 
+    def test_bisection_matches_fraction_bisection(self, rng):
+        # the integer bisection against the same bisection run in Fractions
+        # over Polytope.contains and snapped by the scan oracle; at a
+        # tolerance of c_max + 1 neither loop runs and the value snaps to 0
+        from _oracles import scan_simplest_fraction
+        from conftest import random_delzant
+        for n in (2, 3, 2, 3, 2, 3):
+            P = random_delzant(rng, n)
+            for v in P.vertices:
+                gc = gr.build_growth_condition(P, v, [1])
+
+                def fits(lam):
+                    return all(gc.polytope.contains(tuple(lam * (j == i) for j in range(n)))
+                               for i in range(n))
+
+                for tol in (F(1, 2 ** 48), F(1, 3), F(1), gc.c_max + 1):
+                    lo, hi = F(0), gc.c_max + 1
+                    while hi - lo > tol:
+                        mid = (lo + hi) / 2
+                        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+                    snapped = scan_simplest_fraction(lo, hi)
+                    ses = gr.seshadri_constant(gc, tol)
+                    assert ses.bisection_interval == (lo, hi)
+                    assert ses.domination_value == (snapped if fits(snapped) else lo)
+
     def test_fractional_inclusion_value_is_exact(self):
         # Delzant corpus values are integral (edge degrees); fractional
         # values still arise for scaled bodies and must stay exact

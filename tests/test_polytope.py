@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -24,6 +25,7 @@ from _oracles import (
     brute_force_facets,
     brute_force_lattice_points,
     brute_force_vertices,
+    ehrhart_volume_3d,
     in_hull,
     kernel_relative_volume,
     laplace_det,
@@ -321,7 +323,39 @@ class TestVolume:
                     assert pt.volume(P.scaled(k)) == k ** n * base
 
 
+@st.composite
+def mixed_denominator_clouds(draw, n, top):
+    """n + 1 to n + 4 points in [0, top]^n whose coordinates a/q each draw
+    their own denominator q in 1..3, so the points of one cone differ in
+    denominator."""
+    coord = st.integers(1, 3).flatmap(lambda q: st.integers(0, top * q).map(lambda a: F(a, q)))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 4))
+    assume(len({x.denominator for p in pts for x in p}) > 1)
+    return pts
+
+
 class TestVolumeProperties:
+    @given(mixed_denominator_clouds(2, 3))
+    def test_area_matches_shoelace(self, pts):
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        cycle = brute_force_vertices(pts)
+        cx, cy = (float(sum(c) / len(cycle)) for c in zip(*cycle))
+        cycle.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+        twice = sum(x0 * y1 - x1 * y0
+                    for (x0, y0), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]))
+        assert pt.volume(P) == abs(twice) / 2
+
+    @settings(max_examples=10)
+    @given(mixed_denominator_clouds(3, 1))
+    def test_volume_matches_ehrhart_of_lattice_dilate(self, pts):
+        P = pt.Polytope.from_points(pts)
+        assume(P.is_full_dim)
+        D = math.lcm(*(x.denominator for p in pts for x in p))
+        lattice = [tuple(D * x for x in p) for p in pts]
+        counts = [len(brute_force_lattice_points(lattice, k)) for k in (1, 2, 3, 4)]
+        assert pt.volume(P) == ehrhart_volume_3d(*counts) / D ** 3
+
     @given(rational_clouds(2))
     def test_area_matches_pick_on_lattice_dilate(self, cloud):
         pts, d = cloud
@@ -717,6 +751,26 @@ class TestUnimodularImage:
             R = pt.Polytope.from_points([umap.apply(p) for p in P.vertices])
             assert_same_certified(Q, R)
             assert pt.volume(Q) == pt.volume(P)
+
+    @pytest.mark.parametrize("c", [F(1, 2), F(2, 3)])
+    def test_normalize_rational_delzant_at_every_vertex(self, rng, c):
+        # a Delzant polytope scaled by c and shifted off the lattice, so the
+        # point map clears the base's denominators as well as the point's
+        from conftest import random_delzant
+        for n in (2, 3, 2, 3):
+            shift = [F(rng.randint(-5, 5), rng.randint(2, 6)) for _ in range(n)]
+            P = pt.Polytope.from_points([tuple(c * x + s for x, s in zip(v, shift))
+                                         for v in random_delzant(rng, n).vertices])
+            probes = [tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n))
+                      for _ in range(4)]
+            for v in P.vertices:
+                Q, umap = pt.normalize_at_vertex(P, v)
+                assert_same_certified(Q, pt.Polytope.from_points(
+                    [umap.apply(p) for p in P.vertices]))
+                for p in P.vertices + tuple(probes):
+                    diff = [F(x) - F(b) for x, b in zip(p, umap.base)]
+                    assert umap.apply(p) == tuple(sum(F(a) * y for a, y in zip(row, diff))
+                                                  for row in umap.matrix)
 
     @given(mixed_clouds())
     def test_infinitesimal_map_matches_rehull(self, pts):
