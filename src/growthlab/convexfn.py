@@ -123,10 +123,6 @@ class MaxAffineFunction:
         keep = set(self._lifted_hull[0].vertices)
         return tuple(p for p in self.pieces if p.slope + (-p.offset,) in keep)
 
-    def pruned(self):
-        """Drop pieces that never strictly attain the maximum."""
-        return MaxAffineFunction(self._pruned_pieces)
-
     def piece_set(self):
         return frozenset((p.slope, p.offset) for p in self._pruned_pieces)
 
@@ -139,9 +135,6 @@ class MaxAffineFunction:
         """Hull of all slopes; a dominated piece's slope lies in the hull of
         the others, so pruning does not change it."""
         return pt.Polytope.from_points([p.slope for p in self.pieces], self.dim)
-
-    def shifted(self, c):
-        return MaxAffineFunction([(p.slope, p.offset + rat(c)) for p in self.pieces])
 
     def to_json_dict(self):
         return {"pieces": [{"slope": [rat_str(s) for s in p.slope],
@@ -176,10 +169,6 @@ class ConvexConjugate:
         best = envelope_min(slopes, values, y)
         return INF if best is None else best
 
-    def conjugate(self):
-        """Conjugate back: recovers the pruned original (Legendre involution)."""
-        return MaxAffineFunction([(s, -v) for s, v in self.breakpoints])
-
 
 def legendre(f):
     """Conjugate description of a max-affine function: domain + roof values."""
@@ -189,20 +178,23 @@ def legendre(f):
 class SmoothToricPotential:
     """Smooth convex function from a named family.
 
-    lse:    (1/k) ln sum over stored exponents of exp(<a, x>)
+    lse:    (1/k) ln sum over stored exponents of exp(<a, x>), exponents
+            the lattice points of kP (logsumexp_from_polytope)
     fs:     lam * ln(1 + sum_i exp(x_i))      (scaled Fubini-Study potential)
     """
 
     def __init__(self, family, *, k=None, exponents=None, lam=None, dim=None,
                  polytope=None):
-        """lse exponents are stored as given: sorted int tuples, which
-        lattice_points returns and log_sum_exp makes of any other input."""
+        """lse takes its exponents as given, the sorted int tuples that
+        lattice_points returns, and its slope polytope P."""
         self.family = family
         if family == "lse":
             self.k = int(k)
             self.exponents = tuple(exponents)
             if not self.exponents:
                 raise EmptyInput("log-sum-exp needs at least one exponent")
+            if polytope is None:
+                raise ValueError("log-sum-exp needs its slope polytope")
             self.dim = len(self.exponents[0])
             self._polytope = polytope
         elif family == "fs":
@@ -216,11 +208,6 @@ class SmoothToricPotential:
                 raise ValueError(f"scaled Fubini-Study needs dim <= {MAX_FS_DIM}")
         else:
             raise ValueError(f"unknown family {family!r}")
-
-    @classmethod
-    def log_sum_exp(cls, exponents, k):
-        exponents = sorted(tuple(int(a) for a in e) for e in exponents)
-        return cls("lse", k=k, exponents=exponents)
 
     @classmethod
     def fubini_study(cls, lam, dim):
@@ -272,10 +259,7 @@ class SmoothToricPotential:
     @cached_property
     def slope_polytope(self):
         if self.family == "lse":
-            if self._polytope is not None:
-                return self._polytope
-            pts = [tuple(Fraction(a, self.k) for a in e) for e in self.exponents]
-            return pt.Polytope.from_points(pts, self.dim)
+            return self._polytope
         return pt.standard_simplex(self.dim).scaled(self.lam)
 
     def __repr__(self):
@@ -307,10 +291,6 @@ class BoundedDifferenceCertificate:
     upper: object
     method: str
     witnesses: dict = field(default_factory=dict)
-
-    @property
-    def finite(self):
-        return self.lower != -INF and self.upper != INF
 
     def to_json_dict(self):
         def fmt(v):
@@ -375,8 +355,8 @@ def sup_difference(f, g):
     """Certificate for inf/sup of f - g.
 
     Both max-affine: exact LP values, finite iff the slope polytopes agree.
-    A log-sum-exp potential against a max-affine over the same polytope:
-    the analytic bound [0, ln N(k)/k] shifted by the exact polyhedral part.
+    A log-sum-exp potential u_k over P against the support function h_P:
+    the analytic bound 0 <= u_k - h_P <= ln N(k)/k.
     """
     if isinstance(f, MaxAffineFunction) and isinstance(g, MaxAffineFunction):
         up, wit_up = _sup_max_affine(f, g)
@@ -388,43 +368,15 @@ def sup_difference(f, g):
         return BoundedDifferenceCertificate(lower, up, "exact-lp", wit)
     if isinstance(f, SmoothToricPotential) and f.family == "lse" \
             and isinstance(g, MaxAffineFunction):
-        P = f.slope_polytope
-        if g.slope_polytope != P:
+        if not g.same_function(MaxAffineFunction.support_function(f.slope_polytope)):
             raise IncomparableFamilies(
-                "log-sum-exp and max-affine must share the slope polytope")
-        h = MaxAffineFunction.support_function(P)
-        gap = Fraction(0) if g.same_function(h) else None
+                "log-sum-exp is bounded only against its polytope's support function")
         n_count = f.lattice_count
-        width = math.log(n_count) / f.k
-        if gap == 0:
-            return BoundedDifferenceCertificate(
-                Fraction(0), width, "lattice-count",
-                {"lattice_count": n_count, "k": f.k, "tight_at": "origin"})
-        inner = sup_difference(h, g)
         return BoundedDifferenceCertificate(
-            _add_bound(inner.lower, 0), _add_bound(inner.upper, width),
-            "lattice-count", {"lattice_count": n_count, "k": f.k})
-    if isinstance(g, SmoothToricPotential) and g.family == "lse" \
-            and isinstance(f, MaxAffineFunction):
-        c = sup_difference(g, f)
-        return BoundedDifferenceCertificate(
-            _neg_bound(c.upper), _neg_bound(c.lower), c.method, c.witnesses)
+            Fraction(0), math.log(n_count) / f.k, "lattice-count",
+            {"lattice_count": n_count, "k": f.k, "tight_at": "origin"})
     raise IncomparableFamilies(
         f"cannot bound difference of {type(f).__name__} and {type(g).__name__}")
-
-
-def _add_bound(a, b):
-    if a in (INF, -INF):
-        return a
-    return a + b
-
-
-def _neg_bound(a):
-    if a == INF:
-        return -INF
-    if a == -INF:
-        return INF
-    return -a
 
 
 def radial_component(f, lam):
@@ -475,29 +427,6 @@ def reassemble(components):
     return MaxAffineFunction(pieces)
 
 
-def grows_slower(f, g):
-    """Decide whether g - f is bounded below and proper toward |z| -> infinity.
-
-    Decision rule: strict inclusion of slope polytopes (strict on facets with
-    positive offset).  Returns (bool, witness); the witness of a failure is
-    the escaping vertex and the violated facet.
-    """
-    A = _growth_slope_polytope(f, role="source")
-    B = _growth_slope_polytope(g, role="target")
-    return slope_inclusion_witness(A, B)
-
-
-def _growth_slope_polytope(u, role):
-    if isinstance(u, MaxAffineFunction):
-        return u.slope_polytope
-    if isinstance(u, SmoothToricPotential):
-        if role == "source" and u.family == "fs":
-            return u.slope_polytope
-        if role == "target" and u.family == "lse":
-            return u.slope_polytope
-    raise IncomparableFamilies(f"unsupported {role} family for growth comparison")
-
-
 def slope_inclusion_witness(A, B):
     """Shared core of the growth comparison: strict inclusion of slope
     polytopes (strict only on positive-offset facets), with a violation
@@ -513,23 +442,6 @@ def slope_inclusion_witness(A, B):
         if bad:
             return False, {"vertex": vtx, "facet": facet}
     return True, None
-
-
-def regularized_max(a, b, eps):
-    """C^1 convex regularization of max(a, b).
-
-    Equals max(a, b) exactly when |a - b| >= eps, and lies in
-    [max, max + eps/4] inside the band.  Exact on Fraction inputs.
-    """
-    if eps <= 0:
-        raise NonpositiveEpsilon("regularization width must be positive")
-    s = a - b
-    if abs(s) >= eps:
-        return a if s > 0 else b
-    if isinstance(s, Fraction) and isinstance(eps, Fraction):
-        half = Fraction(1, 2)
-        return (a + b) * half + (s * s + eps * eps) / (4 * eps)
-    return (a + b) / 2 + (s * s + eps * eps) / (4 * eps)
 
 
 def regularized_max_many(a, b, eps):

@@ -92,9 +92,6 @@ class GluedPotential:
         a, b = self.components(X, dtype=dtype)
         return cf.regularized_max_many(a, b, dtype(self.epsilon))
 
-    def __call__(self, x):
-        return float(self.value_many([[float(c) for c in x]])[0])
-
 
 def _sample_inner_x(rng, n, R, count):
     import numpy as np

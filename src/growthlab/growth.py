@@ -83,16 +83,6 @@ def normalized_growth_condition(P, vertex, Q, umap, k_levels=(1, 2, 4)):
     return GrowthCondition(Q, h, approx, c_max, P, vec(vertex), umap)
 
 
-def recover_polytope(gc):
-    """Exact route: the hull of the representative's slopes; must equal the
-    stored polytope."""
-    hull = gc.representative.slope_polytope
-    if hull != gc.polytope:
-        from .errors import GrowthLabError
-        raise GrowthLabError("slope hull disagrees with stored polytope")
-    return hull
-
-
 def _sampled_gradients(gc, k, samples, seed):
     """Gradients of u_k at `samples` seeded uniform points of the
     SAMPLE_RADIUS ball in x-space.  ValueError for fewer than 1 sample, fewer
@@ -114,28 +104,6 @@ def _sampled_gradients(gc, k, samples, seed):
     X = X / norms * r[:, None]
     return np.concatenate([u.grad_many(X[i:i + GRADIENT_CHUNK])
                            for i in range(0, samples, GRADIENT_CHUNK)])
-
-
-def recover_polytope_numeric(gc, k, samples=10 ** 4, seed=0):
-    """Float route: hull of sampled gradients of u_k on an x-space ball.
-
-    Returns (hull vertex array, certified upper bound on the Hausdorff
-    distance to the exact polytope).  The bound is the covering radius of
-    the samples over the exact vertices, valid because every gradient lies
-    inside the polytope.
-    """
-    import numpy as np
-    G = _sampled_gradients(gc, k, samples, seed)
-    V = np.array([[float(c) for c in v] for v in gc.polytope.vertices])
-    dists = np.sqrt(((V[:, None, :] - G[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
-    bound = float(dists.max())
-    if gc.dim == 1:
-        verts = np.array([[G.min()], [G.max()]])
-    else:
-        from scipy.spatial import ConvexHull
-        hull = ConvexHull(G, qhull_options="QJ")
-        verts = G[hull.vertices]
-    return verts, bound
 
 
 def monge_ampere_volume(gc):
@@ -241,27 +209,6 @@ def decompose(gc, lams=None):
         lams = sorted({sum(v) for v in gc.polytope.vertices})
     return {rat(lam): cf.radial_component(gc.representative, lam)
             for lam in lams}
-
-
-def level_equivalence_certificate(gc, k, m=None):
-    """Global bound between approximation levels through the shared
-    polyhedral representative.
-
-    With m omitted: the stored certificate 0 <= u_k - h <= ln N(k)/k.
-    With m given: |u_k - u_m| bounded by ln N(k)/k + ln N(m)/m.
-    """
-    ak = gc.approximant(k)
-    if m is None:
-        return ak.certificate
-    am = gc.approximant(m)
-    if m == k:
-        return cf.BoundedDifferenceCertificate(
-            Fraction(0), Fraction(0), "lattice-count", {"k": k, "m": m})
-    upper = math.log(ak.lattice_count) / ak.k
-    lower = -math.log(am.lattice_count) / am.k
-    return cf.BoundedDifferenceCertificate(
-        lower, upper, "lattice-count",
-        {"k": k, "m": m, "lattice_counts": (ak.lattice_count, am.lattice_count)})
 
 
 @dataclass(frozen=True)

@@ -36,24 +36,6 @@ class GradedMonomialSeries:
         pt.dilate_boxes(P, levels)
         return cls({k: pt.lattice_points(P, k) for k in levels})
 
-    def filtered(self, predicate):
-        """Sub-series keeping exponents with predicate(k, alpha)."""
-        return GradedMonomialSeries(
-            {k: {a for a in v if predicate(k, a)} for k, v in self.degrees.items()})
-
-    def check_multiplicativity(self):
-        """W_j + W_k inside W_{j+k} for all stored degree pairs."""
-        for j in self.degrees:
-            for k in self.degrees:
-                if j + k not in self.degrees:
-                    continue
-                target = self.degrees[j + k]
-                for a in self.degrees[j]:
-                    for b in self.degrees[k]:
-                        if tuple(x + y for x, y in zip(a, b)) not in target:
-                            return False
-        return True
-
 
 @dataclass(frozen=True)
 class OkounkovBody:

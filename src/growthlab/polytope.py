@@ -198,10 +198,6 @@ class Polytope:
             return False
         return self._span_poly.contains(s)
 
-    def active_facets(self, v):
-        """Facets through the vertex v of a full-dimensional polytope."""
-        return tuple(self.facets[i] for i in sorted(self._incidence[vec(v)]))
-
     def edges(self):
         """Vertex index pairs forming 1-faces, as a tuple computed once."""
         if self._edges is None:

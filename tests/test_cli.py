@@ -293,7 +293,10 @@ class TestBadInput:
            "ValueError")]
        # the inner ball is drawn in z-space, 2n floats a sample
        + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0",
-            "--fs-lambda", "3/2", "--samples", "2500001"], "ValueError")])
+            "--fs-lambda", "3/2", "--samples", "2500001"], "ValueError")]
+       # the source of the gluing, and chebyshev's input, are required
+       + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0"], "ValueError"),
+          (["chebyshev"], "ValueError")])
     def test_error_json_exit_2(self, files, capsys, argv, error):
         paths = dict(files)
         rational = files["tmp"] / "rational_square.json"
@@ -510,10 +513,13 @@ class TestCorpus:
         assert all(r["volume_MA"] == "8" for r in by_name["square2"])
 
     def test_bad_entry_isolated(self, files, capsys):
+        # only .json files are entries
+        (files["tmp"] / "notes.txt").write_text("not json {")
         code, out = run_cli(["corpus", "--k", "1", "--dir",
                              str(files["tmp"])], capsys)
         assert code == 0
         data = json.loads(out)
+        assert not any(r["name"] == "notes" for r in data["rows"])
         bad_rows = [r for r in data["rows"] if r["name"] == "bad"]
         good_rows = [r for r in data["rows"] if r["name"] == "square2"]
         assert bad_rows and all("error" in r for r in bad_rows)
@@ -554,3 +560,32 @@ class TestReadme:
             argv.append(word)
         code, _, err = parse_outcome(main, argv, capsys)
         assert code == 0, (argv, err)
+
+
+# No command calls reassemble: the tests check the paper's decomposition
+# claim (the representative is the max of its radial components) through it.
+SURFACE_EXEMPT = {"reassemble"}
+
+
+def unreferenced_definitions():
+    """Names of the functions, methods and classes defined in growthlab that
+    no name or attribute in growthlab's source uses outside their own
+    definition; dunder methods are skipped."""
+    import ast
+    defs, refs = [], {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, path, node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append((path, node.lineno))
+    return sorted({name for name, path, lo, hi in defs
+                   if not (name.startswith("__") and name.endswith("__"))
+                   and name not in SURFACE_EXEMPT
+                   and all(p == path and lo <= line <= hi for p, line in refs.get(name, ()))})
+
+
+class TestDeadSurface:
+    def test_every_definition_is_used(self):
+        assert unreferenced_definitions() == []

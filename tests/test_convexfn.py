@@ -80,7 +80,8 @@ class TestLegendre:
         for n in (1, 2, 3):
             for _ in range(4):
                 f = random_max_affine(rng, n)
-                g = cf.legendre(f).conjugate()
+                # conjugate back: the roof (slope, value) is the piece (slope, -value)
+                g = cf.MaxAffineFunction([(s, -v) for s, v in cf.legendre(f).breakpoints])
                 assert g.same_function(f)
                 for _ in range(85):
                     x = tuple(F(rng.randint(-40, 40), rng.randint(1, 5))
@@ -92,9 +93,9 @@ class TestLegendre:
         for _ in range(10):
             f = random_max_affine(rng, 2)
             conj = cf.legendre(f)
-            for p in f.pruned().pieces:
+            for slope, offset in f.piece_set():
                 # active slopes achieve equality: f*(slope) = -offset
-                assert conj(p.slope) == -p.offset
+                assert conj(slope) == -offset
             for _ in range(30):
                 x = tuple(F(rng.randint(-15, 15), rng.randint(1, 3))
                           for _ in range(2))
@@ -137,17 +138,28 @@ class TestLogSumExp:
 
 class TestSupDifference:
     def test_constant_shift(self):
-        cert = cf.sup_difference(h_sigma, h_sigma.shifted(1))
-        assert cert.lower == -1 and cert.upper == -1 and cert.finite
+        shifted = cf.MaxAffineFunction([(p.slope, p.offset + 1) for p in h_sigma.pieces])
+        cert = cf.sup_difference(h_sigma, shifted)
+        assert cert.lower == -1 and cert.upper == -1
 
     def test_different_polytopes_unbounded_with_witness(self):
         cert = cf.sup_difference(h_sigma, h_square)
         assert cert.lower == -math.inf and cert.upper == 0
-        d = [float(x) for x in cert.witnesses["inf_recession_direction"]]
-        # the difference h_square - h_sigma must diverge along the witness
-        vals = [h_square(tuple(t * c for c in d)) - h_sigma(tuple(t * c for c in d))
-                for t in (1, 10, 100)]
-        assert vals[0] < vals[1] < vals[2] and vals[2] > 50
+        # f - g must diverge along the witness; g's slope polytope is a
+        # square, a point, a segment off f's slope and a segment whose span
+        # holds f's slope
+        cases = [(h_square, h_sigma, cert.witnesses["inf_recession_direction"])]
+        ray = cf.MaxAffineFunction([((0, 0), 0), ((3, 0), 0)])
+        for f, g_slopes in ((h_sigma, [(1, 1)]), (h_sigma, [(0, 0), (1, 1)]),
+                            (ray, [(0, 0), (2, 0)])):
+            g = cf.MaxAffineFunction([(s, 0) for s in g_slopes])
+            cert = cf.sup_difference(f, g)
+            assert cert.upper == math.inf
+            cases.append((f, g, cert.witnesses["sup_recession_direction"]))
+        for f, g, d in cases:
+            vals = [f(tuple(t * c for c in d)) - g(tuple(t * c for c in d))
+                    for t in (1, 10, 100)]
+            assert vals[0] > 0 and vals[1] == 10 * vals[0] and vals[2] == 100 * vals[0]
 
     def test_lse_certificate(self):
         u3 = cf.logsumexp_from_polytope(SIGMA, 3)
@@ -267,18 +279,22 @@ class TestReassemble:
             cf.reassemble({})
 
 
+def grows_slower(f, g):
+    return cf.slope_inclusion_witness(f.slope_polytope, g.slope_polytope)
+
+
 class TestGrowsSlower:
     def test_fubini_study_inside_square(self):
-        ok, _ = cf.grows_slower(
+        ok, _ = grows_slower(
             cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2), h_square)
         assert ok
 
     def test_equal_support_functions_fail(self):
-        ok, _ = cf.grows_slower(h_sigma, h_sigma)
+        ok, _ = grows_slower(h_sigma, h_sigma)
         assert not ok
 
     def test_escaping_vertex_witness(self):
-        ok, wit = cf.grows_slower(
+        ok, wit = grows_slower(
             cf.SmoothToricPotential.fubini_study(F(5, 2), dim=2), h_square)
         assert not ok
         v = wit["vertex"]
@@ -297,7 +313,7 @@ class TestGrowsSlower:
                 continue
             fs = cf.SmoothToricPotential.fubini_study(lam, dim=2)
             h = cf.MaxAffineFunction.support_function(P)
-            ok, _ = cf.grows_slower(fs, h)
+            ok, _ = grows_slower(fs, h)
             assert ok
             for _ in range(20):
                 x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10))
@@ -307,20 +323,14 @@ class TestGrowsSlower:
                 assert all(b > a for a, b in zip(vals, vals[1:]))
                 assert vals[-1] > float(lam_star - lam) * 320 / 2
 
-    def test_incomparable_families(self):
-        u = cf.logsumexp_from_polytope(SIGMA, 2)
-        with pytest.raises(IncomparableFamilies):
-            cf.grows_slower(u, h_sigma)
-
 
 class TestRegularizedMax:
     def test_outside_band_exact(self):
-        assert cf.regularized_max(0, 1, 0.25) == 1
-        assert cf.regularized_max(F(0), F(0), F(1)) == F(1, 4)
+        assert cf.regularized_max_many(0, 1, 0.25) == 1
 
     def test_tent_values(self):
         eps = 0.5
-        assert cf.regularized_max(0.25, 0.0, eps) == pytest.approx(
+        assert cf.regularized_max_many(0.25, 0.0, eps) == pytest.approx(
             0.125 + (0.0625 + 0.25) / 2.0, abs=1e-15)
 
     def test_grid_dominates_max_and_matches_off_band(self):
@@ -347,17 +357,19 @@ class TestRegularizedMax:
 
     def test_nonpositive_epsilon(self):
         with pytest.raises(NonpositiveEpsilon):
-            cf.regularized_max(0, 0, 0)
+            cf.regularized_max_many(0, 0, 0)
 
 
 class TestSerialization:
     def test_lse_exponents_stored_as_sorted_int_tuples(self):
-        # lattice points are taken as given; any other input is converted and sorted
+        # lattice points are taken as given, with the polytope they fill
         u = cf.logsumexp_from_polytope(SQUARE, 2)
         assert u.exponents == tuple(pt.lattice_points(SQUARE, 2))
-        v = cf.SmoothToricPotential.log_sum_exp([[1.0, F(2)], (0, 1)], 1)
-        assert v.exponents == ((0, 1), (1, 2))
-        assert all(type(x) is int for e in v.exponents for x in e)
+        assert list(u.exponents) == sorted(u.exponents)
+        assert all(type(x) is int for e in u.exponents for x in e)
+        assert u.slope_polytope is SQUARE
+        with pytest.raises(ValueError, match="slope polytope"):
+            cf.SmoothToricPotential("lse", k=2, exponents=u.exponents)
 
     def test_fs_dimension_fixed_at_construction(self):
         u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)

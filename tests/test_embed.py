@@ -146,7 +146,8 @@ class TestVolumeObstruction:
             if lam <= 0:
                 continue
             src = fs(lam, gc.dim)
-            grows, _ = cf.grows_slower(src, gc.representative)
+            grows, _ = cf.slope_inclusion_witness(
+                src.slope_polytope, gc.representative.slope_polytope)
             assert grows
             assert em.volume_obstruction(src, gc).ok
             checked += 1

@@ -53,24 +53,25 @@ class TestBuild:
 
 class TestRecover:
     def test_exact_route(self, gc_sigma, gc_trap):
-        assert gr.recover_polytope(gc_sigma) == SIGMA
-        assert gr.recover_polytope(gc_trap) == TRAP
+        for gc, P in ((gc_sigma, SIGMA), (gc_trap, TRAP)):
+            slopes = [p.slope for p in gc.representative.pieces]
+            assert pt.Polytope.from_points(slopes, 2) == P
 
     def test_float_route_square(self, gc_square):
-        verts, bound = gr.recover_polytope_numeric(gc_square, 4,
-                                                   samples=10 ** 4, seed=2)
+        # every gradient lies in the polytope, so the covering radius of the
+        # samples over its vertices bounds the Hausdorff distance of their hull
+        G = gr._sampled_gradients(gc_square, 4, 10 ** 4, 2)
+        assert G.min() >= -1e-12 and G.max() <= 2 + 1e-12
+        V = np.array([[float(c) for c in v] for v in SQUARE.vertices])
+        bound = np.sqrt(((V[:, None, :] - G[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max()
         assert bound < 0.5
         documented = math.log(gc_square.approximant(4).lattice_count) / 4 * 2
         assert bound <= documented
-        assert verts.shape[1] == 2
-
 
     def test_too_few_samples_is_value_error(self, gc_square):
-        for numeric in (gr.recover_polytope_numeric, gr.monge_ampere_volume_numeric):
-            with pytest.raises(ValueError, match="samples"):
-                numeric(gc_square, 4, samples=2)
-        verts, _ = gr.recover_polytope_numeric(gc_square, 4, samples=3)
-        assert verts.shape == (3, 2)
+        with pytest.raises(ValueError, match="samples"):
+            gr.monge_ampere_volume_numeric(gc_square, 4, samples=2)
+        assert gr.monge_ampere_volume_numeric(gc_square, 4, samples=3).samples == 3
         gc = gr.build_growth_condition(pt.box([5]), (0,), [1])
         with pytest.raises(ValueError, match="samples"):
             gr.monge_ampere_volume_numeric(gc, 1, samples=0)
@@ -211,33 +212,35 @@ class TestDecompose:
             assert glued(x) == h(x)
 
 
+def level_bounds(gc, k, m):
+    """-ln N(m)/m <= u_k - u_m <= ln N(k)/k, through 0 <= u_j - h <= ln N(j)/j."""
+    ak, am = gc.approximant(k), gc.approximant(m)
+    return -math.log(am.lattice_count) / m, math.log(ak.lattice_count) / k
+
+
 class TestLevelEquivalence:
     def test_two_levels(self, gc_sigma):
-        cert = gr.level_equivalence_certificate(gc_sigma, 1, 2)
-        assert float(cert.upper) == pytest.approx(math.log(3))
-        assert float(cert.lower) == pytest.approx(-math.log(6) / 2)
-
-    def test_same_level_zero(self, gc_sigma):
-        cert = gr.level_equivalence_certificate(gc_sigma, 2, 2)
-        assert cert.lower == 0 and cert.upper == 0
+        lower, upper = level_bounds(gc_sigma, 1, 2)
+        assert upper == pytest.approx(math.log(3))
+        assert lower == pytest.approx(-math.log(6) / 2)
 
     def test_versus_representative(self, gc_trap):
-        cert = gr.level_equivalence_certificate(gc_trap, 1)
+        cert = gc_trap.approximant(1).certificate
         assert cert.lower == 0
         assert float(cert.upper) == pytest.approx(math.log(6))
 
     def test_unknown_level(self, gc_sigma):
         with pytest.raises(UnknownLevel):
-            gr.level_equivalence_certificate(gc_sigma, 3)
+            gc_sigma.approximant(3)
 
     def test_sampled_difference_within_certificate(self, gc_square):
-        cert = gr.level_equivalence_certificate(gc_square, 1, 4)
+        lower, upper = level_bounds(gc_square, 1, 4)
         u1 = gc_square.approximant(1).potential
         u4 = gc_square.approximant(4).potential
         X = np.random.default_rng(0).uniform(-20, 20, (500, 2))
         diff = u1.value_many(X) - u4.value_many(X)
-        assert diff.min() >= float(cert.lower) - 1e-10
-        assert diff.max() <= float(cert.upper) + 1e-10
+        assert diff.min() >= lower - 1e-10
+        assert diff.max() <= upper + 1e-10
 
 
 class TestReport:

@@ -82,7 +82,7 @@ class TestHull:
             n = P.ambient_dim
             assert facet_set(P) == brute_force_facets(pts)
             for v in P.vertices:
-                assert rank([f.normal for f in P.active_facets(v)]) == n
+                assert rank([f.normal for f in P.facets if f.value(v) == f.offset]) == n
 
     def test_certificate_rejects_unsigned_ridge_cycle(self):
         # ab, bc, ac on a line: every ridge lies in exactly two simplices,
@@ -123,7 +123,7 @@ class TestHull:
                 assert pt.hull(P.vertices) == P
                 # every vertex saturates >= n facets of full rank
                 for v in P.vertices:
-                    active = [f.normal for f in P.active_facets(v)]
+                    active = [f.normal for f in P.facets if f.value(v) == f.offset]
                     assert len(active) >= n and rank(active) == n
                 # every facet is saturated by >= n vertices
                 for f in P.facets:
@@ -654,7 +654,9 @@ class TestIntegerKernel:
         assert Q.vertices == R.vertices
         assert Q.facets == R.facets
         assert pt.volume(Q) == pt.volume(R) == c ** P.ambient_dim * pt.volume(P)
-        assert all(Q.active_facets(v) == R.active_facets(v) for v in Q.vertices)
+        # the mapped incidence table holds the facets through each vertex
+        assert all(Q._incidence[v] == {i for i, f in enumerate(Q.facets)
+                                       if f.value(v) == f.offset} for v in Q.vertices)
 
     @given(flat_clouds(), st.sampled_from([F(3, 2), F(2)]) | st.integers(1, 5)
            .map(lambda k: F(1, k)), st.data())
