@@ -237,8 +237,6 @@ def cmd_chebyshev(args):
 def cmd_embed_ball(args):
     gc = _build(args)
     seed = _seed(args)
-    if args.fs_lambda is None:
-        raise ValueError("embed-ball requires --fs-lambda")
     source = cf.SmoothToricPotential.fubini_study(rat(args.fs_lambda), dim=gc.dim)
     glued = em.fit_ball(gc, source, args.R, epsilon=args.epsilon,
                         samples=args.samples, seed=seed)
@@ -318,6 +316,28 @@ def main(argv=None):
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader that is gone shows here at the latest
+        return code
+    except BrokenPipeError as e:
+        # point stdout at os.devnull, so that the interpreter's last flush of
+        # the unwritten report does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(_error_json(e), file=sys.stderr)
+        return 2
+
+
+def _error_json(e, **extra):
+    return json.dumps({"error": {"type": type(e).__name__, "message": str(e), **extra}},
+                      indent=2, sort_keys=True)
+
+
+def _run(args):
+    """The command's exit code: 2 with error JSON on stdout for a
+    precondition error, 1 with error JSON on stderr for an internal one."""
+    try:
         if args.command == "chebyshev":
             if not args.fs_lambda and not args.polytope:
                 raise ValueError("chebyshev needs --polytope or --fs-lambda")
@@ -325,20 +345,20 @@ def main(argv=None):
                 "normalize", "growth", "volume", "seshadri", "decompose",
                 "embed-ball", "gromov"):
             raise ValueError(f"{args.command} requires --vertex")
+        if args.command == "embed-ball" and args.fs_lambda is None:
+            raise ValueError("embed-ball requires --fs-lambda")
         return args.fn(args)
     except PRECONDITION_ERRORS as e:
-        payload = {"error": {"type": type(e).__name__, "message": str(e)}}
+        extra = {}
         if isinstance(e, GrowthViolation):
             if e.vertex is not None:
-                payload["error"]["vertex"] = [rat_str(x) for x in e.vertex]
+                extra["vertex"] = [rat_str(x) for x in e.vertex]
             if e.facet is not None:
-                payload["error"]["facet"] = e.facet.to_json_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
+                extra["facet"] = e.facet.to_json_dict()
+        print(_error_json(e, **extra))
         return 2
     except GrowthLabError as e:
-        print(json.dumps({"error": {"type": type(e).__name__,
-                                    "message": str(e)}}, indent=2,
-                         sort_keys=True), file=sys.stderr)
+        print(_error_json(e), file=sys.stderr)
         return 1
 
 

@@ -275,9 +275,8 @@ def logsumexp_from_polytope(P, k):
     vertices, so that h_P <= u_k <= h_P + ln(N(k))/k holds for every k >= 1.
     """
     pt._require_normalized(P)
-    from .errors import NotNormalized
-    from .rationals import is_integral
-    if not all(is_integral(v) for v in P.vertices):
+    if not pt._is_lattice(P):
+        from .errors import NotNormalized
         raise NotNormalized("polytope must be a lattice polytope")
     return SmoothToricPotential("lse", k=k, exponents=pt.lattice_points(P, k), polytope=P)
 

@@ -79,7 +79,7 @@ def normalized_growth_condition(P, vertex, Q, umap, k_levels=(1, 2, 4)):
         u = cf.logsumexp_from_polytope(Q, k)
         cert = cf.sup_difference(u, h)
         approx[k] = Approximant(k, u, u.lattice_count, cert)
-    c_max = max(sum(v) for v in Q.vertices)
+    c_max = Fraction(max(sum(X) for X in Q.int_vertices), Q.denom)
     return GrowthCondition(Q, h, approx, c_max, P, vec(vertex), umap)
 
 
@@ -160,10 +160,9 @@ class SeshadriResult:
 
 
 def _simplex_fits(P, p, q):
-    """lam e_i in P for every i, lam = p/q >= 0: a_i p <= b q for every facet
-    (a, b) of the full-dimensional P, in ints."""
-    return all(a * p * f.offset.denominator <= f.offset.numerator * q
-               for f in P.facets for a in f.normal)
+    """lam e_i in P for every i, lam = p/q >= 0: a_i p D <= c q for every
+    facet a.x <= c / D of the full-dimensional P, in ints."""
+    return all(a_i * p * P.denom <= c * q for a, c in P.int_facets for a_i in a)
 
 
 def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):

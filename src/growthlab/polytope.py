@@ -1,23 +1,25 @@
 """Exact rational polytope algebra.
 
-Polytopes carry both a vertex and a facet description, kept consistent by
-construction.  The hull runs in ints on the input times D, the lcm of its
+A full-dimensional polytope is stored in ints over one denominator D > 0 in
+lowest terms: vertices and boundary-simplex points as integer numerator
+tuples X (the points X / D), facets as pairs (a, c), a primitive, meaning
+a.x <= c / D.  The hull runs in ints on the input times the lcm of its
 denominators: points strictly inside an axis-parallel segment are dropped,
-the hull of the rest is built incrementally with primitive integer normals,
-and its simplicial facets are certified by incidence (each input point
-inside each facet halfspace, the facets an oriented boundary cycle of degree
-1).  Only vertices, facets and simplices are divided by D.  Volumes and
-triangulations are cones over those simplices, each cone's determinant taken
-in ints; a positive scaling or a unimodular map, which maps points in ints,
-carries them over with no new hull.  Lower-dimensional polytopes (slices,
-faces) are stored in ambient coordinates with an affine-span basis and a
-full-dimensional polytope in span coordinates.
+the hull of the rest is built incrementally, and its simplicial facets are
+certified by incidence (each input point inside each facet halfspace, the
+facets an oriented boundary cycle of degree 1).  The volume sums integer
+cone determinants over those simplices and divides by D^n once.  Scaling
+and unimodular maps act on D and the numerators, with no new hull.
+`vertices` and `facets` are Fraction views, built once per polytope for
+reports and JSON.  Lower-dimensional polytopes (points, slices, faces) keep
+vertex numerators over the lcm D of their input's denominators, a Fraction
+affine-span basis and a full-dimensional span polytope.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, factorial, floor, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import (
     DegenerateInput,
@@ -33,7 +35,6 @@ from .rationals import (
     det,
     dot,
     inverse,
-    is_integral,
     null_vector,
     primitive_integer,
     rank,
@@ -52,8 +53,9 @@ MAX_BOX_POINTS = 2_000_000
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """{x : <normal, x> <= offset}; (normal, offset) is a primitive integer
-    vector, except in dimension 1: normal (1,) or (-1,), offset an endpoint."""
+    """{x : <normal, x> <= offset}, the view of a stored facet a.x <= c / D:
+    (D a, c) / gcd(D, c), a primitive integer vector, in dimension n > 1;
+    normal (1,) or (-1,) and offset an endpoint in dimension 1."""
 
     normal: tuple
     offset: Fraction
@@ -66,6 +68,12 @@ class HalfSpace:
                 "offset": rat_str(self.offset)}
 
 
+def _scaled_normal(a, c, D):
+    """The HalfSpace normal of a.x <= c / D (its sign in dimension 1)."""
+    g = gcd(D, c)
+    return tuple(D // g * x for x in a)
+
+
 @dataclass(frozen=True)
 class UnimodularMap:
     """Affine map p -> A (p - base) with A in GL(n, Z), given by integer rows."""
@@ -74,24 +82,26 @@ class UnimodularMap:
     base: tuple
 
     def apply(self, p):
-        """A (p - base) in ints: p - base times the lcm d of their
-        denominators, multiplied by A's rows and divided by d at the end."""
-        p = vec(p)
-        d = lcm(*(x.denominator for x in p), *(x.denominator for x in self.base))
-        diff = [x.numerator * (d // x.denominator) - y.numerator * (d // y.denominator)
-                for x, y in zip(p, self.base)]
-        return tuple(Fraction(dot(row, diff), d) for row in self.matrix)
+        diff = vsub(vec(p), self.base)
+        return tuple(dot(row, diff) for row in self.matrix)
 
     def image(self, P, G):
-        """The polytope A (P - base), given G = A^-1; both routes map points by
-        apply.  A full-dimensional P maps its certified data with no new hull:
-        with x = G y + base, a facet a.x <= b becomes (G^T a).y <= b - a.base.
-        Any other P is re-hulled."""
+        """The polytope A (P - base), given G = A^-1.  A full-dimensional P maps
+        its certified data over E, the lcm of the denominators of P and base =
+        B / E: X / D goes to A (e X - B) / E, e = E / D, and as x = G y + base,
+        a.x <= c / D becomes (G^T a).y <= (c e - a.B) / E.  Else a new hull."""
         if not P.is_full_dim:
             return Polytope.from_points([self.apply(v) for v in P.vertices], P.ambient_dim)
+        E = lcm(P.denom, *(x.denominator for x in self.base))
+        e = E // P.denom
+        B = [x.numerator * (E // x.denominator) for x in self.base]
         Gt = [[int(x) for x in col] for col in zip(*G)]
-        return P._image(self.apply,
-                        lambda a, b: (tuple(dot(g, a) for g in Gt), b - dot(a, self.base)))
+
+        def point(X):
+            w = [e * x - b for x, b in zip(X, B)]
+            return tuple(dot(row, w) for row in self.matrix)
+
+        return P._image(point, lambda a, c: (tuple(dot(g, a) for g in Gt), c * e - dot(a, B)), E)
 
     def to_json_dict(self):
         return {"matrix": [[rat_str(x) for x in row] for row in self.matrix],
@@ -100,29 +110,41 @@ class UnimodularMap:
 
 class Polytope:
     """Immutable exact polytope; do not mutate attributes after construction.
+    It keeps the sorted vertex numerators `int_vertices` over `denom`, and if
+    full-dimensional the facet pairs `int_facets`, the simplices `_boundary[i]`
+    on facet i and each vertex numerator's facet indices `_incidence`."""
 
-    A full-dimensional one keeps its certified boundary complex: `_boundary[i]`
-    lists the simplices on facet i, `_incidence` each vertex's facet indices."""
+    def __init__(self, ambient_dim, vertices, dim, denom, span_point=None, span_basis=None,
+                 span_poly=None, facets=(), boundary=(), incidence=None):
+        self.ambient_dim, self.dim, self.denom = ambient_dim, dim, denom
+        self.int_vertices, self.int_facets = tuple(sorted(vertices)), facets
+        self._span_point, self._span_basis, self._span_poly = span_point, span_basis, span_poly
+        self._boundary, self._incidence = boundary, incidence
+        self._vertices = self._facets = self._edges = self._volume = None
 
-    def __init__(self, ambient_dim, vertices, facets, dim, span_point=None,
-                 span_basis=None, span_poly=None, boundary=(), incidence=None):
-        self.ambient_dim = ambient_dim
-        self.vertices = tuple(sorted(vertices))
-        self.facets = facets
-        self.dim = dim
-        self._span_point = span_point
-        self._span_basis = span_basis
-        self._span_poly = span_poly
-        self._boundary = boundary
-        self._incidence = incidence
-        self._edges = None
-        self._volume = None
+    @property
+    def vertices(self):
+        """Sorted vertex tuples of Fractions."""
+        if self._vertices is None:
+            self._vertices = tuple(tuple(Fraction(x, self.denom) for x in X)
+                                   for X in self.int_vertices)
+        return self._vertices
+
+    @property
+    def facets(self):
+        """Sorted HalfSpace views of int_facets; none below full dimension."""
+        if self._facets is None:
+            D = self.denom
+            self._facets = tuple(HalfSpace(a, Fraction(c, D)) if self.dim == 1 else
+                                 HalfSpace(_scaled_normal(a, c, D), Fraction(c // gcd(D, c)))
+                                 for a, c in self.int_facets)
+        return self._facets
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def empty(cls, ambient_dim):
-        return cls(ambient_dim, (), (), -1)
+        return cls(ambient_dim, (), -1, 1)
 
     @classmethod
     def from_points(cls, points, ambient_dim=None):
@@ -143,24 +165,19 @@ class Polytope:
         basis = [vsub(pts[i], base) for i in _affine_basis(pts)]
         d = len(basis)
         if d == ambient_dim:
-            incidence, facets, boundary = _hull_full_dim(pts, ambient_dim, D)
-            return cls(ambient_dim, incidence, facets, ambient_dim,
-                       boundary=boundary, incidence=incidence)
+            return _hull_full_dim(pts, ambient_dim, D)
         if d == 0:
-            return cls(ambient_dim, (_unscaled(base, D),), (), 0)
+            return cls(ambient_dim, [base], 0, D)
         # project to span coordinates, which scaling by D leaves unchanged
-        coords = []
         cols = list(zip(*basis))  # n x d system
-        for p in pts:
-            s = solve_general(cols, vsub(p, base))
-            if s is None:
-                raise GrowthLabError("span projection failed")
-            coords.append(s)
+        coords = [solve_general(cols, vsub(p, base)) for p in pts]
+        if None in coords:
+            raise GrowthLabError("span projection failed")
         span_poly = cls.from_points(coords, d)
-        base, basis = _unscaled(base, D), tuple(_unscaled(b, D) for b in basis)
-        verts = tuple(_from_span(base, basis, s) for s in span_poly.vertices)
-        return cls(ambient_dim, verts, (), d, span_point=base,
-                   span_basis=basis, span_poly=span_poly)
+        point = dict(zip(coords, pts))
+        base, *basis = (tuple(Fraction(x, D) for x in p) for p in [base] + basis)
+        return cls(ambient_dim, [point[s] for s in span_poly.vertices], d, D, span_point=base,
+                   span_basis=tuple(basis), span_poly=span_poly)
 
     # -- basic queries --------------------------------------------------
 
@@ -185,11 +202,10 @@ class Polytope:
         if self.is_point:
             return x == self.vertices[0]
         if self.is_full_dim:
-            # a.x <= b as a.(x d) <= b d in ints, d the lcm of x's denominators
-            d = lcm(*(c.denominator for c in x))
-            xd = [c.numerator * (d // c.denominator) for c in x]
-            return all(dot(f.normal, xd) * f.offset.denominator <= f.offset.numerator * d
-                       for f in self.facets)
+            # a.x <= c/D as a.(x d) D <= c d in ints, d the lcm of x's denominators
+            d = lcm(*(t.denominator for t in x))
+            xd = [t.numerator * (d // t.denominator) for t in x]
+            return all(dot(a, xd) * self.denom <= c * d for a, c in self.int_facets)
         cols = list(zip(*self._span_basis))
         s = solve_general(cols, vsub(x, self._span_point))
         if s is None:
@@ -214,58 +230,53 @@ class Polytope:
             return [(index[amb[i]], index[amb[j]])
                     for i, j in self._span_poly.edges()]
         n = self.ambient_dim
-        active = [self._incidence[v] for v in self.vertices]
+        active = [self._incidence[X] for X in self.int_vertices]
         pairs = ((i, j, active[i] & active[j])
                  for i, j in combinations(range(len(active)), 2))
         return [(i, j) for i, j, common in pairs if len(common) >= n - 1
-                and rank([self.facets[k].normal for k in common]) == n - 1]
-
-    def neighbors(self, v):
-        v = vec(v)
-        idx = self.vertices.index(v)
-        return [self.vertices[j if i == idx else i]
-                for i, j in self.edges() if idx in (i, j)]
+                and rank([self.int_facets[k][0] for k in common]) == n - 1]
 
     def scaled(self, c):
-        """cP.  For c > 0 and dim P >= 1 there is no new hull.  A
+        """cP.  For c = p/q > 0 and dim P >= 1 there is no new hull.  A
         lower-dimensional P keeps its span polytope, as x = p0 + sum s_i b_i
-        maps to c x = c p0 + sum s_i (c b_i).  A full-dimensional P maps its
-        certified data; a facet a.x <= b becomes a.x <= c b."""
+        maps to c x = c p0 + sum s_i (c b_i).  A full-dimensional P maps X / D
+        to p X / (q D) and a facet a.x <= b / D to a.x <= p b / (q D)."""
         c = rat(c)
 
-        def image(p):
-            return tuple(c * x for x in p)
+        def image(v):
+            return tuple(c * x for x in v)
 
         if c <= 0 or self.dim < 1:
             return Polytope.from_points([image(v) for v in self.vertices], self.ambient_dim)
+        p, E = c.numerator, c.denominator * self.denom
         if not self.is_full_dim:
-            return Polytope(self.ambient_dim, [image(v) for v in self.vertices], (), self.dim,
-                            span_point=image(self._span_point),
+            return Polytope(self.ambient_dim, [tuple(p * x for x in X) for X in self.int_vertices],
+                            self.dim, E, span_point=image(self._span_point),
                             span_basis=tuple(map(image, self._span_basis)),
                             span_poly=self._span_poly)
-        return self._image(image, lambda a, b: (a, c * b))
+        return self._image(lambda X: tuple(p * x for x in X), lambda a, b: (a, p * b), E)
 
-    def _image(self, point, facet):
+    def _image(self, point, facet, E):
         """The image of a full-dimensional P under an invertible affine map,
-        given on points and on facet pairs (a, b) -> (a', b') with a' integer,
-        from the certified data of P with no new hull.  Each image facet is
-        made primitive again and the facets re-sorted."""
-        facets = []
-        for f in self.facets:
-            a, b = facet(f.normal, f.offset)  # b = p/q: (q a, p) / gcd(a, p) is primitive
-            q, g = (b.denominator, gcd(*a, b.numerator)) if self.dim > 1 else (1, 1)
-            facets.append(HalfSpace(tuple(q * x // g for x in a), b * q / g))
-        order = sorted(range(len(facets)), key=lambda i: (facets[i].normal, facets[i].offset))
+        from its certified data: `point` maps numerators (every vertex is a
+        boundary point) and `facet` pairs (a, c) to ones over E, a' primitive.
+        The gcd g of E and the image numerators divides every c' = a'.Y, Y on
+        the facet, so dividing by g reduces to lowest terms.  Facets re-sort."""
+        images = {id(X): point(X) for group in self._boundary for s in group for X in s}
+        g = gcd(E, *(y for Y in images.values() for y in Y))
+        if g > 1:
+            images = {i: tuple(y // g for y in Y) for i, Y in images.items()}
+        D = E // g
+        facets = [(a, c // g) for a, c in (facet(*f) for f in self.int_facets)]
+        order = sorted(range(len(facets)), key=lambda i: _scaled_normal(*facets[i], D))
         index = {i: j for j, i in enumerate(order)}
-        points = {id(p): p for group in self._boundary for s in group for p in s}
-        points.update((id(v), v) for v in self._incidence)
-        images = {i: point(p) for i, p in points.items()}
-        incidence = {images[id(v)]: frozenset(index[i] for i in fs)
-                     for v, fs in self._incidence.items()}
-        boundary = tuple(tuple(tuple(images[id(p)] for p in s) for s in self._boundary[i])
+        incidence = {images[id(X)]: frozenset(index[i] for i in fs)
+                     for X, fs in self._incidence.items()}
+        boundary = tuple(tuple(tuple(images[id(X)] for X in s) for s in self._boundary[i])
                          for i in order)
-        return Polytope(self.ambient_dim, incidence, tuple(facets[i] for i in order),
-                        self.ambient_dim, boundary=boundary, incidence=incidence)
+        return Polytope(self.ambient_dim, incidence, self.ambient_dim, D,
+                        facets=tuple(facets[i] for i in order), boundary=boundary,
+                        incidence=incidence)
 
     # -- serialization ---------------------------------------------------
 
@@ -291,13 +302,18 @@ class Polytope:
             raise DegenerateInput('polytope "vertices" must be a list of rational lists')
         return cls.from_points(pts, dim)
 
+    def _key(self):
+        """The vertex numerators over their least denominator."""
+        g = gcd(self.denom, *(x for X in self.int_vertices for x in X))
+        return self.denom // g, tuple(tuple(x // g for x in X) for X in self.int_vertices)
+
     def __eq__(self, other):
         return (isinstance(other, Polytope)
-                and self.ambient_dim == other.ambient_dim
-                and self.vertices == other.vertices)
+                and (self.ambient_dim, self.dim) == (other.ambient_dim, other.dim)
+                and self._key() == other._key())
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vertices))
+        return hash((self.ambient_dim, self._key()))
 
     def __repr__(self):
         if self.is_empty:
@@ -315,10 +331,6 @@ def _from_span(base, basis, s):
         for i in range(len(out)):
             out[i] += coef * b[i]
     return tuple(out)
-
-
-def _unscaled(p, D):
-    return tuple(Fraction(x, D) for x in p)
 
 
 def _affine_basis(pts):
@@ -443,7 +455,7 @@ def _certify(pts, facets, halfspaces, n):
            for s in group[1:]]
     if any(min(nu) >= 0 and sum(nu) <= n for nu in nus):
         raise GrowthLabError("hull facets cover the boundary more than once")
-    planes = [g[0][1:] for g in halfspaces.values()]
+    planes = list(halfspaces)
     verts = {}
     for idx, p in enumerate(pts):
         active = []
@@ -459,30 +471,32 @@ def _certify(pts, facets, halfspaces, n):
 
 
 def _dedupe_halfspaces(facets, D):
-    """Simplicial facets grouped by plane, keyed and sorted by its HalfSpace in
-    x = p / D: a.p <= b is (D a).x <= b, and gcd(D a, b) = gcd(D, b)."""
+    """Simplicial facets grouped by plane (a, b), a.p <= b for the points
+    p = D x, and sorted as the HalfSpaces of the planes in x."""
     groups = {}
     for f in facets:
         groups.setdefault(f[1:], []).append(f)
-    canonical = {HalfSpace(tuple(D // gcd(D, b) * x for x in a), Fraction(b // gcd(D, b))): g
-                 for (a, b), g in groups.items()}
-    return dict(sorted(canonical.items(), key=lambda g: (g[0].normal, g[0].offset)))
+    return dict(sorted(groups.items(), key=lambda g: _scaled_normal(*g[0], D)))
 
 
 def _hull_full_dim(pts, n, D):
-    """(vertex -> facet indices, sorted facets, simplices per facet) of conv(pts) / D."""
+    """The certified full-dimensional Polytope conv(pts) / D of integer pts,
+    reduced to lowest terms."""
     pts = _axis_endpoints(pts)
     if n == 1:
-        lo, hi = _unscaled(min(pts), D), _unscaled(max(pts), D)
-        facets = (HalfSpace((-1,), -lo[0]), HalfSpace((1,), hi[0]))
-        return {lo: frozenset({0}), hi: frozenset({1})}, facets, (((lo,),), ((hi,),))
-    facets = _incremental_hull(pts, n)
-    halfspaces = _dedupe_halfspaces(facets, D)
-    incidence = _certify(pts, facets, halfspaces, n)
-    frac = {i: _unscaled(pts[i], D) for i in set(incidence).union(*(f[0] for f in facets))}
-    boundary = tuple(tuple(tuple(frac[i] for i in sorted(ids)) for ids, _, _ in group)
-                     for group in halfspaces.values())
-    return {frac[i]: fs for i, fs in incidence.items()}, tuple(halfspaces), boundary
+        lo, hi = min(pts), max(pts)
+        incidence = {lo: frozenset({0}), hi: frozenset({1})}
+        facets, boundary = (((-1,), -lo[0]), ((1,), hi[0])), (((lo,),), ((hi,),))
+    else:
+        simplicial = _incremental_hull(pts, n)
+        halfspaces = _dedupe_halfspaces(simplicial, D)
+        incidence = {pts[i]: fs for i, fs in _certify(pts, simplicial, halfspaces, n).items()}
+        facets = tuple(halfspaces)
+        boundary = tuple(tuple(tuple(pts[i] for i in sorted(ids)) for ids, _, _ in group)
+                         for group in halfspaces.values())
+    P = Polytope(n, incidence, n, D, facets=facets, boundary=boundary,
+                 incidence=incidence)
+    return P if D == 1 else P._image(lambda X: X, lambda a, c: (a, c), D)
 
 
 # -- public operations ------------------------------------------------------
@@ -490,13 +504,9 @@ def _hull_full_dim(pts, n, D):
 
 def hull(points):
     """Exact convex hull; requires a full-dimensional affine span."""
-    pts = [vec(p) for p in points]
-    if not pts:
-        raise DegenerateInput("hull of no points")
-    n = len(pts[0])
-    P = Polytope.from_points(pts, n)
+    P = Polytope.from_points(points)
     if not P.is_full_dim:
-        raise DegenerateInput(f"affine span has dimension {P.dim} < {n}")
+        raise DegenerateInput(f"affine span has dimension {P.dim} < {P.ambient_dim}")
     return P
 
 
@@ -525,19 +535,27 @@ class DelzantReport:
                              for e in self.entries]}
 
 
-def _edge_generators(P, v):
-    return sorted(primitive_integer(vsub(w, v)) for w in P.neighbors(v))
+def _edge_generators(P, i):
+    """The sorted primitive integer directions of the edges at vertex i."""
+    X = P.int_vertices
+    return sorted(primitive_integer(vsub(X[j if a == i else a], X[i]))
+                  for a, j in P.edges() if i in (a, j))
+
+
+def _is_lattice(P):
+    """Whether the full-dimensional P has integral vertices."""
+    return all(x % P.denom == 0 for X in P.int_vertices for x in X)
 
 
 def is_delzant(P):
     """Per-vertex unimodularity check for a full-dimensional lattice polytope."""
     if not P.is_full_dim:
         raise DegenerateInput("Delzant check requires a full-dimensional polytope")
-    if not all(is_integral(v) for v in P.vertices):
+    if not _is_lattice(P):
         raise NotLatticePolytope("vertices must be integral")
     entries = []
-    for v in P.vertices:
-        gens = _edge_generators(P, v)
+    for i, v in enumerate(P.vertices):
+        gens = _edge_generators(P, i)
         d = det(gens) if len(gens) == P.ambient_dim else None
         entries.append(DelzantVertexReport(v, d in (1, -1), tuple(gens), d))
     return DelzantReport(tuple(entries), all(e.ok for e in entries))
@@ -555,15 +573,16 @@ def normalize_at_vertex(P, v):
     if v not in P.vertices:
         raise NotDelzantVertex(f"{v} is not a vertex")
     n = P.ambient_dim
-    gens = sorted(_edge_generators(P, v), reverse=True)
+    gens = sorted(_edge_generators(P, P.vertices.index(v)), reverse=True)
     if len(gens) != n:
         raise NotDelzantVertex(f"vertex {v} has {len(gens)} edges, expected {n}")
     G = tuple(tuple(gens[c][r] for c in range(n)) for r in range(n))
     if abs(det(G)) != 1:
         raise NotDelzantVertex(f"edge generators at {v} are not unimodular")
     umap = UnimodularMap(tuple(tuple(int(x) for x in row) for row in inverse(G)), v)
+    # n unimodular edge directions at v make P full-dimensional
     Q = umap.image(P, G)
-    if any(any(x < 0 for x in q) for q in Q.vertices):
+    if any(any(x < 0 for x in X) for X in Q.int_vertices):
         raise GrowthLabError("normalized polytope left the positive orthant")
     return Q, umap
 
@@ -571,13 +590,13 @@ def normalize_at_vertex(P, v):
 def lattice_points(P, k=1):
     """Integer points of the dilate kP, sorted, by an integer row scan.
 
-    For integer x and an integer normal a, a.x <= k b iff a.x <= floor(k b),
-    so every facet becomes an integer row (a', a_n, floor(k b)).  Each row
-    of the first n - 1 coordinates of the bounding box then meets kP in one
-    interval of the last coordinate, cut out by r = floor(k b) - a'.x' as
-    x_n <= r // a_n (a_n > 0), x_n >= -(r // -a_n) (a_n < 0) or nothing at
-    all (a_n = 0, r < 0).  A lower-dimensional P tests each box point for
-    membership instead.  The box is first checked by dilate_boxes.
+    For integer x, a.x <= k c / D iff a.x <= floor(k c / D), so every facet
+    becomes an integer row (a', a_n, floor(k c / D)).  Each row of the first
+    n - 1 coordinates of the bounding box then meets kP in one interval of
+    the last coordinate, cut out by r = floor(k c / D) - a'.x' as x_n <= r //
+    a_n (a_n > 0), x_n >= -(r // -a_n) (a_n < 0) or nothing (a_n = 0, r < 0).
+    A lower-dimensional P tests each box point for membership instead.  The
+    box is first checked by dilate_boxes.
     """
     if P.is_empty:
         return []
@@ -587,7 +606,7 @@ def lattice_points(P, k=1):
     if not P.is_full_dim:
         return [x for x in product(*ranges)
                 if P.contains(tuple(Fraction(c, k) for c in x))]
-    rows = [(f.normal[:-1], f.normal[-1], floor(k * f.offset)) for f in P.facets]
+    rows = [(a[:-1], a[-1], k * c // P.denom) for a, c in P.int_facets]
     out = []
     for head in product(*ranges[:-1]):
         lo, hi = los[-1], his[-1]
@@ -611,13 +630,13 @@ def dilate_boxes(P, ks):
     lattice points, one box alone or all together."""
     if P.is_empty:
         return []
-    cols = list(zip(*P.vertices))
+    cols, D = list(zip(*P.int_vertices)), P.denom
     mins, maxs = [min(c) for c in cols], [max(c) for c in cols]
     boxes, total = [], 0
     for k in ks:
         if k < 1:
             raise ValueError("dilation factor must be a positive integer")
-        los, his = [ceil(k * x) for x in mins], [floor(k * x) for x in maxs]
+        los, his = [-(-k * x // D) for x in mins], [k * x // D for x in maxs]
         box = prod(hi - lo + 1 for lo, hi in zip(los, his))
         total += box
         if total > MAX_BOX_POINTS:
@@ -630,16 +649,16 @@ def dilate_boxes(P, ks):
 
 
 def triangulate(P):
-    """Simplices (tuples of dim+1 points of P) partitioning P: the cones from
-    the first vertex v0 over the certified boundary simplices on the facets
-    missing v0, or the span polytope's simplices for a lower-dimensional P."""
-    if not P.is_full_dim:
-        if P.dim <= 0:
-            return []
-        inner = triangulate(P._span_poly)
-        return [tuple(_from_span(P._span_point, P._span_basis, s) for s in simplex)
-                for simplex in inner]
-    v0 = P.vertices[0]
+    """Simplices partitioning P, as numerator tuples over P.denom: the cones
+    from the first vertex v0 over the certified boundary simplices on the
+    facets missing v0, or the span polytope's simplices for a
+    lower-dimensional P, whose points are input points of P's hull."""
+    if not P.is_full_dim:  # a point or the empty set has no span polytope
+        S = P._span_poly
+        return [] if S is None else [tuple(tuple(int(x * P.denom) for x in _from_span(
+            P._span_point, P._span_basis, [Fraction(y, S.denom) for y in Y])) for Y in s)
+            for s in triangulate(S)]
+    v0 = P.int_vertices[0]
     through = P._incidence[v0]
     return [(v0,) + s for i, group in enumerate(P._boundary) if i not in through
             for s in group]
@@ -647,21 +666,17 @@ def triangulate(P):
 
 def volume(P):
     """Exact Lebesgue volume, computed once per polytope: the sum of
-    |det(s - v0)| / n! over the cones of triangulate(P).  Each cone's
-    determinant is taken in ints on its points times the lcm d of their
-    denominators, and counts |det| / d^n, or 0 at rank below n.  0 for empty
-    or lower-dimensional input."""
+    |det(S - X0)| over the cones of triangulate(P), or 0 for a cone of rank
+    below n, divided by n! D^n.  0 for empty or lower-dimensional input."""
     if not P.is_full_dim:
         return Fraction(0)
     if P._volume is None:
-        n, total = P.ambient_dim, Fraction(0)
+        n, total = P.ambient_dim, 0
         for s in triangulate(P):
-            d = lcm(*(x.denominator for p in s for x in p))
-            q = [[x.numerator * (d // x.denominator) for x in p] for p in s]
-            r, D = _bareiss([[x - y for x, y in zip(p, q[0])] for p in q[1:]])
+            r, d = _bareiss([vsub(X, s[0]) for X in s[1:]])
             if r == n:
-                total += Fraction(abs(D), d ** n)
-        P._volume = total / factorial(n)
+                total += abs(d)
+        P._volume = Fraction(total, factorial(n) * P.denom ** n)
     return P._volume
 
 
@@ -689,24 +704,22 @@ def simplex_inclusion(P):
     """sup of lam >= 0 with lam * (standard simplex) inside P, exact.
 
     Requires P normalized: the origin is a vertex and P sits in the positive
-    orthant.  The value is the facet minimum of offset / max(normal coord),
-    over facets whose normal has a positive coordinate.
+    orthant.  The value is the facet minimum of c / (D max(a)), over facets
+    a.x <= c / D whose normal has a positive coordinate.
     """
     _require_normalized(P)
-    best = min((Fraction(f.offset, max(f.normal)) for f in P.facets if max(f.normal) > 0),
-               default=None)
+    best = min((Fraction(c, max(a)) for a, c in P.int_facets if max(a) > 0), default=None)
     if best is None:
         raise GrowthLabError("bounded polytope must bound the simplex scale")
-    return best
+    return best / P.denom
 
 
 def _require_normalized(P):
     if not P.is_full_dim:
         raise NotNormalized("polytope must be full-dimensional")
-    zero = tuple(Fraction(0) for _ in range(P.ambient_dim))
-    if zero not in P.vertices:
+    if (0,) * P.ambient_dim not in P._incidence:
         raise NotNormalized("origin must be a vertex")
-    if any(any(x < 0 for x in v) for v in P.vertices):
+    if any(any(x < 0 for x in X) for X in P.int_vertices):
         raise NotNormalized("polytope must lie in the positive orthant")
 
 
@@ -727,7 +740,7 @@ def cut(P, normal, value):
             return P if c0 == value else Polytope.empty(P.ambient_dim)
         inner = cut(P._span_poly, w, value - c0)
         pts = [_from_span(P._span_point, P._span_basis, s) for s in inner.vertices]
-        return Polytope.from_points(pts, P.ambient_dim) if pts else Polytope.empty(P.ambient_dim)
+        return Polytope.from_points(pts, P.ambient_dim)
     vals = [dot(u, v) for v in P.vertices]
     pts = [v for v, t in zip(P.vertices, vals) if t == value]
     for i, j in P.edges():
@@ -736,28 +749,21 @@ def cut(P, normal, value):
             t = (value - ti) / (tj - ti)
             vi, vj = P.vertices[i], P.vertices[j]
             pts.append(tuple(x + t * (y - x) for x, y in zip(vi, vj)))
-    if not pts:
-        return Polytope.empty(P.ambient_dim)
     return Polytope.from_points(pts, P.ambient_dim)
 
 
 def sum_slice(P, lam):
     """Slice by the total-coordinate hyperplane sum(x) = lam."""
-    if P.is_empty:
-        return Polytope.empty(P.ambient_dim)
-    ones = tuple(Fraction(1) for _ in range(P.ambient_dim))
-    return cut(P, ones, lam)
+    return cut(P, (1,) * P.ambient_dim, lam)
 
 
 def standard_simplex(n):
     """conv{0, e_1, ..., e_n}."""
-    return hull([tuple(Fraction(int(j == i)) for j in range(n)) for i in range(-1, n)])
+    return hull([tuple(int(j == i) for j in range(n)) for i in range(-1, n)])
 
 
 def box(sides):
     """Axis box prod [0, a_i]."""
-    sides = [rat(a) for a in sides]
-    n = len(sides)
-    pts = [tuple(sides[i] if bit else Fraction(0) for i, bit in enumerate(bits))
-           for bits in product((0, 1), repeat=n)]
+    pts = [tuple(sides[i] if bit else 0 for i, bit in enumerate(bits))
+           for bits in product((0, 1), repeat=len(sides))]
     return hull(pts)

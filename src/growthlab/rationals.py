@@ -25,8 +25,7 @@ def rat(x) -> Fraction:
 
 
 def rat_str(q) -> str:
-    """Serialize a rational as 'num' or 'num/den'."""
-    q = Fraction(q)
+    """Serialize an int or a Fraction as 'num' or 'num/den'."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -44,18 +43,17 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def is_integral(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
-
-
 def _integer_rows(rows):
-    """Rows scaled to ints by the lcm of their denominators; the scales' product."""
+    """Rows scaled to ints by the lcm of their denominators; the scales'
+    product.  A row of ints is kept as it is."""
     out, scale = [], 1
     for row in rows:
-        row = [x if type(x) is int else rat(x) for x in row]
-        d = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
+        if any(type(x) is not int for x in row):
+            row = [x if type(x) is int else rat(x) for x in row]
+            d = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (d // x.denominator) for x in row]
+            scale *= d
+        out.append(row)
     return out, scale
 
 
@@ -156,9 +154,7 @@ def inverse(A):
 
 def primitive_integer(v):
     """Scale a nonzero rational vector to a primitive integer vector (same direction)."""
-    v = vec(v)
-    denom = lcm(*(x.denominator for x in v))
-    ints = [int(x * denom) for x in v]
+    ints = _integer_rows([v])[0][0]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -297,7 +298,15 @@ class TestBadInput:
        # the source of the gluing, and chebyshev's input, are required
        + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0"], "ValueError"),
           (["chebyshev"], "ValueError")])
-    def test_error_json_exit_2(self, files, capsys, argv, error):
+    def test_error_json_exit_2(self, files, capsys, monkeypatch, argv, error):
+        if argv[0] == "embed-ball" and "--fs-lambda" not in argv:
+            # the missing source is refused before the growth condition is built
+            from growthlab import growth as gr
+
+            def refuse(*args):
+                raise AssertionError("work started before the --fs-lambda check")
+
+            monkeypatch.setattr(gr, "build_growth_condition", refuse)
         paths = dict(files)
         rational = files["tmp"] / "rational_square.json"
         rational.write_text(json.dumps(pt.box([F(3, 2), F(3, 2)]).to_json_dict()))
@@ -345,6 +354,34 @@ class TestBadInput:
         code, out = run_cli([a.format(**files) for a in argv], capsys)
         assert code == 0
         assert json.loads(out)["volume_MA_numeric"]["samples"] == int(argv[-1])
+
+    @pytest.mark.parametrize("argv", [["check-delzant", "--polytope", "{square2}"],
+                                      ["check-delzant", "--polytope", "{tmp}"],
+                                      ["corpus", "--k", "1"]],
+                             ids=["report", "error-json", "corpus"])
+    def test_closed_stdout_exits_2(self, files, capsys, monkeypatch, argv):
+        # a pipe with no reader: writing to it raises BrokenPipeError
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = main([a.format(**files) for a in argv])
+            monkeypatch.undo()
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "BrokenPipeError"
+
+    def test_closed_stdout_subprocess_has_no_traceback(self, files):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "growthlab", "corpus", "--k", "1"],
+                stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == "BrokenPipeError"
 
     def test_zero_tolerance_exits_instead_of_hanging(self, files):
         proc = subprocess.run(

@@ -39,6 +39,12 @@ def facet_set(P):
     return {(f.normal, f.offset) for f in P.facets}
 
 
+def incidence(P):
+    """Each vertex's facet indices; the stored table is keyed by the vertex
+    numerators over P.denom."""
+    return {v: P._incidence[X] for X, v in zip(P.int_vertices, P.vertices)}
+
+
 SIGMA = pt.standard_simplex(2)
 SQUARE = pt.box([2, 2])
 TRAP = pt.hull([(0, 0), (3, 0), (1, 1), (0, 1)])
@@ -176,7 +182,7 @@ class TestNormalize:
                 Q, umap = pt.normalize_at_vertex(P, v)
                 zero = tuple(F(0) for _ in range(n))
                 assert zero in Q.vertices
-                gens = set(pt._edge_generators(Q, zero))
+                gens = set(pt._edge_generators(Q, Q.vertices.index(zero)))
                 assert gens == {tuple(1 if j == i else 0 for j in range(n))
                                 for i in range(n)}
                 assert umap.apply(v) == zero
@@ -208,6 +214,15 @@ def rational_clouds(draw, n):
     coord = st.integers(-3, 3).map(lambda a: F(a, d))
     return draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
                          max_size=n + 5)), d
+
+
+def shoelace(pts):
+    """Area of the convex hull of plane points, from its sorted vertex cycle."""
+    cycle = brute_force_vertices(pts)
+    cx, cy = (float(sum(c) / len(cycle)) for c in zip(*cycle))
+    cycle.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+    return abs(sum(x0 * y1 - x1 * y0
+                   for (x0, y0), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]))) / 2
 
 
 def cone_volume(s):
@@ -339,12 +354,7 @@ class TestVolumeProperties:
     def test_area_matches_shoelace(self, pts):
         P = pt.Polytope.from_points(pts)
         assume(P.is_full_dim)
-        cycle = brute_force_vertices(pts)
-        cx, cy = (float(sum(c) / len(cycle)) for c in zip(*cycle))
-        cycle.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
-        twice = sum(x0 * y1 - x1 * y0
-                    for (x0, y0), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]))
-        assert pt.volume(P) == abs(twice) / 2
+        assert pt.volume(P) == shoelace(pts)
 
     @settings(max_examples=10)
     @given(mixed_denominator_clouds(3, 1))
@@ -373,7 +383,9 @@ class TestVolumeProperties:
         pts, _ = cloud
         P = pt.Polytope.from_points(pts)
         assume(P.is_full_dim)
-        vols = [cone_volume(s) for s in pt.triangulate(P)]
+        # the cones are numerator simplices over P.denom
+        vols = [cone_volume([[F(x, P.denom) for x in X] for X in s])
+                for s in pt.triangulate(P)]
         assert vols and all(v > 0 for v in vols)
         assert sum(vols) == pt.volume(P)
         if P.ambient_dim == 1:
@@ -392,6 +404,20 @@ class TestVolumeAvoidsHull:
         for P, vol in zip(polys, (8, 2, 1, F(1, 24), 0)):
             assert pt.volume(P) == vol
             assert pt.triangulate(P)
+
+    def test_lower_dimensional_simplices_span_p(self):
+        """A slice's simplices, also after a rational scaling, are numerator
+        tuples over P.denom of points of P spanning its dimension."""
+        hexagon = pt.sum_slice(pt.box([2, 2, 2]), 3)
+        segment = pt.Polytope.from_points([(0, 0), (F(1, 3), F(1, 3)), (1, 1)])
+        for P in (hexagon, hexagon.scaled(F(2, 3)), segment, segment.scaled(F(5, 2))):
+            simplices = pt.triangulate(P)
+            assert len(simplices) == (4 if P.dim == 2 else 1)
+            for s in simplices:
+                pts = [tuple(F(x, P.denom) for x in X) for X in s]
+                assert len(pts) == P.dim + 1 and all(P.contains(x) for x in pts)
+                assert rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == P.dim
+        assert pt.triangulate(pt.Polytope.from_points([(1, 2)])) == []
 
 
 class TestSimplexInclusion:
@@ -655,8 +681,8 @@ class TestIntegerKernel:
         assert Q.facets == R.facets
         assert pt.volume(Q) == pt.volume(R) == c ** P.ambient_dim * pt.volume(P)
         # the mapped incidence table holds the facets through each vertex
-        assert all(Q._incidence[v] == {i for i, f in enumerate(Q.facets)
-                                       if f.value(v) == f.offset} for v in Q.vertices)
+        assert incidence(Q) == {v: {i for i, f in enumerate(Q.facets) if f.value(v) == f.offset}
+                                for v in Q.vertices}
 
     @given(flat_clouds(), st.sampled_from([F(3, 2), F(2)]) | st.integers(1, 5)
            .map(lambda k: F(1, k)), st.data())
@@ -724,7 +750,8 @@ def delzant_embeddings(draw):
         a, b, c = draw(size), draw(size), draw(st.integers(1, 2))
         base = [(0, 0), (a + c * b, 0), (a, b), (0, b)]
         if kind == "prism":
-            base = [p + (z,) for p in base for z in (0, draw(size))]
+            h = draw(size)
+            base = [p + (z,) for p in base for z in (0, h)]
     n = len(base[0])
     if n == 1:
         M = ((draw(st.sampled_from([1, -1])),),)
@@ -741,7 +768,7 @@ def assert_same_certified(Q, R):
     and the volume of their boundary complexes."""
     assert Q.vertices == R.vertices
     assert Q.facets == R.facets
-    assert Q._incidence == R._incidence
+    assert incidence(Q) == incidence(R)
     assert pt.volume(Q) == pt.volume(R)
 
 
@@ -793,3 +820,60 @@ class TestUnimodularImage:
             for v in P.vertices:
                 assert pt.normalize_at_vertex(P, v)[0].is_full_dim
             assert ok.infinitesimal_map(P).is_full_dim
+
+
+coprime = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(
+    lambda pq: math.gcd(*pq) == 1).map(lambda pq: F(*pq))
+
+
+def apply_by_hand(umap, x):
+    """A (x - base) in Fraction arithmetic, apart from the package's maps."""
+    diff = [F(a) - F(b) for a, b in zip(x, umap.base)]
+    return tuple(sum(F(m) * d for m, d in zip(row, diff)) for row in umap.matrix)
+
+
+class TestChainedDenominators:
+    """scaled, normalize_at_vertex and scaled again, composed: each stage's
+    numerators over its own denominator match a fresh hull of the mapped
+    Fraction vertices and the brute-force oracles."""
+
+    @settings(max_examples=25)
+    @given(delzant_embeddings(), coprime, coprime, st.data())
+    def test_chain_matches_fresh_hulls_and_oracles(self, P0, c1, c2, data):
+        n = P0.ambient_dim
+        P1 = P0.scaled(c1)
+        Q, umap = pt.normalize_at_vertex(P1, data.draw(st.sampled_from(P1.vertices)))
+        Q2 = Q.scaled(c2)
+        pts1 = [tuple(c1 * x for x in v) for v in P0.vertices]
+        ptsq = [apply_by_hand(umap, p) for p in pts1]
+        stages = [(P1, pts1), (Q, ptsq), (Q2, [tuple(c2 * x for x in p) for p in ptsq])]
+        for S, pts in stages:
+            R = pt.Polytope.from_points(pts)
+            facets = brute_force_facets(pts)
+            assert S.vertices == R.vertices
+            assert list(S.vertices) == brute_force_vertices(pts)
+            assert S.facets == R.facets
+            if n > 1:  # the oracle's 1-d facets are primitive (normal, offset) pairs
+                assert facet_set(S) == facets
+            assert pt.volume(S) == pt.volume(R)
+            if n == 2:
+                assert pt.volume(S) == shoelace(pts)
+            u, v = (data.draw(st.sampled_from(pts)) for _ in range(2))
+            t = data.draw(st.builds(F, st.integers(-1, 5), st.integers(1, 4)))
+            free = data.draw(st.tuples(*[st.builds(F, st.integers(-20, 40), st.integers(1, 7))] * n))
+            for x in (u, tuple(a + t * (b - a) for a, b in zip(u, v)), free):
+                assert S.contains(x) == R.contains(x) == all(
+                    sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in facets)
+            box = math.prod(math.floor(max(c)) - math.ceil(min(c)) + 1 for c in zip(*pts))
+            if box <= 3000:  # the oracle tests every point of the box
+                assert pt.lattice_points(S) == pt.lattice_points(R) \
+                    == brute_force_lattice_points(pts, 1)
+        assert pt.volume(Q2) == (c1 * c2) ** n * pt.volume(P0)
+        for S, pts in stages[1:]:
+            facets = brute_force_facets(pts)
+            lam = pt.simplex_inclusion(S)
+            assert lam == pt.simplex_inclusion(pt.Polytope.from_points(pts))
+            oracle = bisection_simplex_inclusion(
+                S, lambda _, x: all(sum(ai * xi for ai, xi in zip(a, x)) <= b
+                                    for a, b in facets), hi=max(lam, 1) + 1)
+            assert abs(lam - oracle) <= F(1, 2 ** 40)
