@@ -33,14 +33,13 @@ from .errors import (
     NotDelzantVertex,
     NotLatticePolytope,
     NotNormalized,
-    UnknownLevel,
 )
 from .rationals import rat, rat_str
 
 PRECONDITION_ERRORS = (
     GrowthViolation, NotDelzantVertex, NotLatticePolytope, NotNormalized,
     DegenerateInput, DimensionMismatch, IncomparableFamilies, EmptySupport,
-    EmptyInput, UnknownLevel, NonpositiveEpsilon, OSError,
+    EmptyInput, NonpositiveEpsilon, OSError,
     json.JSONDecodeError, ValueError,
 )
 
@@ -133,27 +132,22 @@ def _build(args):
 
 def cmd_growth(args):
     gc = _build(args)
-    seed = _seed(args)
     report = gr.growth_report(gc, name=os.path.basename(args.polytope),
                               numeric=args.numeric, samples=args.samples,
-                              seed=seed)
-    out = report.to_json_dict()
-    out["seed"] = seed
+                              seed=_seed(args))
     if args.svg:
         _svg_out(args.svg, _simplex_overlay(gc.polytope, report.seshadri.lp_value))
-    _emit(args, out)
+    _emit(args, report.to_json_dict())
     return 0
 
 
 def cmd_volume(args):
     gc = _build(args)
-    seed = _seed(args)
     out = {"volume_MA": rat_str(gr.monge_ampere_volume(gc)),
-           "volume_polytope": rat_str(pt.volume(gc.polytope)),
-           "seed": seed}
+           "volume_polytope": rat_str(pt.volume(gc.polytope))}
     if args.numeric:
-        mc = gr.monge_ampere_volume_numeric(gc, k=max(gc.approximants),
-                                            samples=args.samples, seed=seed)
+        u = cf.logsumexp_from_polytope(gc.polytope, gc.k_levels[-1])
+        mc = gr.monge_ampere_volume_numeric(u, samples=args.samples, seed=_seed(args))
         out["volume_MA_numeric"] = mc.to_json_dict()
     _emit(args, out)
     return 0
@@ -165,8 +159,7 @@ def cmd_seshadri(args):
     ses = gr.seshadri_constant(gc, tol=tol)
     if args.svg:
         _svg_out(args.svg, _simplex_overlay(gc.polytope, ses.lp_value))
-    _emit(args, {"seshadri": ses.to_json_dict(), "seed": _seed(args),
-                 "tolerance": rat_str(tol)})
+    _emit(args, {"seshadri": ses.to_json_dict(), "tolerance": rat_str(tol)})
     return 0
 
 
@@ -240,15 +233,13 @@ def cmd_embed_ball(args):
     source = cf.SmoothToricPotential.fubini_study(rat(args.fs_lambda), dim=gc.dim)
     glued = em.fit_ball(gc, source, args.R, epsilon=args.epsilon,
                         samples=args.samples, seed=seed)
-    out = glued.certificate.to_json_dict()
-    out["seed"] = seed
     if args.profile:
         rows = em.radial_profile(glued)
         with open(args.profile, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-    _emit(args, out)
+    _emit(args, glued.certificate.to_json_dict())
     return 0
 
 

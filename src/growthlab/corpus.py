@@ -103,7 +103,7 @@ def _shared_row(P, v, by_q, k_levels):
         return _error_row(P, e)
     if Q not in by_q:
         try:
-            gc = gr.normalized_growth_condition(P, v, Q, umap, k_levels)
+            gc = gr.normalized_growth_condition(v, Q, umap, k_levels)
             by_q[Q] = _exact_row(gc)
         except GrowthLabError as e:
             by_q[Q] = _error_row(P, e)

@@ -37,10 +37,6 @@ class EmptyInput(GrowthLabError):
     """A nonempty collection was required."""
 
 
-class UnknownLevel(GrowthLabError):
-    """Requested approximation level k was never built."""
-
-
 class NonpositiveEpsilon(GrowthLabError):
     """Regularization width must be positive."""
 

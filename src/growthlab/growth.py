@@ -1,18 +1,20 @@
 """Canonical growth conditions of Delzant moment polytopes.
 
 A growth condition is the O(1)-class of the toric potential at a fixed
-vertex.  It is carried by the exact polyhedral representative (the support
-function of the normalized polytope) together with smooth log-sum-exp
-approximants and certified two-sided bounds between the two.
+vertex.  It is carried exactly by its polyhedral representative, the support
+function h of the normalized polytope Q.  The smooth log-sum-exp potentials
+u_k over the lattice points of kQ are representatives of the same class; the
+growth report builds them with their certified bounds 0 <= u_k - h <=
+ln N(k)/k, and the Monte-Carlo volume samples the gradients of one of them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import convexfn as cf
 from . import polytope as pt
-from .errors import NotDelzantVertex, UnknownLevel
+from .errors import NotDelzantVertex
 from .rationals import rat, rat_str, simplest_fraction_in, vec
 
 SAMPLE_RADIUS = 50.0  # x-space ball the gradient samples are drawn from
@@ -21,33 +23,19 @@ MAX_SAMPLE_FLOATS = 10 ** 7  # floats a sample array may hold (80 MB)
 
 
 @dataclass(frozen=True)
-class Approximant:
-    k: int
-    potential: cf.SmoothToricPotential
-    lattice_count: int
-    certificate: cf.BoundedDifferenceCertificate
-
-
-@dataclass(frozen=True)
 class GrowthCondition:
     """Growth class of a normalized Delzant polytope at the origin vertex."""
 
     polytope: pt.Polytope
     representative: cf.MaxAffineFunction
-    approximants: dict
+    k_levels: tuple
     c_max: Fraction
-    source_polytope: pt.Polytope
     vertex: tuple
     normalization: pt.UnimodularMap
 
     @property
     def dim(self):
         return self.polytope.ambient_dim
-
-    def approximant(self, k):
-        if k not in self.approximants:
-            raise UnknownLevel(f"no approximant built at level k={k}")
-        return self.approximants[k]
 
 
 def require_delzant(P):
@@ -59,43 +47,38 @@ def require_delzant(P):
 
 
 def build_growth_condition(P, vertex, k_levels=(1, 2, 4)):
-    """Normalize P at the vertex and assemble representative, approximants
-    and their bounded-difference certificates; all levels share one
-    lattice-point budget."""
+    """Normalize the Delzant P at the vertex and take its exact growth class;
+    all levels share one lattice-point budget."""
     require_delzant(P)
     Q, umap = pt.normalize_at_vertex(P, vertex)
-    return normalized_growth_condition(P, vertex, Q, umap, k_levels)
+    return normalized_growth_condition(vertex, Q, umap, k_levels)
 
 
-def normalized_growth_condition(P, vertex, Q, umap, k_levels=(1, 2, 4)):
-    """The growth condition of the Delzant polytope P at the vertex from its
-    normalization (Q, umap) there; everything but the provenance fields
-    depends on Q alone."""
+def normalized_growth_condition(vertex, Q, umap, k_levels=(1, 2, 4)):
+    """The exact growth class at the vertex from the normalization (Q, umap)
+    there: the support function of Q and the sorted distinct levels of the
+    smooth potentials u_k.  No u_k is built here, but the dilates kQ are
+    checked against the lattice-point budget, so a level that the growth
+    report could not enumerate fails every command alike."""
     h = cf.MaxAffineFunction.support_function(Q)
-    levels = sorted(set(int(k) for k in k_levels))
+    levels = tuple(sorted(set(int(k) for k in k_levels)))
     pt.dilate_boxes(Q, levels)
-    approx = {}
-    for k in levels:
-        u = cf.logsumexp_from_polytope(Q, k)
-        cert = cf.sup_difference(u, h)
-        approx[k] = Approximant(k, u, u.lattice_count, cert)
     c_max = Fraction(max(sum(X) for X in Q.int_vertices), Q.denom)
-    return GrowthCondition(Q, h, approx, c_max, P, vec(vertex), umap)
+    return GrowthCondition(Q, h, levels, c_max, vec(vertex), umap)
 
 
-def _sampled_gradients(gc, k, samples, seed):
-    """Gradients of u_k at `samples` seeded uniform points of the
-    SAMPLE_RADIUS ball in x-space.  ValueError for fewer than 1 sample, fewer
-    than the n + 1 that qhull needs for a hull in dimension n >= 2, or more
-    than MAX_SAMPLE_FLOATS / n."""
-    n = gc.dim
+def _sampled_gradients(u, samples, seed):
+    """Gradients of the smooth potential u at `samples` seeded uniform points
+    of the SAMPLE_RADIUS ball in x-space.  ValueError for fewer than 1
+    sample, fewer than the n + 1 that qhull needs for a hull in dimension
+    n >= 2, or more than MAX_SAMPLE_FLOATS / n."""
+    n = u.dim
     least = n + 1 if n >= 2 else 1
     if samples < least:
         raise ValueError(f"samples must be at least {least} in dimension {n}")
     if samples * n > MAX_SAMPLE_FLOATS:
         raise ValueError(f"samples must be at most {MAX_SAMPLE_FLOATS // n} in dimension {n}")
     import numpy as np
-    u = gc.approximant(k).potential
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, n))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -129,16 +112,16 @@ class MonteCarloVolume:
                 "radius": self.radius, "seed": self.seed}
 
 
-def monge_ampere_volume_numeric(gc, k=4, samples=10 ** 5, seed=0):
+def monge_ampere_volume_numeric(u, samples=10 ** 5, seed=0):
     """Monte-Carlo route: n! times the volume of the hull of sampled
-    softmax gradients of u_k."""
-    G = _sampled_gradients(gc, k, samples, seed)
-    if gc.dim == 1:
+    softmax gradients of the log-sum-exp potential u = u_k."""
+    G = _sampled_gradients(u, samples, seed)
+    if u.dim == 1:
         vol = float(G.max() - G.min())
     else:
         from scipy.spatial import ConvexHull
         vol = float(ConvexHull(G, qhull_options="QJ").volume)
-    return MonteCarloVolume(math.factorial(gc.dim) * vol, k, samples, SAMPLE_RADIUS, seed)
+    return MonteCarloVolume(math.factorial(u.dim) * vol, u.k, samples, SAMPLE_RADIUS, seed)
 
 
 @dataclass(frozen=True)
@@ -224,8 +207,8 @@ class GrowthReport:
     gap_inequality: tuple
     c_max: Fraction
     k_levels: tuple
-    certificates: dict = field(default_factory=dict)
-    normalization: pt.UnimodularMap | None = None
+    certificates: dict
+    normalization: pt.UnimodularMap
 
     def to_json_dict(self):
         d = {"name": self.name,
@@ -239,20 +222,21 @@ class GrowthReport:
              "c_max": rat_str(self.c_max),
              "k_levels": list(self.k_levels),
              "certificates": {str(k): c.to_json_dict()
-                              for k, c in self.certificates.items()}}
+                              for k, c in self.certificates.items()},
+             "normalization": self.normalization.to_json_dict()}
         if self.volume_MA_numeric is not None:
             d["volume_MA_numeric"] = self.volume_MA_numeric.to_json_dict()
-        if self.normalization is not None:
-            d["normalization"] = self.normalization.to_json_dict()
         return d
 
 
 def growth_report(gc, name="polytope", numeric=False, samples=10 ** 5, seed=0):
-    """Assemble the full report for a growth condition."""
+    """Assemble the full report for a growth condition: u_k at each of its
+    levels, once, with its certificate against the representative."""
     vol = monge_ampere_volume(gc)
+    potentials = {k: cf.logsumexp_from_polytope(gc.polytope, k) for k in gc.k_levels}
     mc = None
     if numeric:
-        mc = monge_ampere_volume_numeric(gc, k=max(gc.approximants), samples=samples,
+        mc = monge_ampere_volume_numeric(potentials[gc.k_levels[-1]], samples=samples,
                                          seed=seed)
     ses = seshadri_constant(gc)
     return GrowthReport(
@@ -265,7 +249,8 @@ def growth_report(gc, name="polytope", numeric=False, samples=10 ** 5, seed=0):
         seshadri=ses,
         gap_inequality=(ses.lp_value, ses.upper_bound),
         c_max=gc.c_max,
-        k_levels=tuple(sorted(gc.approximants)),
-        certificates={a.k: a.certificate for a in gc.approximants.values()},
+        k_levels=gc.k_levels,
+        certificates={k: cf.sup_difference(u, gc.representative)
+                      for k, u in potentials.items()},
         normalization=gc.normalization,
     )

@@ -95,7 +95,7 @@ class UnimodularMap:
         E = lcm(P.denom, *(x.denominator for x in self.base))
         e = E // P.denom
         B = [x.numerator * (E // x.denominator) for x in self.base]
-        Gt = [[int(x) for x in col] for col in zip(*G)]
+        Gt = list(zip(*G))
 
         def point(X):
             w = [e * x - b for x, b in zip(X, B)]
@@ -579,7 +579,7 @@ def normalize_at_vertex(P, v):
     G = tuple(tuple(gens[c][r] for c in range(n)) for r in range(n))
     if abs(det(G)) != 1:
         raise NotDelzantVertex(f"edge generators at {v} are not unimodular")
-    umap = UnimodularMap(tuple(tuple(int(x) for x in row) for row in inverse(G)), v)
+    umap = UnimodularMap(inverse(G), v)
     # n unimodular edge directions at v make P full-dimensional
     Q = umap.image(P, G)
     if any(any(x < 0 for x in X) for X in Q.int_vertices):
@@ -649,15 +649,9 @@ def dilate_boxes(P, ks):
 
 
 def triangulate(P):
-    """Simplices partitioning P, as numerator tuples over P.denom: the cones
-    from the first vertex v0 over the certified boundary simplices on the
-    facets missing v0, or the span polytope's simplices for a
-    lower-dimensional P, whose points are input points of P's hull."""
-    if not P.is_full_dim:  # a point or the empty set has no span polytope
-        S = P._span_poly
-        return [] if S is None else [tuple(tuple(int(x * P.denom) for x in _from_span(
-            P._span_point, P._span_basis, [Fraction(y, S.denom) for y in Y])) for Y in s)
-            for s in triangulate(S)]
+    """Simplices partitioning the full-dimensional P, as numerator tuples over
+    P.denom: the cones from the first vertex v0 over the certified boundary
+    simplices on the facets missing v0."""
     v0 = P.int_vertices[0]
     through = P._incidence[v0]
     return [(v0,) + s for i, group in enumerate(P._boundary) if i not in through

@@ -109,11 +109,11 @@ def det(A):
 
 
 def _solve_columns(A, bs):
-    """(pivot columns of A, [x with A x = b, every free unknown 0, for b in
-    bs]), or None if some b is inconsistent.  Bareiss runs on [A | b ...]
-    cleared of denominators (scaling a row keeps the solutions); its last
-    pivot D is the minor of A's pivot rows and columns, so D x is integral
-    (Cramer) and the back substitution exact in ints."""
+    """(pivot columns of A, D, [y with A (y / D) = b, every free unknown 0,
+    for b in bs]), or None if some b is inconsistent.  Bareiss runs on
+    [A | b ...] cleared of denominators (scaling a row keeps the solutions);
+    its last pivot D is the minor of A's pivot rows and columns, so D x is
+    integral (Cramer) and the back substitution exact in ints."""
     n = len(A[0]) if A else 0
     rows = _integer_rows([[*a, *c] for a, c in zip(A, zip(*bs))])[0]
     r = _bareiss(rows)[0]
@@ -121,13 +121,13 @@ def _solve_columns(A, bs):
     if pivots and pivots[-1] >= n:
         return None
     D = rows[r - 1][pivots[-1]] if r else 1
-    xs = []
+    ys = []
     for j in range(n, n + len(bs)):
         y = [0] * n
         for row, c in reversed(list(zip(rows, pivots))):
             y[c] = (D * row[j] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
-        xs.append(tuple(Fraction(v, D) for v in y))
-    return pivots, xs
+        ys.append(y)
+    return pivots, D, ys
 
 
 def solve(A, b):
@@ -135,21 +135,30 @@ def solve(A, b):
     found = _solve_columns(A, [b])
     if found is None or len(found[0]) < len(A):
         return None
-    return found[1][0]
+    _, D, [y] = found
+    return tuple(Fraction(v, D) for v in y)
 
 
 def solve_general(A, b):
     """One solution of a possibly rectangular consistent system, else None:
     the one whose free unknowns are 0."""
     found = _solve_columns(A, [b])
-    return None if found is None else found[1][0]
+    if found is None:
+        return None
+    _, D, [y] = found
+    return tuple(Fraction(v, D) for v in y)
 
 
 def inverse(A):
-    """The inverse of a square matrix as a tuple of rows, or None if singular."""
+    """The inverse of a unimodular integer matrix as a tuple of int rows:
+    the last pivot D is +-det A = +-1, so the solutions y / D of the identity's
+    columns are D y.  ValueError for a singular or non-unimodular matrix."""
     n = len(A)
     found = _solve_columns(A, [[int(i == j) for i in range(n)] for j in range(n)])
-    return None if found is None else tuple(zip(*found[1]))
+    if found is None or found[1] not in (1, -1):
+        raise ValueError("only a unimodular matrix has an integer inverse")
+    _, D, ys = found
+    return tuple(zip(*([D * v for v in y] for y in ys)))
 
 
 def primitive_integer(v):

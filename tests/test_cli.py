@@ -423,6 +423,42 @@ class TestBadInput:
         assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
 
 
+class TestExactClass:
+    """Only growth and volume --numeric build the smooth potentials u_k; every
+    other command reads the exact class, yet checks --k against the budget."""
+
+    @pytest.mark.parametrize("argv", [
+        ["seshadri", "--polytope", "{trapezoid}", "--vertex", "0,0"],
+        ["decompose", "--polytope", "{trapezoid}", "--vertex", "0,0"],
+        ["gromov", "--polytope", "{trapezoid}", "--vertex", "0,0"],
+        ["volume", "--polytope", "{trapezoid}", "--vertex", "0,0"],
+        ["embed-ball", "--polytope", "{square2}", "--vertex", "0,0", "--fs-lambda", "3/2",
+         "--R", "5"],
+        ["corpus", "--k", "1,2,4"],
+    ], ids=["seshadri", "decompose", "gromov", "volume", "embed-ball", "corpus"])
+    def test_builds_no_potential(self, files, capsys, monkeypatch, argv):
+        from growthlab import convexfn as cf
+
+        def refuse(*args):
+            raise AssertionError("a smooth potential or its certificate was built")
+
+        monkeypatch.setattr(cf, "logsumexp_from_polytope", refuse)
+        monkeypatch.setattr(cf, "sup_difference", refuse)
+        code, _ = run_cli([a.format(**files) for a in argv], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ["seshadri", "decompose"])
+    @pytest.mark.parametrize("k", [0, 200])
+    def test_bad_level_is_the_budget_error(self, files, capsys, command, k):
+        with pytest.raises(ValueError) as expected:
+            pt.dilate_boxes(pt.box([2, 2, 2]), (k,))
+        code, out = run_cli([command, "--polytope", files["cube2"], "--vertex", "0,0,0",
+                             "--k", str(k)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": str(expected.value)}
+
+
 # One argv per command that makes no float computation.
 EXACT_ARGVS = {
     "check-delzant": ["check-delzant", "--polytope", "{trapezoid}"],

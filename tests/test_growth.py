@@ -7,7 +7,7 @@ import pytest
 from growthlab import convexfn as cf
 from growthlab import growth as gr
 from growthlab import polytope as pt
-from growthlab.errors import NotDelzantVertex, UnknownLevel
+from growthlab.errors import NotDelzantVertex
 
 SIGMA = pt.standard_simplex(2)
 SQUARE = pt.box([2, 2])
@@ -33,9 +33,12 @@ class TestBuild:
     def test_simplex_certificates(self, gc_sigma):
         assert gc_sigma.c_max == 1
         expected = {1: math.log(3), 2: math.log(6) / 2, 4: math.log(15) / 4}
-        for k, a in gc_sigma.approximants.items():
-            assert a.certificate.lower == 0
-            assert float(a.certificate.upper) == pytest.approx(expected[k])
+        assert gc_sigma.k_levels == (1, 2, 4)
+        for k in gc_sigma.k_levels:
+            u = cf.logsumexp_from_polytope(gc_sigma.polytope, k)
+            cert = cf.sup_difference(u, gc_sigma.representative)
+            assert cert.lower == 0
+            assert float(cert.upper) == pytest.approx(expected[k])
 
     def test_square_normalized_from_far_vertex(self):
         gc = gr.build_growth_condition(SQUARE, (2, 2), [1])
@@ -60,22 +63,24 @@ class TestRecover:
     def test_float_route_square(self, gc_square):
         # every gradient lies in the polytope, so the covering radius of the
         # samples over its vertices bounds the Hausdorff distance of their hull
-        G = gr._sampled_gradients(gc_square, 4, 10 ** 4, 2)
+        u4 = cf.logsumexp_from_polytope(gc_square.polytope, 4)
+        G = gr._sampled_gradients(u4, 10 ** 4, 2)
         assert G.min() >= -1e-12 and G.max() <= 2 + 1e-12
         V = np.array([[float(c) for c in v] for v in SQUARE.vertices])
         bound = np.sqrt(((V[:, None, :] - G[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max()
         assert bound < 0.5
-        documented = math.log(gc_square.approximant(4).lattice_count) / 4 * 2
+        documented = math.log(u4.lattice_count) / 4 * 2
         assert bound <= documented
 
     def test_too_few_samples_is_value_error(self, gc_square):
+        u4 = cf.logsumexp_from_polytope(gc_square.polytope, 4)
         with pytest.raises(ValueError, match="samples"):
-            gr.monge_ampere_volume_numeric(gc_square, 4, samples=2)
-        assert gr.monge_ampere_volume_numeric(gc_square, 4, samples=3).samples == 3
-        gc = gr.build_growth_condition(pt.box([5]), (0,), [1])
+            gr.monge_ampere_volume_numeric(u4, samples=2)
+        assert gr.monge_ampere_volume_numeric(u4, samples=3).samples == 3
+        u1 = cf.logsumexp_from_polytope(pt.box([5]), 1)
         with pytest.raises(ValueError, match="samples"):
-            gr.monge_ampere_volume_numeric(gc, 1, samples=0)
-        assert gr.monge_ampere_volume_numeric(gc, 1, samples=1).value == 0
+            gr.monge_ampere_volume_numeric(u1, samples=0)
+        assert gr.monge_ampere_volume_numeric(u1, samples=1).value == 0
 
 
 class TestVolume:
@@ -89,8 +94,8 @@ class TestVolume:
         assert gr.monge_ampere_volume(gc) == 5
 
     def test_monte_carlo_square(self, gc_square):
-        mc = gr.monge_ampere_volume_numeric(gc_square, k=4, samples=2 * 10 ** 4,
-                                            seed=1)
+        mc = gr.monge_ampere_volume_numeric(cf.logsumexp_from_polytope(gc_square.polytope, 4),
+                                            samples=2 * 10 ** 4, seed=1)
         assert mc.value == pytest.approx(8, rel=0.02)
 
     def test_vertex_invariance(self):
@@ -214,8 +219,8 @@ class TestDecompose:
 
 def level_bounds(gc, k, m):
     """-ln N(m)/m <= u_k - u_m <= ln N(k)/k, through 0 <= u_j - h <= ln N(j)/j."""
-    ak, am = gc.approximant(k), gc.approximant(m)
-    return -math.log(am.lattice_count) / m, math.log(ak.lattice_count) / k
+    uk, um = (cf.logsumexp_from_polytope(gc.polytope, j) for j in (k, m))
+    return -math.log(um.lattice_count) / m, math.log(uk.lattice_count) / k
 
 
 class TestLevelEquivalence:
@@ -225,18 +230,14 @@ class TestLevelEquivalence:
         assert lower == pytest.approx(-math.log(6) / 2)
 
     def test_versus_representative(self, gc_trap):
-        cert = gc_trap.approximant(1).certificate
+        u1 = cf.logsumexp_from_polytope(gc_trap.polytope, 1)
+        cert = cf.sup_difference(u1, gc_trap.representative)
         assert cert.lower == 0
         assert float(cert.upper) == pytest.approx(math.log(6))
 
-    def test_unknown_level(self, gc_sigma):
-        with pytest.raises(UnknownLevel):
-            gc_sigma.approximant(3)
-
     def test_sampled_difference_within_certificate(self, gc_square):
         lower, upper = level_bounds(gc_square, 1, 4)
-        u1 = gc_square.approximant(1).potential
-        u4 = gc_square.approximant(4).potential
+        u1, u4 = (cf.logsumexp_from_polytope(gc_square.polytope, k) for k in (1, 4))
         X = np.random.default_rng(0).uniform(-20, 20, (500, 2))
         diff = u1.value_many(X) - u4.value_many(X)
         assert diff.min() >= lower - 1e-10

@@ -403,21 +403,7 @@ class TestVolumeAvoidsHull:
         monkeypatch.setattr(pt.Polytope, "from_points", refuse)
         for P, vol in zip(polys, (8, 2, 1, F(1, 24), 0)):
             assert pt.volume(P) == vol
-            assert pt.triangulate(P)
-
-    def test_lower_dimensional_simplices_span_p(self):
-        """A slice's simplices, also after a rational scaling, are numerator
-        tuples over P.denom of points of P spanning its dimension."""
-        hexagon = pt.sum_slice(pt.box([2, 2, 2]), 3)
-        segment = pt.Polytope.from_points([(0, 0), (F(1, 3), F(1, 3)), (1, 1)])
-        for P in (hexagon, hexagon.scaled(F(2, 3)), segment, segment.scaled(F(5, 2))):
-            simplices = pt.triangulate(P)
-            assert len(simplices) == (4 if P.dim == 2 else 1)
-            for s in simplices:
-                pts = [tuple(F(x, P.denom) for x in X) for X in s]
-                assert len(pts) == P.dim + 1 and all(P.contains(x) for x in pts)
-                assert rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == P.dim
-        assert pt.triangulate(pt.Polytope.from_points([(1, 2)])) == []
+            assert not P.is_full_dim or pt.triangulate(P)
 
 
 class TestSimplexInclusion:
@@ -576,6 +562,25 @@ def matrices(draw, square):
                          min_size=m, max_size=m))
 
 
+@st.composite
+def unimodular_matrices(draw):
+    """1-4 rows: a product of elementary integer matrices (row shears, row
+    swaps and sign flips), so the determinant is +-1."""
+    n = draw(st.integers(1, 4))
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["shear", "swap", "flip"]))
+        if kind == "shear" and i != j:
+            c = draw(st.integers(-3, 3))
+            M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+        elif kind == "swap":
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [-a for a in M[i]]
+    return M
+
+
 def _times(A, x):
     return [sum(a * y for a, y in zip(row, x)) for row in A]
 
@@ -622,14 +627,16 @@ class TestSolvers:
             assert all(type(c) is F for c in x)
             assert _times(A, x) == b
 
-    @given(matrices(square=True))
-    def test_inverse(self, A):
+    @given(unimodular_matrices(), st.sampled_from([0, 2, -3]))
+    def test_inverse(self, A, c):
         inv = inverse(A)
-        assert (inv is None) == (laplace_det(A) == 0)
-        if inv is not None:
-            n = len(A)
-            columns = [_times(inv, col) for col in zip(*A)]  # of inv . A
-            assert columns == [[int(i == j) for i in range(n)] for j in range(n)]
+        n = len(A)
+        assert all(type(x) is int for row in inv for x in row)
+        columns = [_times(inv, col) for col in zip(*A)]  # of inv . A
+        assert columns == [[int(i == j) for i in range(n)] for j in range(n)]
+        # a row scaled by c makes the determinant 0 or at least 2 in size
+        with pytest.raises(ValueError):
+            inverse([[c * x for x in A[0]]] + A[1:])
 
 
 class TestSimplestFraction:
