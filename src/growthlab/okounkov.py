@@ -3,7 +3,10 @@ Chebyshev transforms.
 
 A section of a graded monomial series is a monomial, and its valuation under
 any monomial order is its own exponent, so a body is the hull of W_k / k and
-no order is needed to compute it."""
+no order is needed to compute it.  A level past the first full-dimensional
+one, B, is certified as B by two integer checks: (a) kB's vertices lie in
+W_k, so kB is inside conv(W_k); (b) W_k's axis endpoints, which keep
+conv(W_k), satisfy kB's facet inequalities, so conv(W_k) is inside kB."""
 
 import math
 from dataclasses import dataclass
@@ -12,15 +15,15 @@ from fractions import Fraction
 from . import convexfn as cf
 from . import polytope as pt
 from .errors import DimensionMismatch, EmptySupport, IncomparableFamilies
-from .rationals import inverse, rat_str
+from .rationals import dot, inverse, rat_str
 
 
 class GradedMonomialSeries:
     """Per-degree finite sets of exponent vectors in N^n."""
 
     def __init__(self, degrees):
-        self.degrees = {int(k): frozenset(tuple(int(x) for x in a) for a in v)
-                        for k, v in degrees.items() if v}
+        """Exponent vectors are int tuples of one common dimension."""
+        self.degrees = {int(k): frozenset(v) for k, v in degrees.items() if v}
         if not self.degrees:
             raise EmptySupport("series has no nonempty degree")
         dims = {len(a) for v in self.degrees.values() for a in v}
@@ -59,15 +62,33 @@ def okounkov_body(series):
 
     Every monomial of W_k is a section whose valuation vector is its own
     exponent under every monomial order, so the degree-k hull is the hull of
-    W_k / k whatever the order: the integer exponents are hulled and the
-    result scaled by 1/k.  The limit is recorded when all computed levels
-    agree (the toric series stabilizes at every level).
+    W_k / k whatever the order.  Let B, with vertex numerators X over
+    B.denom = D and facets a.x <= c / D, be the first full-dimensional level.
+    A later level k is B when (a) each k X / D is an integer point of W_k, so
+    kB lies in conv(W_k), and (b) each point w of W_k that `_axis_endpoints`
+    keeps, and so conv(W_k), has (a.w) D <= k c, so conv(W_k) lies in kB.
+    Any other level is hulled.  The limit is recorded when all computed
+    levels agree (the toric series stabilizes at every level).
     """
-    hull_at = {k: pt.Polytope.from_points(series.degrees[k], series.dim).scaled(Fraction(1, k))
-               for k in sorted(series.degrees)}
+    hull_at, B = {}, None
+    for k, W in sorted(series.degrees.items()):
+        hull_at[k] = B if B is not None and _is_dilate(W, k, B) else \
+            pt.Polytope.from_points(W, series.dim).scaled(Fraction(1, k))
+        if B is None and hull_at[k].is_full_dim:
+            B = hull_at[k]
     bodies = list(hull_at.values())
     limit = bodies[0] if all(b == bodies[0] for b in bodies) else None
     return OkounkovBody(hull_at, limit)
+
+
+def _is_dilate(W, k, B):
+    """conv(W) = kB for a full-dimensional B, by checks (a) and (b)."""
+    D = B.denom
+    if any(k * x % D for X in B.int_vertices for x in X) or any(
+            tuple(k * x // D for x in X) not in W for X in B.int_vertices):
+        return False
+    return all(dot(a, w) * D <= k * c
+               for w in pt._axis_endpoints(list(W)) for a, c in B.int_facets)
 
 
 def infinitesimal_map(B):

@@ -36,6 +36,8 @@ FIXTURES = {
     # denominators 2 and 3: the hull runs over D = 6
     "rational_triangle": ([["1/2", "1/3"], ["5/2", "1/3"], ["1/2", "7/3"]], "5/2,1/3"),
     "half_square": ([["0", "0"], ["3/2", "0"], ["0", "3/2"], ["3/2", "3/2"]], "3/2,0"),
+    # first full-dimensional Okounkov level k = 2; its dilate by 3 is not integral
+    "quarter_square": ([["0", "0"], ["1/2", "0"], ["0", "1/2"], ["1/2", "1/2"]], "1/2,0"),
     "segment": ([["0", "0"], ["2", "1"]], "2,1"),
 }
 
@@ -52,6 +54,7 @@ COMMANDS = [
     ["seshadri", "--tol", "100", "--vertex"],
     ["decompose", "--vertex"],
     ["okounkov"],
+    ["okounkov", "--k-max", "4"],
     ["chebyshev"],
     ["chebyshev", "--vertex"],
     ["gromov", "--vertex"],

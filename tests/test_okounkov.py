@@ -39,6 +39,24 @@ class TestSeries:
         assert multiplicative(restricted_series())
 
 
+@pytest.fixture()
+def hulls(monkeypatch):
+    """The argument tuples of every Polytope.from_points call from now on."""
+    calls = []
+    real = pt.Polytope.from_points.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(pt.Polytope, "from_points", classmethod(counted))
+    return calls
+
+
+def fresh_hull(series, k):
+    return pt.Polytope.from_points(series.degrees[k], series.dim).scaled(F(1, k))
+
+
 class TestBody:
     def test_toric_series_equals_polytope_at_every_level(self):
         for P in (SIGMA, SQUARE, TRAP):
@@ -56,22 +74,24 @@ class TestBody:
         v8 = pt.volume(body.hull_at[8])
         assert abs(2 * v8 - 2 * pt.volume(target)) <= F(1, 10)
 
-    def test_lower_dimensional_levels_hull_once(self, monkeypatch):
+    def test_lower_dimensional_levels_hull_once(self, hulls):
         segment = pt.Polytope.from_points([(0, 0), (2, 1)])
         series = ok.GradedMonomialSeries.toric(segment, 3)
-        hulls = []
-        real = pt.Polytope.from_points.__func__
-
-        def counted(cls, *args):
-            hulls.append(args)
-            return real(cls, *args)
-
-        monkeypatch.setattr(pt.Polytope, "from_points", classmethod(counted))
+        hulls.clear()
         body = ok.okounkov_body(series)
         # one hull of W_k per level, which hulls its span coordinates once more
         assert len(hulls) == 6
         assert body.limit == segment
         assert all(pt.relative_volume(B) == 1 for B in body.hull_at.values())
+
+    def test_lattice_polytope_hulls_its_first_level_only(self, hulls):
+        for P in (SIGMA, TRAP, pt.box([1, 2, 3])):
+            series = ok.GradedMonomialSeries.toric(P, 3)
+            hulls.clear()
+            body = ok.okounkov_body(series)
+            # conv(kP cap Z^n) = kP, so levels 2 and 3 are certified dilates
+            assert len(hulls) == 1
+            assert body.limit == P
 
     def test_superadditive_chain(self):
         series = ok.GradedMonomialSeries.toric(TRAP, 4)
@@ -80,6 +100,55 @@ class TestBody:
             inner = body.hull_at[j]
             outer = body.hull_at[j + k]
             assert all(outer.contains(v) for v in inner.vertices)
+
+
+class TestCertifiedLevels:
+    """A level past the first full-dimensional one, B, is B when kB's
+    vertices lie in W_k (a) and W_k lies in kB (b), and is hulled otherwise;
+    either way it is the hull of W_k / k."""
+
+    def test_every_level_is_the_hull_of_its_cloud(self, rng):
+        from conftest import random_delzant
+        for i in range(10):
+            P = random_delzant(rng, 2 + i % 2)
+            for c in (1, F(1, 2), F(2, 3), F(3, 2)):
+                series = ok.GradedMonomialSeries.toric(P.scaled(c), {2: 4, 3: 3}[P.ambient_dim])
+                body = ok.okounkov_body(series)
+                assert sorted(body.hull_at) == sorted(series.degrees)
+                assert all(B == fresh_hull(series, k) for k, B in body.hull_at.items())
+
+    def test_outer_inclusion_fails(self):
+        # [0,3/2]^2: B = [0,1]^2, and 2B's vertices lie in W_2 = [0,3]^2 cap Z^2,
+        # but (3, 0) breaks 2B's facet x <= 2
+        series = ok.GradedMonomialSeries.toric(pt.box([F(3, 2)] * 2), 2)
+        body = ok.okounkov_body(series)
+        assert body.hull_at[1] == pt.box([1, 1])
+        assert all(tuple(2 * x for x in v) in series.degrees[2] for v in body.hull_at[1].vertices)
+        assert body.hull_at[2] == pt.box([F(3, 2)] * 2)
+        assert body.limit is None
+
+    def test_non_integral_dilate_then_certified(self, hulls):
+        # [0,1/2]^2: W_1 is the origin, B = [0,1/2]^2 at k = 2, 3B has the
+        # vertex (3/2, 0), and 4B = [0,2]^2 is certified
+        series = ok.GradedMonomialSeries.toric(pt.box([F(1, 2)] * 2), 4)
+        hulls.clear()
+        body = ok.okounkov_body(series)
+        # the point at k = 1 (and its scaling), then k = 2 and k = 3
+        assert len(hulls) == 4
+        assert body.hull_at[1].is_point
+        assert body.hull_at[2] == pt.box([F(1, 2)] * 2)
+        assert body.hull_at[3] == pt.box([F(1, 3)] * 2)
+        assert body.hull_at[4] is body.hull_at[2]
+
+    def test_missing_vertex_of_the_dilate(self):
+        # W_2 lies in 2B = [0,2]^2 but lacks its vertex (2, 2)
+        square = [(x, y) for x in (0, 1) for y in (0, 1)]
+        level2 = [(x, y) for x in range(3) for y in range(3) if (x, y) != (2, 2)]
+        series = ok.GradedMonomialSeries({1: square, 2: level2})
+        body = ok.okounkov_body(series)
+        assert body.hull_at[1] == pt.box([1, 1])
+        assert body.hull_at[2] == pt.hull([(0, 0), (1, 0), (0, 1), (1, F(1, 2)), (F(1, 2), 1)])
+        assert body.limit is None
 
 
 class TestInfinitesimalMap:
