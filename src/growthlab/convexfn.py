@@ -123,13 +123,6 @@ class MaxAffineFunction:
         keep = set(self._lifted_hull[0].vertices)
         return tuple(p for p in self.pieces if p.slope + (-p.offset,) in keep)
 
-    def piece_set(self):
-        return frozenset((p.slope, p.offset) for p in self._pruned_pieces)
-
-    def same_function(self, other):
-        """Exact equality as functions (canonical pruned piece sets agree)."""
-        return self.piece_set() == other.piece_set()
-
     @cached_property
     def slope_polytope(self):
         """Hull of all slopes; a dominated piece's slope lies in the hull of
@@ -178,25 +171,23 @@ def legendre(f):
 class SmoothToricPotential:
     """Smooth convex function from a named family.
 
-    lse:    (1/k) ln sum over stored exponents of exp(<a, x>), exponents
-            the lattice points of kP (logsumexp_from_polytope)
+    lse:    (1/k) ln sum over the exponents a of exp(<a, x>), the lattice
+            points of kP; they are enumerated only when u_k is evaluated
+            (logsumexp_from_polytope)
     fs:     lam * ln(1 + sum_i exp(x_i))      (scaled Fubini-Study potential)
     """
 
-    def __init__(self, family, *, k=None, exponents=None, lam=None, dim=None,
+    def __init__(self, family, *, k=None, count=None, lam=None, dim=None,
                  polytope=None):
-        """lse takes its exponents as given, the sorted int tuples that
-        lattice_points returns, and its slope polytope P."""
+        """lse takes its slope polytope P and the count N(k) of the lattice
+        points of kP."""
         self.family = family
         if family == "lse":
             self.k = int(k)
-            self.exponents = tuple(exponents)
-            if not self.exponents:
-                raise EmptyInput("log-sum-exp needs at least one exponent")
             if polytope is None:
                 raise ValueError("log-sum-exp needs its slope polytope")
-            self.dim = len(self.exponents[0])
-            self._polytope = polytope
+            self.dim = polytope.ambient_dim
+            self._polytope, self._count = polytope, count
         elif family == "fs":
             self.lam = rat(lam)
             if self.lam <= 0:
@@ -217,7 +208,12 @@ class SmoothToricPotential:
     def lattice_count(self):
         if self.family != "lse":
             raise IncomparableFamilies("lattice count only defined for lse")
-        return len(self.exponents)
+        return self._count
+
+    @cached_property
+    def exponents(self):
+        """The lattice points of kP as sorted int tuples, enumerated once."""
+        return tuple(pt.lattice_points(self._polytope, self.k))
 
     @cached_property
     def _exp_arr(self):
@@ -264,12 +260,14 @@ class SmoothToricPotential:
 
     def __repr__(self):
         if self.family == "lse":
-            return f"SmoothToricPotential(lse, k={self.k}, N={len(self.exponents)})"
+            return f"SmoothToricPotential(lse, k={self.k}, N={self._count})"
         return f"SmoothToricPotential(fs, lam={self.lam}, dim={self.dim})"
 
 
 def logsumexp_from_polytope(P, k):
-    """Toric potential u_k from the lattice points of kP.
+    """Toric potential u_k over the lattice points of kP, built with their
+    count N(k); the points themselves are enumerated only when u_k is
+    evaluated.
 
     Requires P normalized (origin vertex, positive orthant) with integral
     vertices, so that h_P <= u_k <= h_P + ln(N(k))/k holds for every k >= 1.
@@ -278,7 +276,7 @@ def logsumexp_from_polytope(P, k):
     if not pt._is_lattice(P):
         from .errors import NotNormalized
         raise NotNormalized("polytope must be a lattice polytope")
-    return SmoothToricPotential("lse", k=k, exponents=pt.lattice_points(P, k), polytope=P)
+    return SmoothToricPotential("lse", k=k, count=pt.lattice_count(P, k), polytope=P)
 
 
 @dataclass(frozen=True)
@@ -355,7 +353,9 @@ def sup_difference(f, g):
 
     Both max-affine: exact LP values, finite iff the slope polytopes agree.
     A log-sum-exp potential u_k over P against the support function h_P:
-    the analytic bound 0 <= u_k - h_P <= ln N(k)/k.
+    the analytic bound 0 <= u_k - h_P <= ln N(k)/k.  g is h_P exactly when
+    the hull of its slopes is P, no offset is positive and every vertex of P
+    carries a piece with offset 0: then h_P <= g <= h_P.
     """
     if isinstance(f, MaxAffineFunction) and isinstance(g, MaxAffineFunction):
         up, wit_up = _sup_max_affine(f, g)
@@ -367,7 +367,10 @@ def sup_difference(f, g):
         return BoundedDifferenceCertificate(lower, up, "exact-lp", wit)
     if isinstance(f, SmoothToricPotential) and f.family == "lse" \
             and isinstance(g, MaxAffineFunction):
-        if not g.same_function(MaxAffineFunction.support_function(f.slope_polytope)):
+        # pieces and vertices are both sorted, so each vertex is found in order
+        P, zero = f.slope_polytope, iter([p.slope for p in g.pieces if p.offset == 0])
+        if not (g.slope_polytope == P and max(p.offset for p in g.pieces) <= 0
+                and all(v in zero for v in P.vertices)):
             raise IncomparableFamilies(
                 "log-sum-exp is bounded only against its polytope's support function")
         n_count = f.lattice_count

@@ -4,8 +4,9 @@ A growth condition is the O(1)-class of the toric potential at a fixed
 vertex.  It is carried exactly by its polyhedral representative, the support
 function h of the normalized polytope Q.  The smooth log-sum-exp potentials
 u_k over the lattice points of kQ are representatives of the same class; the
-growth report builds them with their certified bounds 0 <= u_k - h <=
-ln N(k)/k, and the Monte-Carlo volume samples the gradients of one of them.
+growth report builds them from the counts N(k) of those points, with their
+certified bounds 0 <= u_k - h <= ln N(k)/k.  Only the Monte-Carlo volume,
+which samples the gradients of one of them, enumerates the points of kQ.
 """
 
 import math

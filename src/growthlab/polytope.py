@@ -18,6 +18,7 @@ affine-span basis and a full-dimensional span polytope.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import factorial, gcd, lcm, prod
 
@@ -302,18 +303,20 @@ class Polytope:
             raise DegenerateInput('polytope "vertices" must be a list of rational lists')
         return cls.from_points(pts, dim)
 
+    @cached_property
     def _key(self):
         """The vertex numerators over their least denominator."""
         g = gcd(self.denom, *(x for X in self.int_vertices for x in X))
         return self.denom // g, tuple(tuple(x // g for x in X) for X in self.int_vertices)
 
     def __eq__(self, other):
-        return (isinstance(other, Polytope)
-                and (self.ambient_dim, self.dim) == (other.ambient_dim, other.dim)
-                and self._key() == other._key())
+        return self is other or (
+            isinstance(other, Polytope)
+            and (self.ambient_dim, self.dim) == (other.ambient_dim, other.dim)
+            and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._key()))
+        return hash((self.ambient_dim, self._key))
 
     def __repr__(self):
         if self.is_empty:
@@ -588,39 +591,63 @@ def normalize_at_vertex(P, v):
 
 
 def lattice_points(P, k=1):
-    """Integer points of the dilate kP, sorted, by an integer row scan.
-
-    For integer x, a.x <= k c / D iff a.x <= floor(k c / D), so every facet
-    becomes an integer row (a', a_n, floor(k c / D)).  Each row of the first
-    n - 1 coordinates of the bounding box then meets kP in one interval of
-    the last coordinate, cut out by r = floor(k c / D) - a'.x' as x_n <= r //
-    a_n (a_n > 0), x_n >= -(r // -a_n) (a_n < 0) or nothing (a_n = 0, r < 0).
-    A lower-dimensional P tests each box point for membership instead.  The
-    box is first checked by dilate_boxes.
-    """
+    """Integer points of the dilate kP, sorted: the points of each row of
+    _rows in turn.  A lower-dimensional P tests each box point for membership
+    instead.  The box is first checked by dilate_boxes."""
     if P.is_empty:
         return []
     k = int(k)
+    if P.is_full_dim:
+        return [head + (x,) for head, lo, hi in _rows(P, k) for x in range(lo, hi + 1)]
     [(los, his)] = dilate_boxes(P, (k,))
-    ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+    return [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+            if P.contains(tuple(Fraction(c, k) for c in x))]
+
+
+def lattice_count(P, k=1):
+    """The number of integer points of kP, N(k) = h^0(kL) in the toric case:
+    the row lengths of _rows summed, with no point built."""
+    k = int(k)
     if not P.is_full_dim:
-        return [x for x in product(*ranges)
-                if P.contains(tuple(Fraction(c, k) for c in x))]
-    rows = [(a[:-1], a[-1], k * c // P.denom) for a, c in P.int_facets]
-    out = []
-    for head in product(*ranges[:-1]):
-        lo, hi = los[-1], his[-1]
-        for a, a_n, b in rows:
-            r = b - sum(x * y for x, y in zip(a, head))
-            if a_n > 0:
-                hi = min(hi, r // a_n)
-            elif a_n < 0:
-                lo = max(lo, -(r // -a_n))
-            elif r < 0:
-                hi = lo - 1
-            if lo > hi:
-                break
-        out.extend(head + (x,) for x in range(lo, hi + 1))
+        return len(lattice_points(P, k))
+    return sum(hi - lo + 1 for _, lo, hi in _rows(P, k))
+
+
+def _rows(P, k):
+    """The nonempty rows (head, lo, hi) of the full-dimensional kP, by
+    ascending head x' in the bounding box: x' + (x_n,) is in kP iff lo <=
+    x_n <= hi.
+
+    For integer x, a.x <= k c / D iff a.x <= floor(k c / D).  The scan sets
+    one coordinate at a time and keeps each facet's residual r = floor(k c /
+    D) minus a.x over the coordinates set so far, updated as x_i steps.  A
+    facet whose normal ends at coordinate i bounds x_i alone once x_1 ..
+    x_{i-1} are set: x_i <= r // a_i (a_i > 0) or x_i >= -(r // -a_i)
+    (a_i < 0).  The box is first checked by dilate_boxes."""
+    [(los, his)] = dilate_boxes(P, (k,))
+    n, normals, out = P.ambient_dim, [a for a, _ in P.int_facets], []
+    last = [max(i for i, x in enumerate(a) if x) for a in normals]
+    cols = list(zip(*normals))
+    ends = [[(j, cols[i][j]) for j, t in enumerate(last) if t == i] for i in range(n)]
+
+    def scan(i, head, res):
+        lo, hi = los[i], his[i]
+        for j, a in ends[i]:
+            if a > 0:
+                hi = min(hi, res[j] // a)
+            else:
+                lo = max(lo, -(res[j] // -a))
+        if i == n - 1:
+            if lo <= hi:
+                out.append((head, lo, hi))
+            return
+        col = cols[i]
+        res = [r - a * lo for r, a in zip(res, col)]
+        for x in range(lo, hi + 1):
+            scan(i + 1, head + (x,), res)
+            res = [r - a for r, a in zip(res, col)]
+
+    scan(0, (), [k * c // P.denom for _, c in P.int_facets])
     return out
 
 

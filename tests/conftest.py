@@ -16,6 +16,17 @@ settings.register_profile("growthlab", derandomize=True, max_examples=40,
 settings.load_profile("growthlab")
 
 
+def piece_set(f):
+    """The pieces (slope, offset) of the max-affine f that attain its
+    maximum somewhere: its canonical form."""
+    return frozenset((p.slope, p.offset) for p in f._pruned_pieces)
+
+
+def same_function(f, g):
+    """Exact equality of max-affine functions: their canonical forms agree."""
+    return piece_set(f) == piece_set(g)
+
+
 def random_unimodular(rng, n, steps=4):
     """Product of elementary integer shears and swaps; determinant +-1."""
     M = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]

@@ -11,6 +11,8 @@ from growthlab import cli
 from growthlab import polytope as pt
 from growthlab.cli import main
 
+from conftest import same_function
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -423,9 +425,14 @@ class TestBadInput:
         assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
 
 
+def _refuse_enumeration(*args):
+    raise AssertionError("the lattice points of kQ were enumerated")
+
+
 class TestExactClass:
     """Only growth and volume --numeric build the smooth potentials u_k; every
-    other command reads the exact class, yet checks --k against the budget."""
+    other command reads the exact class, yet checks --k against the budget.
+    growth counts the points of kQ; only a command that evaluates u_k lists them."""
 
     @pytest.mark.parametrize("argv", [
         ["seshadri", "--polytope", "{trapezoid}", "--vertex", "0,0"],
@@ -447,7 +454,25 @@ class TestExactClass:
         code, _ = run_cli([a.format(**files) for a in argv], capsys)
         assert code == 0
 
-    @pytest.mark.parametrize("command", ["seshadri", "decompose"])
+    def test_growth_counts_without_enumerating(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(pt, "lattice_points", _refuse_enumeration)
+        code, _ = run_cli(["growth", "--polytope", files["cube2"], "--vertex", "0,0,0",
+                           "--k", "1,2,4,8"], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
+         "--samples", "100"],
+        ["volume", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
+         "--samples", "100"],
+        ["chebyshev", "--polytope", "{square2}", "--vertex", "0,0", "--k", "2"],
+    ], ids=["growth-numeric", "volume-numeric", "chebyshev-k"])
+    def test_evaluating_u_k_enumerates(self, files, capsys, monkeypatch, argv):
+        monkeypatch.setattr(pt, "lattice_points", _refuse_enumeration)
+        with pytest.raises(AssertionError, match="enumerated"):
+            run_cli([a.format(**files) for a in argv], capsys)
+
+    @pytest.mark.parametrize("command", ["seshadri", "decompose", "growth"])
     @pytest.mark.parametrize("k", [0, 200])
     def test_bad_level_is_the_budget_error(self, files, capsys, command, k):
         with pytest.raises(ValueError) as expected:
@@ -548,10 +573,10 @@ class TestPruningAvoidsSimplex:
             assert code == 0
         gc = gr.build_growth_condition(pt.box([2, 2]), (0, 0), (1, 2))
         h = gc.representative
-        assert cf.reassemble(gr.decompose(gc)).same_function(h)
+        assert same_function(cf.reassemble(gr.decompose(gc)), h)
         corners = [((0, 0), 0), ((1, 0), 0), ((0, 1), 0)]
         f = cf.MaxAffineFunction(corners + [((F(1, 2), F(1, 4)), -10)])
-        assert f.same_function(cf.MaxAffineFunction(corners))
+        assert same_function(f, cf.MaxAffineFunction(corners))
 
 
 class TestDeterminism:

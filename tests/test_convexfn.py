@@ -17,6 +17,7 @@ from growthlab.errors import (
 )
 
 from _oracles import grid_conjugate_1d, grid_inf_radial
+from conftest import piece_set, same_function
 
 SIGMA = pt.standard_simplex(2)
 SQUARE = pt.box([2, 2])
@@ -82,7 +83,7 @@ class TestLegendre:
                 f = random_max_affine(rng, n)
                 # conjugate back: the roof (slope, value) is the piece (slope, -value)
                 g = cf.MaxAffineFunction([(s, -v) for s, v in cf.legendre(f).breakpoints])
-                assert g.same_function(f)
+                assert same_function(g, f)
                 for _ in range(85):
                     x = tuple(F(rng.randint(-40, 40), rng.randint(1, 5))
                               for _ in range(n))
@@ -93,7 +94,7 @@ class TestLegendre:
         for _ in range(10):
             f = random_max_affine(rng, 2)
             conj = cf.legendre(f)
-            for slope, offset in f.piece_set():
+            for slope, offset in piece_set(f):
                 # active slopes achieve equality: f*(slope) = -offset
                 assert conj(slope) == -offset
             for _ in range(30):
@@ -168,6 +169,22 @@ class TestSupDifference:
         assert cert.upper == pytest.approx(math.log(10) / 3, abs=1e-12)
         assert cert.witnesses["lattice_count"] == 10
 
+    def test_lse_certificate_only_against_h_P(self):
+        u = cf.logsumexp_from_polytope(SQUARE, 2)
+        corners = [(v, 0) for v in SQUARE.vertices]
+        for g in (cf.MaxAffineFunction.support_function(pt.box([2, 2])),
+                  cf.MaxAffineFunction(corners + [((1, 1), -3)])):
+            cert = cf.sup_difference(u, g)
+            assert (cert.lower, cert.witnesses["lattice_count"]) == (0, 25)
+        low_corner = [(v, -1 if v == (2, 2) else 0) for v in SQUARE.vertices]
+        for g in (cf.MaxAffineFunction.support_function(pt.box([2, 3])),
+                  cf.MaxAffineFunction([(v, 1) for v in SQUARE.vertices]),
+                  cf.MaxAffineFunction(low_corner),
+                  cf.MaxAffineFunction(corners + [((1, 1), 1)]),
+                  cf.MaxAffineFunction(corners + [((0, 3), -1)])):
+            with pytest.raises(IncomparableFamilies):
+                cf.sup_difference(u, g)
+
     def test_incomparable(self):
         fs = cf.SmoothToricPotential.fubini_study(1, dim=2)
         with pytest.raises(IncomparableFamilies):
@@ -180,15 +197,15 @@ class TestSupDifference:
 class TestRadialComponent:
     def test_simplex_levels(self):
         v1 = cf.radial_component(h_sigma, 1)
-        assert v1.same_function(cf.MaxAffineFunction([((1, 0), 0), ((0, 1), 0)]))
+        assert same_function(v1, cf.MaxAffineFunction([((1, 0), 0), ((0, 1), 0)]))
         v0 = cf.radial_component(h_sigma, 0)
-        assert v0.same_function(cf.MaxAffineFunction([((0, 0), 0)]))
+        assert same_function(v0, cf.MaxAffineFunction([((0, 0), 0)]))
         assert cf.radial_component(h_sigma, 2) is None
 
     def test_square_off_vertex_level(self):
         v3 = cf.radial_component(h_square, 3)
-        assert v3.same_function(
-            cf.MaxAffineFunction([((1, 2), 0), ((2, 1), 0)]))
+        assert same_function(
+            v3, cf.MaxAffineFunction([((1, 2), 0), ((2, 1), 0)]))
 
     def test_grid_infimum_oracle(self):
         rng = random.Random(5)
@@ -226,7 +243,7 @@ class TestRadialComponent:
             for lam in (-2, 0, F(1, 2), 3):
                 v = cf.radial_component(f, lam)
                 if v is not None:
-                    assert v.piece_set() == {(p.slope, p.offset) for p in v.pieces}
+                    assert piece_set(v) == {(p.slope, p.offset) for p in v.pieces}
                     checked += 1
         assert checked >= 20
 
@@ -240,7 +257,7 @@ class TestRadialComponent:
                     comp = cf.radial_component(h, lam)
                     sl = pt.sum_slice(P, lam)
                     href = cf.MaxAffineFunction([(v, 0) for v in sl.vertices])
-                    assert comp.same_function(href)
+                    assert same_function(comp, href)
                     for _ in range(5):
                         x = tuple(F(rng.randint(-30, 30), rng.randint(1, 4))
                                   for _ in range(n))
@@ -249,15 +266,15 @@ class TestRadialComponent:
 
 class TestReassemble:
     def test_single_component_identity(self):
-        assert cf.reassemble({F(1): h_sigma}).same_function(h_sigma)
+        assert same_function(cf.reassemble({F(1): h_sigma}), h_sigma)
 
     def test_simplex_from_slices(self):
         comps = {lam: cf.radial_component(h_sigma, lam) for lam in (0, 1)}
-        assert cf.reassemble(comps).same_function(h_sigma)
+        assert same_function(cf.reassemble(comps), h_sigma)
 
     def test_trapezoid_from_slices(self):
         comps = {lam: cf.radial_component(h_trap, lam) for lam in (0, 1, 2, 3)}
-        assert cf.reassemble(comps).same_function(h_trap)
+        assert same_function(cf.reassemble(comps), h_trap)
 
     def test_partial_reassembly_below_full(self, rng):
         from conftest import random_delzant
@@ -269,7 +286,7 @@ class TestReassemble:
                 {lam: cf.radial_component(h, lam) for lam in lams[:-1]})
             full = cf.reassemble(
                 {lam: cf.radial_component(h, lam) for lam in lams})
-            assert full.same_function(h)
+            assert same_function(full, h)
             for _ in range(20):
                 x = tuple(F(rng.randint(-20, 20)) for _ in range(2))
                 assert partial(x) <= h(x)
@@ -362,14 +379,15 @@ class TestRegularizedMax:
 
 class TestSerialization:
     def test_lse_exponents_stored_as_sorted_int_tuples(self):
-        # lattice points are taken as given, with the polytope they fill
+        # u_k keeps its polytope and count; the points are enumerated on first use
         u = cf.logsumexp_from_polytope(SQUARE, 2)
+        assert u.lattice_count == 25
         assert u.exponents == tuple(pt.lattice_points(SQUARE, 2))
         assert list(u.exponents) == sorted(u.exponents)
         assert all(type(x) is int for e in u.exponents for x in e)
         assert u.slope_polytope is SQUARE
         with pytest.raises(ValueError, match="slope polytope"):
-            cf.SmoothToricPotential("lse", k=2, exponents=u.exponents)
+            cf.SmoothToricPotential("lse", k=2, count=25)
 
     def test_fs_dimension_fixed_at_construction(self):
         u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)
@@ -383,30 +401,30 @@ class TestSerialization:
 class TestPruning:
     def test_collinear_piece_dropped(self):
         f = cf.MaxAffineFunction([((0,), 0), ((1,), 0), ((2,), 0)])
-        assert f.piece_set() == {((F(0),), F(0)), ((F(2),), F(0))}
+        assert piece_set(f) == {((F(0),), F(0)), ((F(2),), F(0))}
 
     def test_low_offset_piece_dropped(self):
         f = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), 0), ((0, 1), 0),
                                   ((F(1, 2), F(1, 4)), F(-10))])
         g = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), 0), ((0, 1), 0)])
-        assert f.same_function(g)
+        assert same_function(f, g)
 
     def test_high_offset_interior_piece_kept(self):
         f = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), 0), ((0, 1), 0),
                                   ((F(1, 2), F(1, 4)), 5)])
-        assert (((F(1, 2), F(1, 4)), F(5))) in f.piece_set()
+        assert (((F(1, 2), F(1, 4)), F(5))) in piece_set(f)
 
     def test_single_piece_kept(self):
         f = cf.MaxAffineFunction([((1, 2), 3)])
-        assert f.piece_set() == {((F(1), F(2)), F(3))}
+        assert piece_set(f) == {((F(1), F(2)), F(3))}
 
     def test_collinear_slopes_with_mixed_offsets(self):
         # the lifted points span a plane in R^3: a lower-dimensional hull
         low = cf.MaxAffineFunction([((0, 0), 0), ((1, 1), -1), ((2, 2), 0)])
         assert low._lifted_hull[0].dim == 2
-        assert low.piece_set() == {((F(0), F(0)), F(0)), ((F(2), F(2)), F(0))}
+        assert piece_set(low) == {((F(0), F(0)), F(0)), ((F(2), F(2)), F(0))}
         high = cf.MaxAffineFunction([((0, 0), 0), ((1, 1), 5), ((2, 2), 0)])
-        assert len(high.piece_set()) == 3
+        assert len(piece_set(high)) == 3
 
     def test_matches_lp_definition(self):
         # piece i is kept iff the other pieces' envelope at slope_i is
@@ -424,6 +442,6 @@ class TestPruning:
                                        [-q.offset for q in others], p.slope)
                 if best is None or best > -p.offset:
                     expect.add((p.slope, p.offset))
-            assert f.piece_set() == expect
+            assert piece_set(f) == expect
             dropped += len(expect) < len(f.pieces)
         assert dropped >= 20

@@ -249,8 +249,26 @@ class TestLatticePoints:
     def test_lower_dimensional_matches_brute_force_oracle(self, P):
         assert not P.is_full_dim
         for k in (1, 2, 3):
-            assert (pt.lattice_points(P, k)
-                    == brute_force_lattice_points(P.vertices, k))
+            points = brute_force_lattice_points(P.vertices, k)
+            assert pt.lattice_points(P, k) == points
+            assert pt.lattice_count(P, k) == len(points)
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]),
+           st.sampled_from([F(1, 2), F(2, 3), F(3, 2)]), st.integers(1, 4))
+    def test_count_matches_brute_force_oracle(self, seed, n, c, k):
+        from conftest import random_delzant
+        P = random_delzant(random.Random(seed), n).scaled(c)
+        assert pt.lattice_count(P, k) == len(brute_force_lattice_points(P.vertices, k))
+
+    @pytest.mark.parametrize("P", [
+        pt.box([1, 2, 3]),
+        pt.box([2, 2, 1]),
+        pt.hull([(x, y, z) for x, y in [(0, 0), (3, 0), (1, 1), (0, 1)] for z in (0, 2)]),
+        pt.hull([(x, y, z) for x, y in [(0, 0), (2, 0), (0, 2)] for z in (0, 1)]),
+    ], ids=["box123", "box221", "trapezoid_prism", "simplex_prism"])
+    def test_count_leading_ehrhart_coefficient_is_volume(self, P):
+        counts = [pt.lattice_count(P, k) for k in (1, 2, 3, 4)]
+        assert ehrhart_volume_3d(*counts) == pt.volume(P)
 
     def test_box_budget(self, monkeypatch):
         with pytest.raises(ValueError, match="limit"):
