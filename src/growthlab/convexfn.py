@@ -172,22 +172,22 @@ class SmoothToricPotential:
     """Smooth convex function from a named family.
 
     lse:    (1/k) ln sum over the exponents a of exp(<a, x>), the lattice
-            points of kP; they are enumerated only when u_k is evaluated
-            (logsumexp_from_polytope)
+            points of kP; they are expanded from the rows of their count
+            only when u_k is evaluated (logsumexp_from_polytope)
     fs:     lam * ln(1 + sum_i exp(x_i))      (scaled Fubini-Study potential)
     """
 
-    def __init__(self, family, *, k=None, count=None, lam=None, dim=None,
+    def __init__(self, family, *, k=None, rows=None, lam=None, dim=None,
                  polytope=None):
-        """lse takes its slope polytope P and the count N(k) of the lattice
-        points of kP."""
+        """lse takes its slope polytope P and the rows (head, lo, hi) of the
+        lattice points of kP (polytope._rows)."""
         self.family = family
         if family == "lse":
             self.k = int(k)
             if polytope is None:
                 raise ValueError("log-sum-exp needs its slope polytope")
             self.dim = polytope.ambient_dim
-            self._polytope, self._count = polytope, count
+            self._polytope, self._rows = polytope, rows
         elif family == "fs":
             self.lam = rat(lam)
             if self.lam <= 0:
@@ -208,12 +208,13 @@ class SmoothToricPotential:
     def lattice_count(self):
         if self.family != "lse":
             raise IncomparableFamilies("lattice count only defined for lse")
-        return self._count
+        return pt.row_count(self._rows)
 
     @cached_property
     def exponents(self):
-        """The lattice points of kP as sorted int tuples, enumerated once."""
-        return tuple(pt.lattice_points(self._polytope, self.k))
+        """The lattice points of kP as sorted int tuples, expanded once from
+        the rows that counted them."""
+        return tuple(pt.row_points(self._rows))
 
     @cached_property
     def _exp_arr(self):
@@ -260,14 +261,14 @@ class SmoothToricPotential:
 
     def __repr__(self):
         if self.family == "lse":
-            return f"SmoothToricPotential(lse, k={self.k}, N={self._count})"
+            return f"SmoothToricPotential(lse, k={self.k}, N={self.lattice_count})"
         return f"SmoothToricPotential(fs, lam={self.lam}, dim={self.dim})"
 
 
 def logsumexp_from_polytope(P, k):
-    """Toric potential u_k over the lattice points of kP, built with their
-    count N(k); the points themselves are enumerated only when u_k is
-    evaluated.
+    """Toric potential u_k over the lattice points of kP, built with the
+    rows of one scan of kP, which give the count N(k); the points
+    themselves are expanded from those rows only when u_k is evaluated.
 
     Requires P normalized (origin vertex, positive orthant) with integral
     vertices, so that h_P <= u_k <= h_P + ln(N(k))/k holds for every k >= 1.
@@ -276,7 +277,7 @@ def logsumexp_from_polytope(P, k):
     if not pt._is_lattice(P):
         from .errors import NotNormalized
         raise NotNormalized("polytope must be a lattice polytope")
-    return SmoothToricPotential("lse", k=k, count=pt.lattice_count(P, k), polytope=P)
+    return SmoothToricPotential("lse", k=k, rows=pt._rows(P, k), polytope=P)
 
 
 @dataclass(frozen=True)
@@ -388,7 +389,8 @@ def radial_component(f, lam):
     function whose slopes all have coordinate sum lam, or None when the
     infimum is identically -infinity (lam outside the slope sums of f).
     For a support function h_P the result is the support function of the
-    slice of P at total coordinate lam.
+    slice of P at total coordinate lam.  f's slope polytope must be
+    full-dimensional: each slice is read off the edges of a certified hull.
 
     With mixed offsets the component's conjugate is f's conjugate g
     restricted to the slice, so its lifted hull is W = f's lifted hull Q cut
@@ -398,23 +400,19 @@ def radial_component(f, lam):
     pieces read off these vertices are already pruned.
     """
     lam = rat(lam)
+    if not f.slope_polytope.is_full_dim:
+        raise DegenerateInput("radial components need a full-dimensional slope polytope")
     offsets = {p.offset for p in f._pruned_pieces}
-    S = f.slope_polytope
-    if len(offsets) == 1:
-        sl = pt.sum_slice(S, lam)
-        if sl.is_empty:
-            return None
-        c0 = next(iter(offsets))
-        return MaxAffineFunction([(v, c0) for v in sl.vertices])
-    if not S.is_full_dim:
-        raise DegenerateInput(
-            "mixed offsets with a lower-dimensional slope polytope")
     n = f.dim
+    if len(offsets) == 1:
+        c0, = offsets
+        vertices = pt.slice_vertices(f.slope_polytope, (1,) * n, lam)
+        return MaxAffineFunction([(v, c0) for v in vertices]) if vertices else None
     Q, cap = f._lifted_hull
-    W = pt.cut(Q, tuple([Fraction(1)] * n + [Fraction(0)]), lam)
-    if W.is_empty:
+    W = pt.slice_vertices(Q, (1,) * n + (0,), lam)
+    if not W:
         return None
-    return MaxAffineFunction([(w[:n], -w[n]) for w in W.vertices if w[n] < cap])
+    return MaxAffineFunction([(w[:n], -w[n]) for w in W if w[n] < cap])
 
 
 def reassemble(components):

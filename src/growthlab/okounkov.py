@@ -3,10 +3,11 @@ Chebyshev transforms.
 
 A section of a graded monomial series is a monomial, and its valuation under
 any monomial order is its own exponent, so a body is the hull of W_k / k and
-no order is needed to compute it.  A level past the first full-dimensional
-one, B, is certified as B by two integer checks: (a) kB's vertices lie in
-W_k, so kB is inside conv(W_k); (b) W_k's axis endpoints, which keep
-conv(W_k), satisfy kB's facet inequalities, so conv(W_k) is inside kB."""
+no order is needed to compute it.  A level is certified as the candidate
+body B, the toric polytope or else the first full-dimensional level, by two
+integer checks: (a) kB's vertices lie in W_k, so kB is inside conv(W_k);
+(b) W_k's axis endpoints, which keep conv(W_k), satisfy kB's facet
+inequalities, so conv(W_k) is inside kB."""
 
 import math
 from dataclasses import dataclass
@@ -19,9 +20,10 @@ from .rationals import dot, inverse, rat_str
 
 
 class GradedMonomialSeries:
-    """Per-degree finite sets of exponent vectors in N^n."""
+    """Per-degree finite sets of exponent vectors in N^n, and `polytope`,
+    the full-dimensional P of a toric series (None otherwise)."""
 
-    def __init__(self, degrees):
+    def __init__(self, degrees, polytope=None):
         """Exponent vectors are int tuples of one common dimension."""
         self.degrees = {int(k): frozenset(v) for k, v in degrees.items() if v}
         if not self.degrees:
@@ -30,6 +32,7 @@ class GradedMonomialSeries:
         if len(dims) != 1:
             raise DimensionMismatch("exponents of mixed dimension")
         self.dim = dims.pop()
+        self.polytope = polytope
 
     @classmethod
     def toric(cls, P, k_max):
@@ -37,7 +40,8 @@ class GradedMonomialSeries:
         lattice-point budget check for all levels."""
         levels = range(1, k_max + 1)
         pt.dilate_boxes(P, levels)
-        return cls({k: pt.lattice_points(P, k) for k in levels})
+        return cls({k: pt.lattice_points(P, k) for k in levels},
+                   P if P.is_full_dim else None)
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,15 @@ def okounkov_body(series):
     Every monomial of W_k is a section whose valuation vector is its own
     exponent under every monomial order, so the degree-k hull is the hull of
     W_k / k whatever the order.  Let B, with vertex numerators X over
-    B.denom = D and facets a.x <= c / D, be the first full-dimensional level.
-    A later level k is B when (a) each k X / D is an integer point of W_k, so
-    kB lies in conv(W_k), and (b) each point w of W_k that `_axis_endpoints`
-    keeps, and so conv(W_k), has (a.w) D <= k c, so conv(W_k) lies in kB.
-    Any other level is hulled.  The limit is recorded when all computed
-    levels agree (the toric series stabilizes at every level).
+    B.denom = D and facets a.x <= c / D, be the series' polytope, or else
+    the first full-dimensional level.  A level k is B when (a) each k X / D
+    is an integer point of W_k, so kB lies in conv(W_k), and (b) each point
+    w of W_k that `_axis_endpoints` keeps, and so conv(W_k), has (a.w) D <=
+    k c, so conv(W_k) lies in kB.  Any other level is hulled: for a toric
+    series, only the k with kP not integral, as conv(kP cap Z^n) = kP
+    otherwise.  The limit is recorded when all computed levels agree.
     """
-    hull_at, B = {}, None
+    hull_at, B = {}, series.polytope
     for k, W in sorted(series.degrees.items()):
         hull_at[k] = B if B is not None and _is_dilate(W, k, B) else \
             pt.Polytope.from_points(W, series.dim).scaled(Fraction(1, k))

@@ -598,19 +598,21 @@ def lattice_points(P, k=1):
         return []
     k = int(k)
     if P.is_full_dim:
-        return [head + (x,) for head, lo, hi in _rows(P, k) for x in range(lo, hi + 1)]
+        return row_points(_rows(P, k))
     [(los, his)] = dilate_boxes(P, (k,))
     return [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
             if P.contains(tuple(Fraction(c, k) for c in x))]
 
 
-def lattice_count(P, k=1):
-    """The number of integer points of kP, N(k) = h^0(kL) in the toric case:
-    the row lengths of _rows summed, with no point built."""
-    k = int(k)
-    if not P.is_full_dim:
-        return len(lattice_points(P, k))
-    return sum(hi - lo + 1 for _, lo, hi in _rows(P, k))
+def row_points(rows):
+    """The integer points of the rows (head, lo, hi) of _rows, in order."""
+    return [head + (x,) for head, lo, hi in rows for x in range(lo, hi + 1)]
+
+
+def row_count(rows):
+    """The number of integer points of the rows of _rows, with no point
+    built: N(k) = h^0(kL) in the toric case for the rows of kP."""
+    return sum(hi - lo + 1 for _, lo, hi in rows)
 
 
 def _rows(P, k):
@@ -744,38 +746,25 @@ def _require_normalized(P):
         raise NotNormalized("polytope must lie in the positive orthant")
 
 
-def cut(P, normal, value):
-    """P intersect {x : <normal, x> = value}; empty result is a value."""
-    u = vec(normal)
-    value = rat(value)
-    if P.is_empty:
-        return Polytope.empty(P.ambient_dim)
-    if P.is_point:
-        v = P.vertices[0]
-        return P if dot(u, v) == value else Polytope.empty(P.ambient_dim)
+def slice_vertices(P, normal, value):
+    """The sorted vertices of the full-dimensional P cut by the plane
+    normal.x = value, integer normal; [] when the plane misses P.  They are
+    the vertices of P on the plane and the crossings of P's edges through
+    it (Ziegler, Lectures on Polytopes, ch. 2), so no hull is needed.  With
+    value = p / q and residuals r = q (normal.X) - p D of the numerators X,
+    the edge X_i X_j crosses where r_i r_j < 0, at (X_i r_j - X_j r_i) /
+    ((r_j - r_i) D)."""
     if not P.is_full_dim:
-        # restriction of <u, .> to span coordinates
-        w = tuple(dot(u, b) for b in P._span_basis)
-        c0 = dot(u, P._span_point)
-        if all(x == 0 for x in w):
-            return P if c0 == value else Polytope.empty(P.ambient_dim)
-        inner = cut(P._span_poly, w, value - c0)
-        pts = [_from_span(P._span_point, P._span_basis, s) for s in inner.vertices]
-        return Polytope.from_points(pts, P.ambient_dim)
-    vals = [dot(u, v) for v in P.vertices]
-    pts = [v for v, t in zip(P.vertices, vals) if t == value]
+        raise DegenerateInput("a slice needs a full-dimensional polytope")
+    value = rat(value)
+    p, q, D, X = value.numerator, value.denominator, P.denom, P.int_vertices
+    r = [q * dot(normal, Y) - p * D for Y in X]
+    out = [v for v, t in zip(P.vertices, r) if t == 0]
     for i, j in P.edges():
-        ti, tj = vals[i], vals[j]
-        if (ti < value < tj) or (tj < value < ti):
-            t = (value - ti) / (tj - ti)
-            vi, vj = P.vertices[i], P.vertices[j]
-            pts.append(tuple(x + t * (y - x) for x, y in zip(vi, vj)))
-    return Polytope.from_points(pts, P.ambient_dim)
-
-
-def sum_slice(P, lam):
-    """Slice by the total-coordinate hyperplane sum(x) = lam."""
-    return cut(P, (1,) * P.ambient_dim, lam)
+        if r[i] * r[j] < 0:
+            e = (r[j] - r[i]) * D
+            out.append(tuple(Fraction(x * r[j] - y * r[i], e) for x, y in zip(X[i], X[j])))
+    return sorted(out)
 
 
 def standard_simplex(n):

@@ -3,12 +3,13 @@
 Each oracle is deliberately implemented with a different method than the
 package uses: facets by cofactor-expansion hyperplanes through point
 subsets, areas by Pick's theorem, volumes by Ehrhart differences, radial
-components and conjugates by grid search, simplex inclusion by bisection
-with membership tests, lattice points by testing every point of the
-bounding box against those facets, vertices and membership by those facets
-too, determinants by Laplace expansion and ranks by the largest nonzero
-minor, relative volumes by vertex coordinates in an integer-kernel basis of
-the span's lattice, and simplest fractions by scanning denominators.
+components and conjugates by grid search, slices by crossing every segment
+between two vertices, simplex inclusion by bisection with membership tests,
+lattice points by testing every point of the bounding box against those
+facets, vertices and membership by those facets too, determinants by
+Laplace expansion and ranks by the largest nonzero minor, relative volumes
+by vertex coordinates in an integer-kernel basis of the span's lattice, and
+simplest fractions by scanning denominators.
 """
 
 from fractions import Fraction
@@ -133,6 +134,32 @@ def brute_force_vertices(points):
     return [p for p in points
             if minor_rank([a for a, b in facets
                            if sum(ai * x for ai, x in zip(a, p)) == b]) == n]
+
+
+def brute_force_slice(vertices, normal, value):
+    """Sorted vertices of conv(vertices) cut by the plane normal.x = value.
+
+    The candidates are the vertices on the plane and the crossing of the
+    segment between every pair of vertices on opposite sides, edge or not.
+    They keep the points that brute_force_vertices keeps in the first
+    coordinates on which their differences keep their rank: with the last
+    coordinate dropped for a full slice whose normal ends in a nonzero entry.
+    """
+    vertices = [tuple(Fraction(x) for x in v) for v in vertices]
+    side = [sum(a * x for a, x in zip(normal, v)) - Fraction(value) for v in vertices]
+    pts = {v for v, s in zip(vertices, side) if s == 0}
+    for (v, s), (w, t) in combinations(zip(vertices, side), 2):
+        if s * t < 0:
+            pts.add(tuple(x + s / (s - t) * (y - x) for x, y in zip(v, w)))
+    pts = sorted(pts)
+    if len(pts) <= 1:
+        return pts
+    diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+    d = minor_rank(diffs)
+    cols = next(c for c in combinations(range(len(pts[0])), d)
+                if minor_rank([[row[j] for j in c] for row in diffs]) == d)
+    lift = {tuple(p[j] for j in cols): p for p in pts}
+    return sorted(lift[q] for q in brute_force_vertices(list(lift)))
 
 
 def in_hull(points, x):

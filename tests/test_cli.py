@@ -455,7 +455,8 @@ class TestExactClass:
         assert code == 0
 
     def test_growth_counts_without_enumerating(self, files, capsys, monkeypatch):
-        monkeypatch.setattr(pt, "lattice_points", _refuse_enumeration)
+        # lattice_points and u_k's exponents both list points through row_points
+        monkeypatch.setattr(pt, "row_points", _refuse_enumeration)
         code, _ = run_cli(["growth", "--polytope", files["cube2"], "--vertex", "0,0,0",
                            "--k", "1,2,4,8"], capsys)
         assert code == 0
@@ -468,7 +469,7 @@ class TestExactClass:
         ["chebyshev", "--polytope", "{square2}", "--vertex", "0,0", "--k", "2"],
     ], ids=["growth-numeric", "volume-numeric", "chebyshev-k"])
     def test_evaluating_u_k_enumerates(self, files, capsys, monkeypatch, argv):
-        monkeypatch.setattr(pt, "lattice_points", _refuse_enumeration)
+        monkeypatch.setattr(pt, "row_points", _refuse_enumeration)
         with pytest.raises(AssertionError, match="enumerated"):
             run_cli([a.format(**files) for a in argv], capsys)
 

@@ -16,7 +16,8 @@ from growthlab.errors import (
     NotNormalized,
 )
 
-from _oracles import grid_conjugate_1d, grid_inf_radial
+from _oracles import (brute_force_lattice_points, brute_force_slice, grid_conjugate_1d,
+                      grid_inf_radial)
 from conftest import piece_set, same_function
 
 SIGMA = pt.standard_simplex(2)
@@ -255,8 +256,8 @@ class TestRadialComponent:
                 h = cf.MaxAffineFunction.support_function(P)
                 for lam in sorted({sum(v) for v in P.vertices}):
                     comp = cf.radial_component(h, lam)
-                    sl = pt.sum_slice(P, lam)
-                    href = cf.MaxAffineFunction([(v, 0) for v in sl.vertices])
+                    href = cf.MaxAffineFunction(
+                        [(v, 0) for v in brute_force_slice(P.vertices, (1,) * n, lam)])
                     assert same_function(comp, href)
                     for _ in range(5):
                         x = tuple(F(rng.randint(-30, 30), rng.randint(1, 4))
@@ -379,7 +380,7 @@ class TestRegularizedMax:
 
 class TestSerialization:
     def test_lse_exponents_stored_as_sorted_int_tuples(self):
-        # u_k keeps its polytope and count; the points are enumerated on first use
+        # u_k keeps its polytope and the rows of its count; the points are expanded on first use
         u = cf.logsumexp_from_polytope(SQUARE, 2)
         assert u.lattice_count == 25
         assert u.exponents == tuple(pt.lattice_points(SQUARE, 2))
@@ -387,7 +388,24 @@ class TestSerialization:
         assert all(type(x) is int for e in u.exponents for x in e)
         assert u.slope_polytope is SQUARE
         with pytest.raises(ValueError, match="slope polytope"):
-            cf.SmoothToricPotential("lse", k=2, count=25)
+            cf.SmoothToricPotential("lse", k=2, rows=pt._rows(SQUARE, 2))
+
+    def test_lse_scans_each_level_once(self, monkeypatch):
+        # the rows that count N(k) are the rows the exponents expand
+        calls = []
+        real = pt._rows
+
+        def counted(P, k):
+            calls.append(k)
+            return real(P, k)
+
+        monkeypatch.setattr(pt, "_rows", counted)
+        for k in (1, 2, 4):
+            u = cf.logsumexp_from_polytope(TRAP, k)
+            u((0.5, -0.5))
+            u.grad_many([[0.0, 1.0]])
+            assert list(u.exponents) == brute_force_lattice_points(TRAP.vertices, k)
+        assert calls == [1, 2, 4]
 
     def test_fs_dimension_fixed_at_construction(self):
         u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)

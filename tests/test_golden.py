@@ -53,6 +53,8 @@ COMMANDS = [
     ["seshadri", "--tol", "1/3", "--vertex"],
     ["seshadri", "--tol", "100", "--vertex"],
     ["decompose", "--vertex"],
+    # empty, negative and off-vertex slices; a list led by -1 would read as a flag
+    ["decompose", "--lams", "0,-1,1/3,7/5,5/2,100", "--vertex"],
     ["okounkov"],
     ["okounkov", "--k-max", "4"],
     ["chebyshev"],

@@ -84,14 +84,27 @@ class TestBody:
         assert body.limit == segment
         assert all(pt.relative_volume(B) == 1 for B in body.hull_at.values())
 
-    def test_lattice_polytope_hulls_its_first_level_only(self, hulls):
+    def test_lattice_polytope_hulls_no_level(self, hulls):
         for P in (SIGMA, TRAP, pt.box([1, 2, 3])):
             series = ok.GradedMonomialSeries.toric(P, 3)
+            assert series.polytope is P
             hulls.clear()
             body = ok.okounkov_body(series)
-            # conv(kP cap Z^n) = kP, so levels 2 and 3 are certified dilates
-            assert len(hulls) == 1
+            # conv(kP cap Z^n) = kP, so every level is a certified dilate of P
+            assert len(hulls) == 0
             assert body.limit == P
+            assert all(B == fresh_hull(series, k) for k, B in body.hull_at.items())
+
+    def test_hand_built_series_hulls_its_first_full_dimensional_level(self, hulls):
+        toric = ok.GradedMonomialSeries.toric(TRAP, 3)
+        series = ok.GradedMonomialSeries(toric.degrees)
+        assert series.polytope is None
+        hulls.clear()
+        body = ok.okounkov_body(series)
+        # the same W_k, but no candidate: level 1 is hulled and becomes B
+        assert len(hulls) == 1
+        assert body.limit == TRAP
+        assert all(B == fresh_hull(series, k) for k, B in body.hull_at.items())
 
     def test_superadditive_chain(self):
         series = ok.GradedMonomialSeries.toric(TRAP, 4)
@@ -128,13 +141,13 @@ class TestCertifiedLevels:
         assert body.limit is None
 
     def test_non_integral_dilate_then_certified(self, hulls):
-        # [0,1/2]^2: W_1 is the origin, B = [0,1/2]^2 at k = 2, 3B has the
-        # vertex (3/2, 0), and 4B = [0,2]^2 is certified
+        # [0,1/2]^2: W_1 is the origin, B = P = [0,1/2]^2, 2B = [0,1]^2 and
+        # 4B = [0,2]^2 are certified, and 3B has the vertex (3/2, 0)
         series = ok.GradedMonomialSeries.toric(pt.box([F(1, 2)] * 2), 4)
         hulls.clear()
         body = ok.okounkov_body(series)
-        # the point at k = 1 (and its scaling), then k = 2 and k = 3
-        assert len(hulls) == 4
+        # the point at k = 1 (and its scaling), then k = 3
+        assert len(hulls) == 3
         assert body.hull_at[1].is_point
         assert body.hull_at[2] == pt.box([F(1, 2)] * 2)
         assert body.hull_at[3] == pt.box([F(1, 3)] * 2)

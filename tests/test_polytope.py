@@ -24,6 +24,7 @@ from _oracles import (
     bisection_simplex_inclusion,
     brute_force_facets,
     brute_force_lattice_points,
+    brute_force_slice,
     brute_force_vertices,
     ehrhart_volume_3d,
     in_hull,
@@ -244,21 +245,20 @@ class TestLatticePoints:
 
     @pytest.mark.parametrize("P", [
         pt.Polytope.from_points([(0, 0), (2, 1)]),
-        pt.sum_slice(pt.box([2, 2, 2]), 3),
+        pt.Polytope.from_points(pt.slice_vertices(pt.box([2, 2, 2]), (1, 1, 1), 3)),
     ], ids=["segment", "hexagon"])
     def test_lower_dimensional_matches_brute_force_oracle(self, P):
         assert not P.is_full_dim
         for k in (1, 2, 3):
             points = brute_force_lattice_points(P.vertices, k)
             assert pt.lattice_points(P, k) == points
-            assert pt.lattice_count(P, k) == len(points)
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]),
            st.sampled_from([F(1, 2), F(2, 3), F(3, 2)]), st.integers(1, 4))
     def test_count_matches_brute_force_oracle(self, seed, n, c, k):
         from conftest import random_delzant
         P = random_delzant(random.Random(seed), n).scaled(c)
-        assert pt.lattice_count(P, k) == len(brute_force_lattice_points(P.vertices, k))
+        assert pt.row_count(pt._rows(P, k)) == len(brute_force_lattice_points(P.vertices, k))
 
     @pytest.mark.parametrize("P", [
         pt.box([1, 2, 3]),
@@ -267,7 +267,7 @@ class TestLatticePoints:
         pt.hull([(x, y, z) for x, y in [(0, 0), (2, 0), (0, 2)] for z in (0, 1)]),
     ], ids=["box123", "box221", "trapezoid_prism", "simplex_prism"])
     def test_count_leading_ehrhart_coefficient_is_volume(self, P):
-        counts = [pt.lattice_count(P, k) for k in (1, 2, 3, 4)]
+        counts = [pt.row_count(pt._rows(P, k)) for k in (1, 2, 3, 4)]
         assert ehrhart_volume_3d(*counts) == pt.volume(P)
 
     def test_box_budget(self, monkeypatch):
@@ -331,7 +331,7 @@ class TestVolume:
         assert pt.volume(TRAP) == 2
 
     def test_lower_dimensional_is_zero_flagged(self):
-        seg = pt.sum_slice(SIGMA, 1)
+        seg = pt.Polytope.from_points(pt.slice_vertices(SIGMA, (1, 1), 1))
         assert not seg.is_full_dim
         assert pt.volume(seg) == 0
         assert pt.relative_volume(seg) == 1  # primitive lattice segment
@@ -340,7 +340,7 @@ class TestVolume:
         # hexagonal slice of the cube: lattice-normalized area equals a Pick
         # count over the induced affine lattice
         cube = pt.box([2, 2, 2])
-        hexagon = pt.sum_slice(cube, 3)
+        hexagon = pt.Polytope.from_points(pt.slice_vertices(cube, (1, 1, 1), 3))
         pts = [p for p in pt.lattice_points(cube, 1) if sum(p) == 3]
         boundary = [p for p in pts if any(c in (0, 2) for c in p)]
         interior = len(pts) - len(boundary)
@@ -413,7 +413,8 @@ class TestVolumeProperties:
 class TestVolumeAvoidsHull:
     def test_volume_and_triangulate_read_the_certified_complex(self, monkeypatch):
         polys = [pt.box([2, 2, 2]), pt.hull(TRAP.vertices), pt.box([1, 1, 1, 1]),
-                 pt.standard_simplex(4), pt.sum_slice(pt.box([2, 2, 2]), 3)]
+                 pt.standard_simplex(4),
+                 pt.Polytope.from_points(pt.slice_vertices(pt.box([2, 2, 2]), (1, 1, 1), 3))]
 
         def refuse(*args):
             raise AssertionError("volume or triangulate re-hulled")
@@ -448,21 +449,42 @@ class TestSimplexInclusion:
 
 class TestSlice:
     def test_simplex_diagonal(self):
-        s = pt.sum_slice(SIGMA, 1)
-        assert s.vertices == ((F(0), F(1)), (F(1), F(0)))
+        assert pt.slice_vertices(SIGMA, (1, 1), 1) == [(F(0), F(1)), (F(1), F(0))]
 
     def test_square_cut(self):
-        s = pt.sum_slice(SQUARE, 3)
-        assert s.vertices == ((F(1), F(2)), (F(2), F(1)))
+        assert pt.slice_vertices(SQUARE, (1, 1), 3) == [(F(1), F(2)), (F(2), F(1))]
 
     def test_empty_slice_is_a_value(self):
-        s = pt.sum_slice(SIGMA, 2)
-        assert s.is_empty and not s.contains((0, 0))
+        assert pt.slice_vertices(SIGMA, (1, 1), 2) == []
 
-    def test_general_cut_of_lower_dimensional(self):
-        seg = pt.sum_slice(SQUARE, 3)             # segment (1,2)-(2,1)
-        point = pt.cut(seg, (1, 0), F(3, 2))      # x = 3/2 on that segment
-        assert point.is_point and point.vertices == ((F(3, 2), F(3, 2)),)
+    def test_refuses_lower_dimensional(self):
+        seg = pt.Polytope.from_points([(0, 0), (2, 1)])
+        with pytest.raises(DegenerateInput):
+            pt.slice_vertices(seg, (1, 0), 1)
+
+    def test_builds_no_hull(self, monkeypatch):
+        P = pt.box([2, 3, 1])
+
+        def refuse(*args):
+            raise AssertionError("slice_vertices hulled")
+
+        monkeypatch.setattr(pt.Polytope, "from_points", refuse)
+        assert len(pt.slice_vertices(P, (1, 1, 1), F(5, 2))) == 5  # a pentagon
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]),
+           st.sampled_from([1, F(1, 2), F(3, 2)]), st.lists(st.integers(-2, 2), min_size=3,
+                                                            max_size=3))
+    def test_matches_brute_force_oracle(self, seed, n, c, normal):
+        from conftest import random_delzant
+        P = random_delzant(random.Random(seed), n).scaled(c)
+        normal = tuple(normal[:n - 1]) + (normal[-1] or 1,)
+        values = sorted({sum(a * x for a, x in zip(normal, v)) for v in P.vertices})
+        # every vertex level, two off-vertex levels and one empty level
+        levels = values + [(values[0] + values[1]) / 2, (values[-2] + values[-1]) / 2,
+                           values[-1] + F(1, 3)]
+        for value in levels:
+            assert pt.slice_vertices(P, normal, value) == \
+                brute_force_slice(P.vertices, normal, value)
 
     def test_lower_dimensional_contains_off_span(self):
         seg = pt.Polytope.from_points([(0, 0), (2, 1)])
@@ -504,9 +526,12 @@ class TestFourDimensional:
             done += 1
 
     def test_slice_of_box(self):
-        sl = pt.sum_slice(pt.box([1, 1, 1, 1]), F(3, 2))
-        assert sl.dim == 3 and not sl.is_full_dim
-        assert all(sum(v) == F(3, 2) for v in sl.vertices)
+        vertices = pt.slice_vertices(pt.box([1, 1, 1, 1]), (1, 1, 1, 1), F(3, 2))
+        assert pt.Polytope.from_points(vertices).dim == 3
+        assert all(sum(v) == F(3, 2) for v in vertices)
+        # the midpoints of the 12 edges from weight-1 to weight-2 vertices
+        assert len(vertices) == 12 and all(sorted(v) == [0, F(1, 2), 1, 1] or
+                                           sorted(v) == [0, 0, F(1, 2), 1] for v in vertices)
 
 
 class TestSerialization:
