@@ -171,23 +171,23 @@ def legendre(f):
 class SmoothToricPotential:
     """Smooth convex function from a named family.
 
-    lse:    (1/k) ln sum over the exponents a of exp(<a, x>), the lattice
-            points of kP; they are expanded from the rows of their count
-            only when u_k is evaluated (logsumexp_from_polytope)
+    lse:    (1/k) ln sum over the exponents a of exp(<a, x>), the N(k)
+            lattice points of kP; they are listed from P's scan of kP only
+            when u_k is evaluated (logsumexp_from_polytope)
     fs:     lam * ln(1 + sum_i exp(x_i))      (scaled Fubini-Study potential)
     """
 
-    def __init__(self, family, *, k=None, rows=None, lam=None, dim=None,
+    def __init__(self, family, *, k=None, count=None, lam=None, dim=None,
                  polytope=None):
-        """lse takes its slope polytope P and the rows (head, lo, hi) of the
-        lattice points of kP (polytope._rows)."""
+        """lse takes its slope polytope P and the number N(k) of lattice
+        points of kP (polytope.lattice_count)."""
         self.family = family
         if family == "lse":
             self.k = int(k)
             if polytope is None:
                 raise ValueError("log-sum-exp needs its slope polytope")
             self.dim = polytope.ambient_dim
-            self._polytope, self._rows = polytope, rows
+            self._polytope, self._count = polytope, count
         elif family == "fs":
             self.lam = rat(lam)
             if self.lam <= 0:
@@ -208,13 +208,13 @@ class SmoothToricPotential:
     def lattice_count(self):
         if self.family != "lse":
             raise IncomparableFamilies("lattice count only defined for lse")
-        return pt.row_count(self._rows)
+        return self._count
 
     @cached_property
     def exponents(self):
-        """The lattice points of kP as sorted int tuples, expanded once from
-        the rows that counted them."""
-        return tuple(pt.row_points(self._rows))
+        """The lattice points of kP as sorted int tuples, listed once from
+        the polytope's scan of kP."""
+        return tuple(pt.row_points(pt._rows(self._polytope, self.k)))
 
     @cached_property
     def _exp_arr(self):
@@ -266,9 +266,10 @@ class SmoothToricPotential:
 
 
 def logsumexp_from_polytope(P, k):
-    """Toric potential u_k over the lattice points of kP, built with the
-    rows of one scan of kP, which give the count N(k); the points
-    themselves are expanded from those rows only when u_k is evaluated.
+    """Toric potential u_k over the lattice points of kP, built with their
+    count N(k) (polytope.lattice_count: a scan of kP for k <= n, else the
+    Ehrhart polynomial of P); the points themselves are listed from P's
+    scan of kP only when u_k is evaluated.
 
     Requires P normalized (origin vertex, positive orthant) with integral
     vertices, so that h_P <= u_k <= h_P + ln(N(k))/k holds for every k >= 1.
@@ -277,7 +278,7 @@ def logsumexp_from_polytope(P, k):
     if not pt._is_lattice(P):
         from .errors import NotNormalized
         raise NotNormalized("polytope must be a lattice polytope")
-    return SmoothToricPotential("lse", k=k, rows=pt._rows(P, k), polytope=P)
+    return SmoothToricPotential("lse", k=k, count=pt.lattice_count(P, k), polytope=P)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ vertex.  It is carried exactly by its polyhedral representative, the support
 function h of the normalized polytope Q.  The smooth log-sum-exp potentials
 u_k over the lattice points of kQ are representatives of the same class; the
 growth report builds them from the counts N(k) of those points, with their
-certified bounds 0 <= u_k - h <= ln N(k)/k.  Only the Monte-Carlo volume,
-which samples the gradients of one of them, enumerates the points of kQ.
+certified bounds 0 <= u_k - h <= ln N(k)/k.  A count at k <= n is a row scan
+of kQ, and above n it is read off Q's Ehrhart polynomial through the scans
+at 1..n (polytope.lattice_count).  Only the Monte-Carlo volume, which
+samples the gradients of one of them, enumerates the points of kQ.
 """
 
 import math

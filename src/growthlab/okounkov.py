@@ -3,11 +3,14 @@ Chebyshev transforms.
 
 A section of a graded monomial series is a monomial, and its valuation under
 any monomial order is its own exponent, so a body is the hull of W_k / k and
-no order is needed to compute it.  A level is certified as the candidate
+no order is needed to compute it.  Each W_k is kept as rows along the last
+coordinate, which a toric series reads straight off the polytope's scan of
+kP, so no level lists its points.  A level is certified as the candidate
 body B, the toric polytope or else the first full-dimensional level, by two
 integer checks: (a) kB's vertices lie in W_k, so kB is inside conv(W_k);
-(b) W_k's axis endpoints, which keep conv(W_k), satisfy kB's facet
-inequalities, so conv(W_k) is inside kB."""
+(b) the two ends of each row of W_k, which keep conv(W_k), satisfy kB's
+facet inequalities, so conv(W_k) is inside kB.  Any other level is the hull
+of its row ends."""
 
 import math
 from dataclasses import dataclass
@@ -20,15 +23,18 @@ from .rationals import dot, inverse, rat_str
 
 
 class GradedMonomialSeries:
-    """Per-degree finite sets of exponent vectors in N^n, and `polytope`,
-    the full-dimensional P of a toric series (None otherwise)."""
+    """Per-degree finite sets W_k of exponent vectors in N^n, and `polytope`,
+    the full-dimensional P of a toric series (None otherwise).  `rows[k]`
+    keeps W_k as rows: each head a[:-1] maps to the sorted last coordinates
+    of the a in W_k."""
 
-    def __init__(self, degrees, polytope=None):
-        """Exponent vectors are int tuples of one common dimension."""
-        self.degrees = {int(k): frozenset(v) for k, v in degrees.items() if v}
-        if not self.degrees:
+    def __init__(self, rows, polytope=None):
+        """rows maps each degree to the rows of its W_k (point_rows): int
+        tuple heads of one common length, each to a sorted sequence of ints."""
+        self.rows = {int(k): W for k, W in rows.items() if W}
+        if not self.rows:
             raise EmptySupport("series has no nonempty degree")
-        dims = {len(a) for v in self.degrees.values() for a in v}
+        dims = {len(head) + 1 for W in self.rows.values() for head in W}
         if len(dims) != 1:
             raise DimensionMismatch("exponents of mixed dimension")
         self.dim = dims.pop()
@@ -37,11 +43,29 @@ class GradedMonomialSeries:
     @classmethod
     def toric(cls, P, k_max):
         """W_k = lattice points of kP, the full toric series, after one
-        lattice-point budget check for all levels."""
+        lattice-point budget check for all levels.  A full-dimensional P
+        gives each row as the range of its scan of kP."""
         levels = range(1, k_max + 1)
         pt.dilate_boxes(P, levels)
-        return cls({k: pt.lattice_points(P, k) for k in levels},
-                   P if P.is_full_dim else None)
+        if not P.is_full_dim:
+            return cls({k: point_rows(pt.lattice_points(P, k)) for k in levels})
+        return cls({k: {head: range(lo, hi + 1) for head, lo, hi in pt._rows(P, k)}
+                    for k in levels}, P)
+
+
+def point_rows(points):
+    """The rows of a finite set of exponent vectors: each head a[:-1] mapped
+    to the sorted distinct last coordinates a[-1]."""
+    rows = {}
+    for a in points:
+        rows.setdefault(a[:-1], set()).add(a[-1])
+    return {head: tuple(sorted(xs)) for head, xs in rows.items()}
+
+
+def _row_ends(W):
+    """The points at the two ends of the rows W.  Every point of a row lies
+    between its ends, so they keep the hull."""
+    return [head + (x,) for head, xs in W.items() for x in {xs[0], xs[-1]}]
 
 
 @dataclass(frozen=True)
@@ -69,16 +93,16 @@ def okounkov_body(series):
     W_k / k whatever the order.  Let B, with vertex numerators X over
     B.denom = D and facets a.x <= c / D, be the series' polytope, or else
     the first full-dimensional level.  A level k is B when (a) each k X / D
-    is an integer point of W_k, so kB lies in conv(W_k), and (b) each point
-    w of W_k that `_axis_endpoints` keeps, and so conv(W_k), has (a.w) D <=
-    k c, so conv(W_k) lies in kB.  Any other level is hulled: for a toric
-    series, only the k with kP not integral, as conv(kP cap Z^n) = kP
-    otherwise.  The limit is recorded when all computed levels agree.
+    is an integer point of W_k, so kB lies in conv(W_k), and (b) each end w
+    of a row of W_k, and so conv(W_k), has (a.w) D <= k c, so conv(W_k) lies
+    in kB.  Any other level is the hull of its row ends: for a toric series,
+    only the k with kP not integral, as conv(kP cap Z^n) = kP otherwise.
+    The limit is recorded when all computed levels agree.
     """
     hull_at, B = {}, series.polytope
-    for k, W in sorted(series.degrees.items()):
+    for k, W in sorted(series.rows.items()):
         hull_at[k] = B if B is not None and _is_dilate(W, k, B) else \
-            pt.Polytope.from_points(W, series.dim).scaled(Fraction(1, k))
+            pt.Polytope.from_points(_row_ends(W), series.dim).scaled(Fraction(1, k))
         if B is None and hull_at[k].is_full_dim:
             B = hull_at[k]
     bodies = list(hull_at.values())
@@ -87,13 +111,16 @@ def okounkov_body(series):
 
 
 def _is_dilate(W, k, B):
-    """conv(W) = kB for a full-dimensional B, by checks (a) and (b)."""
+    """conv(W) = kB for the rows W and a full-dimensional B, by checks (a)
+    and (b)."""
     D = B.denom
-    if any(k * x % D for X in B.int_vertices for x in X) or any(
-            tuple(k * x // D for x in X) not in W for X in B.int_vertices):
+    if any(k * x % D for X in B.int_vertices for x in X):
         return False
-    return all(dot(a, w) * D <= k * c
-               for w in pt._axis_endpoints(list(W)) for a, c in B.int_facets)
+    for X in B.int_vertices:
+        Y = tuple(k * x // D for x in X)
+        if Y[-1] not in W.get(Y[:-1], ()):
+            return False
+    return all(dot(a, w) * D <= k * c for w in _row_ends(W) for a, c in B.int_facets)
 
 
 def infinitesimal_map(B):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import (
     DegenerateInput,
@@ -113,7 +113,9 @@ class Polytope:
     """Immutable exact polytope; do not mutate attributes after construction.
     It keeps the sorted vertex numerators `int_vertices` over `denom`, and if
     full-dimensional the facet pairs `int_facets`, the simplices `_boundary[i]`
-    on facet i and each vertex numerator's facet indices `_incidence`."""
+    on facet i and each vertex numerator's facet indices `_incidence`.  Like
+    its volume and edges, its row scans of kP (`_scans`, by level) and its
+    Ehrhart differences are computed once, on first use."""
 
     def __init__(self, ambient_dim, vertices, dim, denom, span_point=None, span_basis=None,
                  span_poly=None, facets=(), boundary=(), incidence=None):
@@ -121,7 +123,8 @@ class Polytope:
         self.int_vertices, self.int_facets = tuple(sorted(vertices)), facets
         self._span_point, self._span_basis, self._span_poly = span_point, span_basis, span_poly
         self._boundary, self._incidence = boundary, incidence
-        self._vertices = self._facets = self._edges = self._volume = None
+        self._vertices = self._facets = self._edges = self._volume = self._ehrhart = None
+        self._scans = {}
 
     @property
     def vertices(self):
@@ -263,7 +266,8 @@ class Polytope:
         boundary point) and `facet` pairs (a, c) to ones over E, a' primitive.
         The gcd g of E and the image numerators divides every c' = a'.Y, Y on
         the facet, so dividing by g reduces to lowest terms.  Facets re-sort."""
-        images = {id(X): point(X) for group in self._boundary for s in group for X in s}
+        points = {id(X): X for group in self._boundary for s in group for X in s}
+        images = {i: point(X) for i, X in points.items()}
         g = gcd(E, *(y for Y in images.values() for y in Y))
         if g > 1:
             images = {i: tuple(y // g for y in Y) for i, Y in images.items()}
@@ -616,6 +620,14 @@ def row_count(rows):
 
 
 def _rows(P, k):
+    """The rows of _scan_rows(P, k), scanned once per polytope and level."""
+    rows = P._scans.get(k)
+    if rows is None:
+        rows = P._scans[k] = _scan_rows(P, k)
+    return rows
+
+
+def _scan_rows(P, k):
     """The nonempty rows (head, lo, hi) of the full-dimensional kP, by
     ascending head x' in the bounding box: x' + (x_n,) is in kP iff lo <=
     x_n <= hi.
@@ -651,6 +663,34 @@ def _rows(P, k):
 
     scan(0, (), [k * c // P.denom for _, c in P.int_facets])
     return out
+
+
+def lattice_count(P, k):
+    """N(k) = #(kP cap Z^n) for a full-dimensional lattice polytope P, with
+    no point built.  A level k <= n counts the rows of its own scan, so a
+    small level never scans a larger box.  Above n, N(k) is the Ehrhart
+    polynomial of P, of degree n with leading coefficient vol(P): N(k) =
+    sum_{j <= n} C(k, j) Delta^j N(0), from N(0) = 1 and the row counts
+    N(1), ..., N(n), whose boxes hold fewer points than kP's.  The
+    differences are taken once per polytope, with Delta^n N(0) = n! vol(P)
+    checked.  The box of kP is first checked by dilate_boxes."""
+    if not P.is_full_dim:
+        raise DegenerateInput("a lattice count needs a full-dimensional polytope")
+    if not _is_lattice(P):
+        raise NotLatticePolytope("vertices must be integral")
+    k, n = int(k), P.ambient_dim
+    if k <= n:
+        return row_count(_rows(P, k))
+    dilate_boxes(P, (k,))
+    if P._ehrhart is None:
+        values, diffs = [1] + [row_count(_rows(P, j)) for j in range(1, n + 1)], []
+        while values:
+            diffs.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        if diffs[n] != factorial(n) * volume(P):
+            raise GrowthLabError("the Ehrhart leading coefficient is not the volume")
+        P._ehrhart = tuple(diffs)
+    return sum(comb(k, j) * d for j, d in enumerate(P._ehrhart))
 
 
 def dilate_boxes(P, ks):

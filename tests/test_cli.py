@@ -462,6 +462,17 @@ class TestExactClass:
         assert code == 0
 
     @pytest.mark.parametrize("argv", [
+        ["okounkov", "--polytope", "{cube2}", "--k-max", "3"],
+        ["okounkov", "--polytope", "{trapezoid}", "--k-max", "4"],
+        ["corpus", "--k", "1,2,4"],
+    ], ids=["okounkov-3d", "okounkov-2d", "corpus"])
+    def test_bodies_read_rows_without_enumerating(self, files, capsys, monkeypatch, argv):
+        # a toric series keeps each W_k as the rows of its scan
+        monkeypatch.setattr(pt, "row_points", _refuse_enumeration)
+        code, _ = run_cli([a.format(**files) for a in argv], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
         ["growth", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
          "--samples", "100"],
         ["volume", "--polytope", "{square2}", "--vertex", "0,0", "--numeric",
@@ -483,6 +494,29 @@ class TestExactClass:
         assert code == 2
         assert json.loads(out)["error"] == {"type": "ValueError",
                                             "message": str(expected.value)}
+
+    def test_small_level_scans_only_its_own_box(self, files, capsys):
+        # the box of 1P fits the budget and the box of 2P does not, so N(1)
+        # must come from its own scan, not from the Ehrhart nodes 1, 2, 3
+        big = files["tmp"] / "big.json"
+        big.write_text(json.dumps(pt.box([120] * 3).to_json_dict()))
+        argv = ["growth", "--polytope", str(big), "--vertex", "0,0,0", "--k"]
+        code, out = run_cli(argv + ["1"], capsys)
+        assert code == 0
+        assert json.loads(out)["certificates"]["1"]["witnesses"]["lattice_count"] == 121 ** 3
+        code, out = run_cli(argv + ["1,2"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": "the bounding box of 2P has 13997521 lattice points, "
+                       "above the limit of 2000000"}
+
+    def test_ehrhart_volume_mismatch_exits_1(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(pt, "volume", lambda P: F(1))
+        code = main(["growth", "--polytope", files["cube2"], "--vertex", "0,0,0", "--k", "4"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "GrowthLabError" and "Ehrhart" in error["message"]
 
 
 # One argv per command that makes no float computation.

@@ -380,7 +380,7 @@ class TestRegularizedMax:
 
 class TestSerialization:
     def test_lse_exponents_stored_as_sorted_int_tuples(self):
-        # u_k keeps its polytope and the rows of its count; the points are expanded on first use
+        # u_k keeps its polytope and its count; the points are listed on first use
         u = cf.logsumexp_from_polytope(SQUARE, 2)
         assert u.lattice_count == 25
         assert u.exponents == tuple(pt.lattice_points(SQUARE, 2))
@@ -388,24 +388,31 @@ class TestSerialization:
         assert all(type(x) is int for e in u.exponents for x in e)
         assert u.slope_polytope is SQUARE
         with pytest.raises(ValueError, match="slope polytope"):
-            cf.SmoothToricPotential("lse", k=2, rows=pt._rows(SQUARE, 2))
+            cf.SmoothToricPotential("lse", k=2, count=25)
 
     def test_lse_scans_each_level_once(self, monkeypatch):
-        # the rows that count N(k) are the rows the exponents expand
+        # the counts, the Ehrhart nodes and u_k's exponents share one scan per
+        # level of a polytope; a fresh one, as module-level ones keep theirs
+        from growthlab import growth as gr
         calls = []
-        real = pt._rows
+        real = pt._scan_rows
 
         def counted(P, k):
             calls.append(k)
             return real(P, k)
 
-        monkeypatch.setattr(pt, "_rows", counted)
-        for k in (1, 2, 4):
-            u = cf.logsumexp_from_polytope(TRAP, k)
-            u((0.5, -0.5))
-            u.grad_many([[0.0, 1.0]])
-            assert list(u.exponents) == brute_force_lattice_points(TRAP.vertices, k)
-        assert calls == [1, 2, 4]
+        monkeypatch.setattr(pt, "_scan_rows", counted)
+        gc = gr.build_growth_condition(pt.box([1, 2, 3]), (0, 0, 0), (1, 2, 4, 8))
+        report = gr.growth_report(gc)
+        # 1 and 2 count their own scans; 4 and 8 read the nodes 1, 2, 3
+        assert calls == [1, 2, 3]
+        assert report.certificates[8].witnesses["lattice_count"] == 9 * 17 * 25
+        u = cf.logsumexp_from_polytope(gc.polytope, 8)
+        assert calls == [1, 2, 3]
+        u((0.5, -0.5, 0.25))
+        u.grad_many([[0.0, 1.0, 0.0]])
+        assert list(u.exponents) == brute_force_lattice_points(gc.polytope.vertices, 8)
+        assert calls == [1, 2, 3, 8]
 
     def test_fs_dimension_fixed_at_construction(self):
         u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)

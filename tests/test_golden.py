@@ -48,6 +48,8 @@ COMMANDS = [
     ["check-delzant"],
     ["normalize", "--vertex"],
     ["growth", "--vertex"],
+    # levels above n, where N(k) is read off the Ehrhart polynomial
+    ["growth", "--k", "3,5,16", "--vertex"],
     ["volume", "--vertex"],
     ["seshadri", "--vertex"],
     ["seshadri", "--tol", "1/3", "--vertex"],

@@ -8,6 +8,7 @@ from growthlab import convexfn as cf
 from growthlab import growth as gr
 from growthlab import okounkov as ok
 from growthlab import polytope as pt
+from growthlab.errors import DimensionMismatch
 
 from _oracles import grid_conjugate_2d
 
@@ -18,19 +19,39 @@ TRAP = pt.hull([(0, 0), (3, 0), (1, 1), (0, 1)])
 
 def restricted_series():
     """The toric series of SIGMA up to degree 8 cut to a_0 >= k/2."""
-    return ok.GradedMonomialSeries({k: [a for a in pt.lattice_points(SIGMA, k)
-                                        if a[0] >= math.ceil(k / 2)]
+    return ok.GradedMonomialSeries({k: ok.point_rows([a for a in pt.lattice_points(SIGMA, k)
+                                                      if a[0] >= math.ceil(k / 2)])
                                     for k in range(1, 9)})
+
+
+def points(W):
+    """Every point of the rows W of a level."""
+    return [head + (x,) for head, xs in W.items() for x in xs]
+
+
+def member(a, W):
+    return a[-1] in W.get(a[:-1], ())
 
 
 def multiplicative(series):
     """W_j + W_k inside W_{j+k} for every stored degree pair."""
-    W = series.degrees
-    return all(tuple(x + y for x, y in zip(a, b)) in W[j + k]
-               for j in W for k in W if j + k in W for a in W[j] for b in W[k])
+    W = series.rows
+    return all(member(tuple(x + y for x, y in zip(a, b)), W[j + k])
+               for j in W for k in W if j + k in W for a in points(W[j]) for b in points(W[k]))
 
 
 class TestSeries:
+    def test_toric_rows_are_ranges_of_the_scan(self):
+        series = ok.GradedMonomialSeries.toric(TRAP, 2)
+        assert series.rows[1] == {(0,): range(0, 2), (1,): range(0, 2),
+                                  (2,): range(0, 1), (3,): range(0, 1)}
+        assert sorted(points(series.rows[2])) == pt.lattice_points(TRAP, 2)
+
+    def test_point_rows_group_by_head(self):
+        assert ok.point_rows([(1, 5), (0, 2), (1, 3), (1, 5)]) == {(0,): (2,), (1,): (3, 5)}
+        with pytest.raises(DimensionMismatch):
+            ok.GradedMonomialSeries({1: ok.point_rows([(0, 0), (0, 0, 1)])})
+
     def test_toric_multiplicative(self):
         for P in (SIGMA, TRAP):
             assert multiplicative(ok.GradedMonomialSeries.toric(P, 4))
@@ -54,7 +75,8 @@ def hulls(monkeypatch):
 
 
 def fresh_hull(series, k):
-    return pt.Polytope.from_points(series.degrees[k], series.dim).scaled(F(1, k))
+    """The hull of every point of W_k / k, not only of the row ends."""
+    return pt.Polytope.from_points(points(series.rows[k]), series.dim).scaled(F(1, k))
 
 
 class TestBody:
@@ -97,7 +119,7 @@ class TestBody:
 
     def test_hand_built_series_hulls_its_first_full_dimensional_level(self, hulls):
         toric = ok.GradedMonomialSeries.toric(TRAP, 3)
-        series = ok.GradedMonomialSeries(toric.degrees)
+        series = ok.GradedMonomialSeries(toric.rows)
         assert series.polytope is None
         hulls.clear()
         body = ok.okounkov_body(series)
@@ -127,7 +149,7 @@ class TestCertifiedLevels:
             for c in (1, F(1, 2), F(2, 3), F(3, 2)):
                 series = ok.GradedMonomialSeries.toric(P.scaled(c), {2: 4, 3: 3}[P.ambient_dim])
                 body = ok.okounkov_body(series)
-                assert sorted(body.hull_at) == sorted(series.degrees)
+                assert sorted(body.hull_at) == sorted(series.rows)
                 assert all(B == fresh_hull(series, k) for k, B in body.hull_at.items())
 
     def test_outer_inclusion_fails(self):
@@ -136,7 +158,8 @@ class TestCertifiedLevels:
         series = ok.GradedMonomialSeries.toric(pt.box([F(3, 2)] * 2), 2)
         body = ok.okounkov_body(series)
         assert body.hull_at[1] == pt.box([1, 1])
-        assert all(tuple(2 * x for x in v) in series.degrees[2] for v in body.hull_at[1].vertices)
+        assert all(member(tuple(2 * x for x in v), series.rows[2])
+                   for v in body.hull_at[1].vertices)
         assert body.hull_at[2] == pt.box([F(3, 2)] * 2)
         assert body.limit is None
 
@@ -157,10 +180,26 @@ class TestCertifiedLevels:
         # W_2 lies in 2B = [0,2]^2 but lacks its vertex (2, 2)
         square = [(x, y) for x in (0, 1) for y in (0, 1)]
         level2 = [(x, y) for x in range(3) for y in range(3) if (x, y) != (2, 2)]
-        series = ok.GradedMonomialSeries({1: square, 2: level2})
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
         body = ok.okounkov_body(series)
         assert body.hull_at[1] == pt.box([1, 1])
         assert body.hull_at[2] == pt.hull([(0, 0), (1, 0), (0, 1), (1, F(1, 2)), (F(1, 2), 1)])
+        assert body.limit is None
+
+    def test_top_end_of_a_row_outside_the_dilate(self, hulls):
+        # W_2 holds 2B = [0,2]^2's vertices, and its only point outside 2B is
+        # (1, 3), the top end of the row x = 1: a check of the low ends alone
+        # would certify it
+        square = [(x, y) for x in (0, 1) for y in (0, 1)]
+        level2 = [(x, y) for x in range(3) for y in range(3)] + [(1, 3)]
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
+        assert series.rows[2][(1,)] == (0, 1, 2, 3)
+        hulls.clear()
+        body = ok.okounkov_body(series)
+        assert len(hulls) == 2
+        assert body.hull_at[1] == pt.box([1, 1])
+        assert body.hull_at[2] == fresh_hull(series, 2) \
+            == pt.hull([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(3, 2))])
         assert body.limit is None
 
 

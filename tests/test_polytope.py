@@ -270,6 +270,45 @@ class TestLatticePoints:
         counts = [pt.row_count(pt._rows(P, k)) for k in (1, 2, 3, 4)]
         assert ehrhart_volume_3d(*counts) == pt.volume(P)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_ehrhart_count_matches_brute_force_oracle(self, seed, n):
+        # k <= n counts a scan, k > n reads the Ehrhart polynomial; the
+        # oracle tests every point of the box of 7P, so that box stays small
+        from conftest import random_delzant
+        P = random_delzant(random.Random(seed), n)
+        assume(math.prod(7 * (max(c) - min(c)) + 1 for c in zip(*P.vertices)) <= 3 * 10 ** 4)
+        for k in range(1, 8):
+            assert pt.lattice_count(P, k) == len(brute_force_lattice_points(P.vertices, k))
+
+    def test_ehrhart_closed_forms(self):
+        for a in (1, 2, 5):
+            interval = pt.box([a])
+            assert [pt.lattice_count(interval, k) for k in range(1, 9)] == \
+                [1 + a * k for k in range(1, 9)]
+        cube = pt.box([1] * 4)
+        assert [pt.lattice_count(cube, k) for k in range(1, 12)] == \
+            [(k + 1) ** 4 for k in range(1, 12)]
+        assert cube._ehrhart == (1, 15, 50, 60, 24)
+
+    def test_lattice_count_refuses_non_lattice_input(self):
+        with pytest.raises(NotLatticePolytope):
+            pt.lattice_count(pt.box([F(3, 2), 1]), 3)
+        with pytest.raises(DegenerateInput):
+            pt.lattice_count(pt.Polytope.from_points([(0, 0), (2, 1)]), 3)
+        with pytest.raises(ValueError, match="positive"):
+            pt.lattice_count(SQUARE, 0)
+        with pytest.raises(ValueError, match="limit"):
+            pt.lattice_count(pt.box([2, 2, 2]), 200)
+
+    def test_ehrhart_volume_mismatch_is_refused(self, monkeypatch):
+        monkeypatch.setattr(pt, "volume", lambda P: F(7))
+        P = pt.box([1, 2])
+        assert pt.lattice_count(P, 2) == 15
+        with pytest.raises(GrowthLabError, match="Ehrhart"):
+            pt.lattice_count(P, 3)
+
     def test_box_budget(self, monkeypatch):
         with pytest.raises(ValueError, match="limit"):
             pt.lattice_points(pt.box([2, 2, 2]), 200)
@@ -292,6 +331,7 @@ class TestLatticePoints:
         with pytest.raises(ValueError, match="34 lattice points together"):
             pt.dilate_boxes(SQUARE, [1, 2])
         monkeypatch.setattr(pt, "lattice_points", refuse)
+        monkeypatch.setattr(pt, "_scan_rows", refuse)
         with pytest.raises(ValueError, match="together"):
             ok.GradedMonomialSeries.toric(SQUARE, 2)
         with pytest.raises(ValueError, match="together"):
