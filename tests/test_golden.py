@@ -39,6 +39,9 @@ FIXTURES = {
     # first full-dimensional Okounkov level k = 2; its dilate by 3 is not integral
     "quarter_square": ([["0", "0"], ["1/2", "0"], ["0", "1/2"], ["1/2", "1/2"]], "1/2,0"),
     "segment": ([["0", "0"], ["2", "1"]], "2,1"),
+    # lower-dimensional with denominators: k t of the chart is integral only at even k
+    "rational_segment": ([["0", "1/2"], ["3/2", "0"]], "3/2,0"),
+    "flat_triangle": ([["0", "0", "0"], ["3/2", "0", "0"], ["0", "3/2", "1"]], "3/2,0,0"),
 }
 
 # The fixtures `corpus --dir` reads besides the built-in corpus.
