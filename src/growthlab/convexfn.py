@@ -311,8 +311,10 @@ class BoundedDifferenceCertificate:
 
 
 def _separating_direction(point, P):
-    """A direction d with <d, point> strictly above max over P; exact."""
-    from .rationals import solve, vsub
+    """A direction d with <d, point> strictly above max over P; exact.  Below
+    full dimension, +-U^T e_j for a tail entry j of U point off T / D, else
+    U^T (a, 0) for a facet normal a of P' separating its head."""
+    from .rationals import vsub
     if P.is_point:
         return vsub(point, P.vertices[0])
     if P.is_full_dim:
@@ -320,18 +322,14 @@ def _separating_direction(point, P):
             if f.value(point) > f.offset:
                 return f.normal
         raise ValueError("point is inside the polytope")
-    # residual of the exact orthogonal projection onto the span, else recurse
-    B = P._span_basis
-    gram = [[dot(a, b) for b in B] for a in B]
-    rhs = [dot(a, vsub(point, P._span_point)) for a in B]
-    s = solve(gram, rhs)
-    proj = pt._from_span(P._span_point, B, s)
-    r = vsub(point, proj)
-    if any(x != 0 for x in r):
-        return r
-    inner = _separating_direction(s, P._span_poly)
-    coef = solve(gram, inner)  # dual basis lift of the in-span normal
-    return tuple(sum(c * b[i] for c, b in zip(coef, B)) for i in range(len(point)))
+    U, T, Q = P._chart
+    y = [dot(row, point) for row in U]
+    for row, z, t in zip(U[P.dim:], y[P.dim:], T):
+        t = Fraction(t, P.denom)
+        if z != t:
+            return row if z > t else tuple(-x for x in row)
+    a = _separating_direction(tuple(y[:P.dim]), Q)
+    return tuple(dot(a, col) for col in zip(*U[:P.dim]))
 
 
 def _sup_max_affine(f, g):

@@ -11,9 +11,9 @@ facets an oriented boundary cycle of degree 1).  The volume sums integer
 cone determinants over those simplices and divides by D^n once.  Scaling
 and unimodular maps act on D and the numerators, with no new hull.
 `vertices` and `facets` are Fraction views, built once per polytope for
-reports and JSON.  Lower-dimensional polytopes (points, slices, faces) keep
-vertex numerators over the lcm D of their input's denominators, a Fraction
-affine-span basis and a full-dimensional span polytope.
+reports and JSON.  Below full dimension d >= 1 there is an integer chart
+(U, T, P'): U x has the constant tail T / D on aff(P) for a unimodular U,
+and P' is the full-dimensional d-polytope of the heads of U P.
 """
 
 from dataclasses import dataclass
@@ -32,9 +32,9 @@ from .errors import (
 )
 from .rationals import (
     _bareiss,
-    _integer_rows,
     det,
     dot,
+    hermite,
     inverse,
     null_vector,
     primitive_integer,
@@ -113,16 +113,16 @@ class Polytope:
     """Immutable exact polytope; do not mutate attributes after construction.
     It keeps the sorted vertex numerators `int_vertices` over `denom`, and if
     full-dimensional the facet pairs `int_facets`, the simplices `_boundary[i]`
-    on facet i and each vertex numerator's facet indices `_incidence`.  Like
+    on facet i and each vertex numerator's facet indices `_incidence`, else
+    if not a point the chart `_chart` (U, T, P'), T over `denom`.  Like
     its volume and edges, its row scans of kP (`_scans`, by level) and its
     Ehrhart differences are computed once, on first use."""
 
-    def __init__(self, ambient_dim, vertices, dim, denom, span_point=None, span_basis=None,
-                 span_poly=None, facets=(), boundary=(), incidence=None):
+    def __init__(self, ambient_dim, vertices, dim, denom, chart=None, facets=(), boundary=(),
+                 incidence=None):
         self.ambient_dim, self.dim, self.denom = ambient_dim, dim, denom
         self.int_vertices, self.int_facets = tuple(sorted(vertices)), facets
-        self._span_point, self._span_basis, self._span_poly = span_point, span_basis, span_poly
-        self._boundary, self._incidence = boundary, incidence
+        self._chart, self._boundary, self._incidence = chart, boundary, incidence
         self._vertices = self._facets = self._edges = self._volume = self._ehrhart = None
         self._scans = {}
 
@@ -172,16 +172,13 @@ class Polytope:
             return _hull_full_dim(pts, ambient_dim, D)
         if d == 0:
             return cls(ambient_dim, [base], 0, D)
-        # project to span coordinates, which scaling by D leaves unchanged
-        cols = list(zip(*basis))  # n x d system
-        coords = [solve_general(cols, vsub(p, base)) for p in pts]
-        if None in coords:
-            raise GrowthLabError("span projection failed")
-        span_poly = cls.from_points(coords, d)
-        point = dict(zip(coords, pts))
-        base, *basis = (tuple(Fraction(x, D) for x in p) for p in [base] + basis)
-        return cls(ambient_dim, [point[s] for s in span_poly.vertices], d, D, span_point=base,
-                   span_basis=tuple(basis), span_poly=span_poly)
+        U = _chart_matrix(list(zip(*basis)), d)
+        images = [tuple(dot(row, p) for row in U) for p in pts]
+        point = {y[:d]: p for y, p in zip(images, pts)}
+        Q = _hull_full_dim(sorted(point), d, D)
+        g = D // Q.denom
+        return cls(ambient_dim, [point[tuple(g * x for x in H)] for H in Q.int_vertices], d, D,
+                   chart=(U, images[0][d:], Q))
 
     # -- basic queries --------------------------------------------------
 
@@ -197,27 +194,6 @@ class Polytope:
     def is_full_dim(self):
         return self.dim == self.ambient_dim and self.dim >= 0
 
-    def contains(self, x):
-        x = vec(x)
-        if len(x) != self.ambient_dim:
-            raise DimensionMismatch("point/polytope dimension mismatch")
-        if self.is_empty:
-            return False
-        if self.is_point:
-            return x == self.vertices[0]
-        if self.is_full_dim:
-            # a.x <= c/D as a.(x d) D <= c d in ints, d the lcm of x's denominators
-            d = lcm(*(t.denominator for t in x))
-            xd = [t.numerator * (d // t.denominator) for t in x]
-            return all(dot(a, xd) * self.denom <= c * d for a, c in self.int_facets)
-        cols = list(zip(*self._span_basis))
-        s = solve_general(cols, vsub(x, self._span_point))
-        if s is None:
-            return False
-        if _from_span(self._span_point, self._span_basis, s) != x:
-            return False
-        return self._span_poly.contains(s)
-
     def edges(self):
         """Vertex index pairs forming 1-faces, as a tuple computed once."""
         if self._edges is None:
@@ -228,11 +204,12 @@ class Polytope:
         if not self.is_full_dim:
             if self.dim <= 0:
                 return []
-            amb = [_from_span(self._span_point, self._span_basis, s)
-                   for s in self._span_poly.vertices]
-            index = {v: i for i, v in enumerate(self.vertices)}
-            return [(index[amb[i]], index[amb[j]])
-                    for i, j in self._span_poly.edges()]
+            U, _, Q = self._chart  # P'.denom divides D
+            index = {tuple(dot(row, X) for row in U[:self.dim]): i
+                     for i, X in enumerate(self.int_vertices)}
+            g = self.denom // Q.denom
+            at = [index[tuple(g * x for x in H)] for H in Q.int_vertices]
+            return [(at[i], at[j]) for i, j in Q.edges()]
         n = self.ambient_dim
         active = [self._incidence[X] for X in self.int_vertices]
         pairs = ((i, j, active[i] & active[j])
@@ -242,22 +219,18 @@ class Polytope:
 
     def scaled(self, c):
         """cP.  For c = p/q > 0 and dim P >= 1 there is no new hull.  A
-        lower-dimensional P keeps its span polytope, as x = p0 + sum s_i b_i
-        maps to c x = c p0 + sum s_i (c b_i).  A full-dimensional P maps X / D
-        to p X / (q D) and a facet a.x <= b / D to a.x <= p b / (q D)."""
+        full-dimensional P maps X / D to p X / (q D) and a facet a.x <= b / D
+        to a.x <= p b / (q D).  A lower-dimensional P keeps U of its chart and
+        maps T / D to p T / (q D) and P' to cP'."""
         c = rat(c)
-
-        def image(v):
-            return tuple(c * x for x in v)
-
         if c <= 0 or self.dim < 1:
-            return Polytope.from_points([image(v) for v in self.vertices], self.ambient_dim)
+            return Polytope.from_points([tuple(c * x for x in v) for v in self.vertices],
+                                        self.ambient_dim)
         p, E = c.numerator, c.denominator * self.denom
         if not self.is_full_dim:
+            U, T, Q = self._chart
             return Polytope(self.ambient_dim, [tuple(p * x for x in X) for X in self.int_vertices],
-                            self.dim, E, span_point=image(self._span_point),
-                            span_basis=tuple(map(image, self._span_basis)),
-                            span_poly=self._span_poly)
+                            self.dim, E, chart=(U, tuple(p * t for t in T), Q.scaled(c)))
         return self._image(lambda X: tuple(p * x for x in X), lambda a, b: (a, p * b), E)
 
     def _image(self, point, facet, E):
@@ -332,12 +305,17 @@ class Polytope:
 # -- hull machinery -------------------------------------------------------
 
 
-def _from_span(base, basis, s):
-    out = list(base)
-    for coef, b in zip(s, basis):
-        for i in range(len(out)):
-            out[i] += coef * b[i]
-    return tuple(out)
+def _chart_matrix(M, d):
+    """A unimodular U with U M = [H; 0] for an integer n x d matrix M of rank
+    d.  As W M = [H'; 0] for the Hermite transform W of M, the first d
+    columns of W^-1 are a basis of Z^n cap span(M); U inverts W^-1 with them
+    replaced by that lattice's Hermite basis E.  The head h_j of x is (x_r -
+    sum_{i<j} E_i[r] h_i) / E_j[r] at the pivot r of E_j, 0 <= E_i[r] <
+    E_j[r], so it spans at most x_r's range plus those of h_1 .. h_{j-1};
+    the heads of W x alone can span orders of magnitude more."""
+    W_inv = inverse(hermite(M)[1])
+    E = hermite([[row[j] for row in W_inv] for j in range(d)])[0]
+    return inverse([tuple(e[i] for e in E) + row[d:] for i, row in enumerate(W_inv)])
 
 
 def _affine_basis(pts):
@@ -596,16 +574,23 @@ def normalize_at_vertex(P, v):
 
 def lattice_points(P, k=1):
     """Integer points of the dilate kP, sorted: the points of each row of
-    _rows in turn.  A lower-dimensional P tests each box point for membership
-    instead.  The box is first checked by dilate_boxes."""
+    _rows in turn.  Below full dimension, after dilate_boxes, U maps Z^n
+    onto itself and kP onto kP' x {k T / D}: none unless k T / D is
+    integral, else U^-1 (h, k T / D) over the points h of _rows(P', k)."""
     if P.is_empty:
         return []
     k = int(k)
     if P.is_full_dim:
         return row_points(_rows(P, k))
-    [(los, his)] = dilate_boxes(P, (k,))
-    return [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
-            if P.contains(tuple(Fraction(c, k) for c in x))]
+    dilate_boxes(P, (k,))
+    if P.is_point:
+        [X] = P.int_vertices
+        return [] if any(k * x % P.denom for x in X) else [tuple(k * x // P.denom for x in X)]
+    U, T, Q = P._chart
+    if any(k * t % P.denom for t in T):
+        return []
+    tail, V = tuple(k * t // P.denom for t in T), inverse(U)
+    return sorted(tuple(dot(row, h + tail) for row in V) for h in row_points(_rows(Q, k)))
 
 
 def row_points(rows):
@@ -744,23 +729,14 @@ def volume(P):
 
 
 def relative_volume(P):
-    """Volume in the affine span, normalized so a lattice cell has volume 1.
-
-    With the span basis rows b_i scaled to integer rows c_i = d_i b_i, the
-    span coordinates s of x = p0 + sum s_i b_i are t_i = s_i / d_i in the
-    basis C.  The lattice points of the span's directions contain Z C with
-    index the gcd g of C's maximal minors (the product of its Smith
-    invariant factors), so the value is volume(span polytope) g / prod d_i."""
+    """Volume in the affine span, normalized so a lattice cell has volume 1:
+    volume(P') below full dimension, as U maps the span's integer directions
+    onto Z^d x {0} (Beck and Robins, Computing the Continuous Discretely)."""
     if P.is_empty:
         return Fraction(0)
     if P.is_point:
         return Fraction(1)
-    if P.is_full_dim:
-        return volume(P)
-    rows, scale = _integer_rows(P._span_basis)
-    g = gcd(*(det([[r[j] for j in cols] for r in rows])
-              for cols in combinations(range(P.ambient_dim), P.dim)))
-    return volume(P._span_poly) * g / scale
+    return volume(P if P.is_full_dim else P._chart[2])
 
 
 def simplex_inclusion(P):

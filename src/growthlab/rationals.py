@@ -4,7 +4,8 @@ Vectors are tuples of int or Fraction (floats convert exactly), matrices
 tuples of rows; `dot` stays an int on ints.  Every elimination is one
 fraction-free integer elimination (Bareiss) on rows cleared of
 denominators: `det`, `rank` and `null_vector` read its echelon form, and
-`solve`, `solve_general` and `inverse` back-substitute in it.
+`solve`, `solve_general` and `inverse` back-substitute in it.  `hermite`
+keeps its row operations in GL(n, Z) with extended-gcd steps instead.
 """
 
 from fractions import Fraction
@@ -95,6 +96,29 @@ def null_vector(rows):
     for row, c in reversed(list(zip(rows, pivots))):
         a[c] = -sum(x * y for x, y in zip(row[c + 1:], a[c + 1:])) // row[c]
     return a
+
+
+def hermite(A):
+    """(H, W), int rows, with W A = H for an integer m x n matrix A: H is the
+    Hermite normal form (row echelon over Z, each pivot p > 0 with the
+    entries above it in [0, p)) and W is unimodular, from extended-gcd row
+    steps (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
+    m, n = len(A), len(A[0])
+    rows = [list(a) + [int(i == j) for j in range(m)] for i, a in enumerate(A)]
+    r = 0
+    for c in range(n):
+        for i in range(r + 1, m):
+            while rows[i][c]:
+                q = rows[r][c] // rows[i][c]
+                rows[r], rows[i] = rows[i], [x - q * y for x, y in zip(rows[r], rows[i])]
+        if r < m and rows[r][c]:
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+            for i in range(r):
+                q = rows[i][c] // rows[r][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+            r += 1
+    return [row[:n] for row in rows], [row[n:] for row in rows]
 
 
 def rank(vectors) -> int:

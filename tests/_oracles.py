@@ -87,10 +87,12 @@ def brute_force_lattice_points(points, k):
     """Sorted integer points of k conv(points), each box point tested against
     brute_force_facets of the k-scaled points.
 
-    A hyperplane through every point bounds from both sides.  If the points
-    span a hyperplane, it is their only facet, so the answer is exact only
-    when the bounding box cuts it down to the hull, as for a segment in the
-    plane or a hyperplane slice of a box.
+    The points span a flat below full dimension when every hyperplane of
+    brute_force_facets, if any, holds them all.  Then they are the graph of
+    an affine map over d coordinates on which their differences keep their
+    rank d: the integer points of the hull projected to those coordinates,
+    each lifted by its coordinates in d independent differences, are kept
+    when the lift is integral.
     """
     scaled = [tuple(k * Fraction(x) for x in p) for p in points]
     n = len(scaled[0])
@@ -99,10 +101,36 @@ def brute_force_lattice_points(points, k):
     if n == 1:
         return [(x,) for x in ranges[0]]
     facets = brute_force_facets(scaled)
-    facets |= {(tuple(-ai for ai in a), -b) for a, b in facets
-               if all(sum(ai * x for ai, x in zip(a, p)) == b for p in scaled)}
+    if all(sum(ai * x for ai, x in zip(a, p)) == b for a, b in facets for p in scaled):
+        return _flat_lattice_points(scaled)
     return [x for x in product(*ranges)
             if all(sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in facets)]
+
+
+def _flat_lattice_points(points):
+    """The integer points of the hull of points whose affine span is not
+    full-dimensional, by the lift of brute_force_lattice_points."""
+    p0 = points[0]
+    basis = []
+    for p in points[1:]:
+        row = [x - y for x, y in zip(p, p0)]
+        if minor_rank(basis + [row]) > len(basis):
+            basis.append(row)
+    if not basis:
+        return [tuple(int(x) for x in p0)] if all(x.denominator == 1 for x in p0) else []
+    d = len(basis)
+    cols = next(c for c in combinations(range(len(p0)), d)
+                if minor_rank([[row[j] for j in c] for row in basis]) == d)
+    heads = [[row[j] for j in cols] for row in basis]
+    # the coordinates of e_j, so that y - p0 has sum_j (y_j - p0_j) inv[j]
+    inv = [_coordinates(heads, [int(i == j) for i in range(d)]) for j in range(d)]
+    out = []
+    for y in brute_force_lattice_points([[p[j] for j in cols] for p in points], 1):
+        t = [sum((y[j] - p0[c]) * inv[j][i] for j, c in enumerate(cols)) for i in range(d)]
+        x = [x0 + sum(ti * row[c] for ti, row in zip(t, basis)) for c, x0 in enumerate(p0)]
+        if all(v.denominator == 1 for v in x):
+            out.append(tuple(int(v) for v in x))
+    return sorted(out)
 
 
 def laplace_det(rows):

@@ -697,7 +697,9 @@ class TestReadme:
 
 # No command calls reassemble: the tests check the paper's decomposition
 # claim (the representative is the max of its radial components) through it.
-SURFACE_EXEMPT = {"reassemble"}
+# Nothing in the package calls rationals.solve, but perfbench's tracer wraps
+# it by name as one of its layers and fails on a missing name.
+SURFACE_EXEMPT = {"reassemble", "solve"}
 
 
 def unreferenced_definitions():

@@ -136,18 +136,18 @@ class TestSeshadri:
 
     def test_bisection_matches_fraction_bisection(self, rng):
         # the integer bisection against the same bisection run in Fractions
-        # over Polytope.contains and snapped by the scan oracle; at a
+        # over the oracle's facets and snapped by the scan oracle; at a
         # tolerance of c_max + 1 neither loop runs and the value snaps to 0
-        from _oracles import scan_simplest_fraction
+        from _oracles import brute_force_facets, scan_simplest_fraction
         from conftest import random_delzant
         for n in (2, 3, 2, 3, 2, 3):
             P = random_delzant(rng, n)
             for v in P.vertices:
                 gc = gr.build_growth_condition(P, v, [1])
+                facets = brute_force_facets(gc.polytope.vertices)
 
                 def fits(lam):
-                    return all(gc.polytope.contains(tuple(lam * (j == i) for j in range(n)))
-                               for i in range(n))
+                    return all(lam * a[i] <= b for a, b in facets for i in range(n))
 
                 for tol in (F(1, 2 ** 48), F(1, 3), F(1), gc.c_max + 1):
                     lo, hi = F(0), gc.c_max + 1
@@ -164,8 +164,8 @@ class TestSeshadri:
         # values still arise for scaled bodies and must stay exact
         P = pt.standard_simplex(2).scaled(F(3, 2))
         assert pt.simplex_inclusion(P) == F(3, 2)
-        from _oracles import bisection_simplex_inclusion
-        oracle = bisection_simplex_inclusion(P, lambda Q, x: Q.contains(x), 3)
+        from _oracles import bisection_simplex_inclusion, in_hull
+        oracle = bisection_simplex_inclusion(P, lambda Q, x: in_hull(Q.vertices, x), 3)
         assert abs(oracle - F(3, 2)) <= F(1, 2 ** 40)
 
     def test_monotone_under_inclusion(self, rng):

@@ -27,7 +27,6 @@ from _oracles import (
     brute_force_slice,
     brute_force_vertices,
     ehrhart_volume_3d,
-    in_hull,
     kernel_relative_volume,
     laplace_det,
     minor_rank,
@@ -243,15 +242,30 @@ class TestLatticePoints:
         assume(P.is_full_dim)
         assert pt.lattice_points(P, k) == brute_force_lattice_points(pts, k)
 
-    @pytest.mark.parametrize("P", [
-        pt.Polytope.from_points([(0, 0), (2, 1)]),
-        pt.Polytope.from_points(pt.slice_vertices(pt.box([2, 2, 2]), (1, 1, 1), 3)),
-    ], ids=["segment", "hexagon"])
-    def test_lower_dimensional_matches_brute_force_oracle(self, P):
+    @pytest.mark.parametrize("clouds", [
+        st.just([(0, 0), (2, 1)]),
+        st.just(pt.slice_vertices(pt.box([2, 2, 2]), (1, 1, 1), 3)),
+        # the chart's tail k/2 is integral only at even k
+        st.just([(0, F(1, 2)), (1, F(1, 2))]),
+        # heads from the Hermite transform of its edges alone would put 3P'
+        # in a box of about 3 * 10^8 points, against 2,860 for 3P
+        st.just([(F(1, 2), 1, F(-5, 2), 2), (0, 1, 3, -1), (F(-5, 2), 1, 6, 2),
+                 (-3, 1, F(-1, 2), 0)]),
+        st.deferred(lambda: flat_clouds()),
+        st.deferred(lambda: flat_clouds(st.builds(F, st.integers(-4, 4), st.integers(1, 3)))),
+    ], ids=["segment", "hexagon", "half_line", "skew_tetrahedron", "flat_clouds",
+            "small_flat_clouds"])
+    @given(data=st.data())
+    def test_lower_dimensional_matches_brute_force_oracle(self, clouds, data):
+        pts = data.draw(clouds)
+        P = pt.Polytope.from_points(pts)
         assert not P.is_full_dim
         for k in (1, 2, 3):
-            points = brute_force_lattice_points(P.vertices, k)
-            assert pt.lattice_points(P, k) == points
+            box = math.prod(math.floor(k * max(c)) - math.ceil(k * min(c)) + 1
+                            for c in zip(*P.vertices))
+            if box <= 3000:  # the oracle tests every point of a projection of the box
+                points = brute_force_lattice_points(pts, k)
+                assert pt.lattice_points(P, k) == pt.lattice_points(P.scaled(k), 1) == points
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]),
            st.sampled_from([F(1, 2), F(2, 3), F(3, 2)]), st.integers(1, 4))
@@ -482,8 +496,10 @@ class TestSimplexInclusion:
             for _ in range(5):
                 P = random_normalized_delzant(rng, n)
                 lam = pt.simplex_inclusion(P)
+                facets = brute_force_facets(P.vertices)
                 oracle = bisection_simplex_inclusion(
-                    P, lambda Q, x: Q.contains(x), hi=max(lam, 1) + 1)
+                    P, lambda _, x: all(sum(ai * xi for ai, xi in zip(a, x)) <= b
+                                        for a, b in facets), hi=max(lam, 1) + 1)
                 assert abs(lam - oracle) <= F(1, 2 ** 40)
 
 
@@ -525,12 +541,6 @@ class TestSlice:
         for value in levels:
             assert pt.slice_vertices(P, normal, value) == \
                 brute_force_slice(P.vertices, normal, value)
-
-    def test_lower_dimensional_contains_off_span(self):
-        seg = pt.Polytope.from_points([(0, 0), (2, 1)])
-        assert seg.contains((1, F(1, 2)))
-        assert not seg.contains((0, 1))
-        assert not seg.contains((4, 2))
 
 
 class TestStrictInclusion:
@@ -610,13 +620,13 @@ def mixed_clouds(draw):
 
 
 @st.composite
-def flat_clouds(draw):
+def flat_clouds(draw, coord=mixed_coord):
     """2 to 5 points p0 + sum t_j d_j in R^n, n = 2..4, on a flat of
-    dimension 1..n-1 spanned by mixed_coord directions d_j."""
+    dimension 1..n-1 spanned by directions d_j, with coord coordinates."""
     n = draw(st.integers(2, 4))
     d = draw(st.integers(1, n - 1))
-    p0 = draw(st.tuples(*[mixed_coord] * n))
-    dirs = draw(st.lists(st.tuples(*[mixed_coord] * n), min_size=d, max_size=d))
+    p0 = draw(st.tuples(*[coord] * n))
+    dirs = draw(st.lists(st.tuples(*[coord] * n), min_size=d, max_size=d))
     coef = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
     ts = draw(st.lists(st.lists(coef, min_size=d, max_size=d), min_size=2, max_size=5))
     return [tuple(x + sum(t * e[i] for t, e in zip(row, dirs)) for i, x in enumerate(p0))
@@ -775,8 +785,8 @@ class TestIntegerKernel:
                                 for v in Q.vertices}
 
     @given(flat_clouds(), st.sampled_from([F(3, 2), F(2)]) | st.integers(1, 5)
-           .map(lambda k: F(1, k)), st.data())
-    def test_lower_dimensional_scaled_matches_rehull_without_hull(self, pts, c, data):
+           .map(lambda k: F(1, k)))
+    def test_lower_dimensional_scaled_matches_rehull_without_hull(self, pts, c):
         P = pt.Polytope.from_points(pts)
         assume(1 <= P.dim < P.ambient_dim)
         hulls = []
@@ -794,24 +804,7 @@ class TestIntegerKernel:
         assert Q.vertices == R.vertices
         assert Q.dim == R.dim == P.dim
         assert pt.relative_volume(Q) == pt.relative_volume(R)
-        u, v = (data.draw(st.sampled_from(R.vertices)) for _ in range(2))
-        t = data.draw(st.builds(F, st.integers(-2, 6), st.integers(1, 4)))
-        on_line = tuple(a + t * (b - a) for a, b in zip(u, v))
-        free = data.draw(st.tuples(*[mixed_coord] * P.ambient_dim))
-        for x in (u, on_line, free):
-            assert Q.contains(x) == R.contains(x)
-
-    @given(mixed_clouds(), st.data())
-    def test_contains_matches_oracle(self, pts, data):
-        P = pt.Polytope.from_points(pts)
-        assume(P.is_full_dim)
-        n = P.ambient_dim
-        u, v = (data.draw(st.sampled_from(P.vertices)) for _ in range(2))
-        t = data.draw(st.builds(F, st.integers(0, 4), st.integers(1, 4)))
-        on_chord = tuple(a + t * (b - a) for a, b in zip(u, v))
-        free = data.draw(st.tuples(*[mixed_coord] * n))
-        for x in (u, on_chord, free):
-            assert P.contains(x) == in_hull(pts, x)
+        assert {frozenset(e) for e in Q.edges()} == {frozenset(e) for e in R.edges()}
 
     @given(matrices(square=True))
     def test_det_matches_laplace(self, A):
@@ -952,7 +945,7 @@ class TestChainedDenominators:
             t = data.draw(st.builds(F, st.integers(-1, 5), st.integers(1, 4)))
             free = data.draw(st.tuples(*[st.builds(F, st.integers(-20, 40), st.integers(1, 7))] * n))
             for x in (u, tuple(a + t * (b - a) for a, b in zip(u, v)), free):
-                assert S.contains(x) == R.contains(x) == all(
+                assert all(f.value(x) <= f.offset for f in S.facets) == all(
                     sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in facets)
             box = math.prod(math.floor(max(c)) - math.ceil(min(c)) + 1 for c in zip(*pts))
             if box <= 3000:  # the oracle tests every point of the box
