@@ -1,13 +1,17 @@
-"""Convex functions on R^n: max-affine forms, smooth toric potentials,
-Legendre transforms, radial decomposition and the regularized max.
+"""Convex functions on R^n: the support function of a polytope, smooth
+toric potentials, the Legendre transform, radial decomposition and the
+regularized max.
 
-Max-affine data is exact (Fraction slopes and offsets; float offsets are
-converted exactly).  Smooth families evaluate in floating point with
+In the toric case the growth condition is its moment polytope, so the
+polyhedral representative is the support function h_P of an exact vertex
+set, with every offset 0.  Its conjugate is the indicator of P (Rockafellar,
+Convex Analysis, section 13), and its radial components are the support
+functions of P's slices.  Smooth families evaluate in floating point with
 numerically stable formulas.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,145 +31,60 @@ INF = math.inf
 MAX_FS_DIM = 48
 
 
-@dataclass(frozen=True)
-class AffinePiece:
-    slope: tuple
-    offset: Fraction
-
-    def value(self, x):
-        return dot(self.slope, x) + self.offset
-
-
-def _is_exact_point(x):
-    return all(isinstance(c, (int, Fraction)) for c in x)
-
-
 class MaxAffineFunction:
-    """Finite maximum of affine forms; immutable."""
+    """The support function max over the slopes v of <v, .>: the sorted
+    exact vertices of a polytope, each with offset 0; immutable."""
 
-    def __init__(self, pieces):
-        if not pieces:
-            raise EmptyInput("a max-affine function needs at least one piece")
-        by_slope = {}
-        for p in pieces:
-            if isinstance(p, AffinePiece):
-                s, c = p.slope, p.offset
-            else:
-                s, c = p
-            s = vec(s)
-            c = rat(c)
-            if s not in by_slope or c > by_slope[s]:
-                by_slope[s] = c
-        self.pieces = tuple(AffinePiece(s, by_slope[s]) for s in sorted(by_slope))
-        self.dim = len(self.pieces[0].slope)
-        if any(len(p.slope) != self.dim for p in self.pieces):
-            raise DimensionMismatch("pieces of mixed dimension")
+    def __init__(self, slopes):
+        if not slopes:
+            raise EmptyInput("a support function needs at least one vertex")
+        self.slopes = tuple(sorted(vec(s) for s in slopes))
+        self.dim = len(self.slopes[0])
+        if any(len(s) != self.dim for s in self.slopes):
+            raise DimensionMismatch("slopes of mixed dimension")
 
     @classmethod
     def support_function(cls, P):
-        """h_P = max over vertices of <v, .>, the polyhedral representative."""
+        """h_P = max over vertices of <v, .>, the polyhedral representative;
+        the only constructor that keeps its polytope."""
         if P.is_empty:
             raise EmptyInput("support function of an empty polytope")
-        h = cls([(v, 0) for v in P.vertices])
-        # P is already the certified hull of exactly these slopes
+        h = cls(P.vertices)
         h.slope_polytope = P
         return h
 
-    def __call__(self, x):
-        if len(x) != self.dim:
-            raise DimensionMismatch("point has wrong dimension")
-        if _is_exact_point(x):
-            return max(p.value(vec(x)) for p in self.pieces)
-        xs = [float(c) for c in x]
-        return max(sum(float(s) * c for s, c in zip(p.slope, xs)) + float(p.offset)
-                   for p in self.pieces)
-
     @cached_property
-    def _float_data(self):
+    def _float_slopes(self):
         import numpy as np
-        A = np.array([[float(s) for s in p.slope] for p in self.pieces])
-        c = np.array([float(p.offset) for p in self.pieces])
-        return A, c
+        return np.array([[float(s) for s in v] for v in self.slopes])
 
     def eval_many(self, X, dtype=float):
         import numpy as np
-        A, c = self._float_data
         X = np.asarray(X, dtype=dtype)
-        return (X @ A.T.astype(dtype) + c.astype(dtype)).max(axis=1)
-
-    @cached_property
-    def _lifted_hull(self):
-        """(Q, cap): Q = conv{(a_i, -b_i)} u {(a_i, cap)}, cap = max(-b_i) + 1."""
-        cap = max(-p.offset for p in self.pieces) + 1
-        pts = [p.slope + (-p.offset,) for p in self.pieces]
-        pts += [p.slope + (cap,) for p in self.pieces]
-        return pt.Polytope.from_points(pts, self.dim + 1), cap
-
-    @cached_property
-    def _pruned_pieces(self):
-        """The pieces (a, b) that strictly attain the maximum somewhere.
-
-        Piece i is dominated iff the lower convex envelope of the other
-        lifted points (a_j, -b_j) is <= -b_i at a_i.  By the lifting map
-        (Edelsbrunner & Seidel 1986) these are read off the lifted hull:
-        Q = {(y, t) : y in conv{a_j}, g(y) <= t <= cap}, g the envelope of
-        all lifted points (the conjugate of f).  A vertex of Q strictly below
-        cap is no inner point of the vertical segment over its y, so it is on
-        the graph of g, and as a vertex it is no convex combination of other
-        lifted points.  A dominated lifted point is such a combination or
-        lies above g, so it is no vertex.  Every lifted point lies below cap,
-        so piece i is kept iff (a_i, -b_i) is a vertex of Q.  With one offset
-        Q is a prism, and the kept slopes are the slope polytope's vertices.
-        """
-        if len({p.offset for p in self.pieces}) == 1:
-            keep = set(self.slope_polytope.vertices)
-            return tuple(p for p in self.pieces if p.slope in keep)
-        keep = set(self._lifted_hull[0].vertices)
-        return tuple(p for p in self.pieces if p.slope + (-p.offset,) in keep)
-
-    @cached_property
-    def slope_polytope(self):
-        """Hull of all slopes; a dominated piece's slope lies in the hull of
-        the others, so pruning does not change it."""
-        return pt.Polytope.from_points([p.slope for p in self.pieces], self.dim)
+        return (X @ self._float_slopes.T.astype(dtype)).max(axis=1)
 
     def to_json_dict(self):
-        return {"pieces": [{"slope": [rat_str(s) for s in p.slope],
-                            "offset": rat_str(p.offset)} for p in self.pieces]}
+        return {"pieces": [{"slope": [rat_str(s) for s in v], "offset": "0"}
+                           for v in self.slopes]}
 
     def __repr__(self):
-        return f"MaxAffineFunction({len(self.pieces)} pieces, dim={self.dim})"
+        return f"MaxAffineFunction({len(self.slopes)} pieces, dim={self.dim})"
 
 
 class ConvexConjugate:
-    """Legendre transform of a max-affine function.
+    """Legendre transform of the support function h_P: the lower convex
+    envelope of P's vertices at height 0, computed by an exact LP.  It is the
+    indicator of P: 0 on P and infinite off it."""
 
-    Finite exactly on the slope polytope; the value at y is the lower convex
-    envelope of the points (slope, -offset) evaluated at y, computed by an
-    exact LP.
-    """
-
-    def __init__(self, breakpoints, dim):
-        self.breakpoints = tuple(breakpoints)  # (slope, value = -offset)
-        self.dim = dim
-
-    @cached_property
-    def domain(self):
-        return pt.Polytope.from_points([s for s, _ in self.breakpoints], self.dim)
+    def __init__(self, h):
+        self.slopes, self.dim = h.slopes, h.dim
 
     def __call__(self, y):
         y = vec(y)
         if len(y) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        slopes = [s for s, _ in self.breakpoints]
-        values = [v for _, v in self.breakpoints]
-        best = envelope_min(slopes, values, y)
+        best = envelope_min(self.slopes, [0] * len(self.slopes), y)
         return INF if best is None else best
-
-
-def legendre(f):
-    """Conjugate description of a max-affine function: domain + roof values."""
-    return ConvexConjugate([(p.slope, -p.offset) for p in f._pruned_pieces], f.dim)
 
 
 class SmoothToricPotential:
@@ -283,94 +202,27 @@ def logsumexp_from_polytope(P, k):
 
 @dataclass(frozen=True)
 class BoundedDifferenceCertificate:
-    """Certified global bounds lower <= f - g <= upper (infinite ends carry a
-    recession witness direction)."""
+    """Certified global bounds lower <= f - g <= upper: an exact lower end
+    and a float upper end."""
 
-    lower: object
-    upper: object
+    lower: Fraction
+    upper: float
     method: str
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     def to_json_dict(self):
-        def fmt(v):
-            if v == INF:
-                return "inf"
-            if v == -INF:
-                return "-inf"
-            if isinstance(v, Fraction):
-                return rat_str(v)
-            return float(v)
-        wit = {}
-        for key, val in self.witnesses.items():
-            if isinstance(val, tuple):
-                wit[key] = [rat_str(x) if isinstance(x, Fraction) else x for x in val]
-            else:
-                wit[key] = val if not isinstance(val, Fraction) else rat_str(val)
-        return {"lower": fmt(self.lower), "upper": fmt(self.upper),
-                "method": self.method, "witnesses": wit}
-
-
-def _separating_direction(point, P):
-    """A direction d with <d, point> strictly above max over P; exact.  Below
-    full dimension, +-U^T e_j for a tail entry j of U point off T / D, else
-    U^T (a, 0) for a facet normal a of P' separating its head."""
-    from .rationals import vsub
-    if P.is_point:
-        return vsub(point, P.vertices[0])
-    if P.is_full_dim:
-        for f in P.facets:
-            if f.value(point) > f.offset:
-                return f.normal
-        raise ValueError("point is inside the polytope")
-    U, T, Q = P._chart
-    y = [dot(row, point) for row in U]
-    for row, z, t in zip(U[P.dim:], y[P.dim:], T):
-        t = Fraction(t, P.denom)
-        if z != t:
-            return row if z > t else tuple(-x for x in row)
-    a = _separating_direction(tuple(y[:P.dim]), Q)
-    return tuple(dot(a, col) for col in zip(*U[:P.dim]))
-
-
-def _sup_max_affine(f, g):
-    """Exact sup of f - g for two max-affine functions, or (inf, witness)."""
-    conj = legendre(g)
-    best = None
-    best_piece = None
-    for p in f._pruned_pieces:
-        val = conj(p.slope)
-        if val == INF:
-            d = _separating_direction(p.slope, g.slope_polytope)
-            return INF, {"recession_direction": d, "escaping_slope": p.slope}
-        cand = p.offset + val
-        if best is None or cand > best:
-            best, best_piece = cand, p.slope
-    return best, {"sup_witness_slope": best_piece}
+        return {"lower": rat_str(self.lower), "upper": self.upper,
+                "method": self.method, "witnesses": dict(self.witnesses)}
 
 
 def sup_difference(f, g):
-    """Certificate for inf/sup of f - g.
-
-    Both max-affine: exact LP values, finite iff the slope polytopes agree.
-    A log-sum-exp potential u_k over P against the support function h_P:
-    the analytic bound 0 <= u_k - h_P <= ln N(k)/k.  g is h_P exactly when
-    the hull of its slopes is P, no offset is positive and every vertex of P
-    carries a piece with offset 0: then h_P <= g <= h_P.
-    """
-    if isinstance(f, MaxAffineFunction) and isinstance(g, MaxAffineFunction):
-        up, wit_up = _sup_max_affine(f, g)
-        down, wit_dn = _sup_max_affine(g, f)
-        lower = -INF if down == INF else -down
-        wit = {("sup_" + k if not k.startswith("sup") else k): v for k, v in wit_up.items()}
-        for k, v in wit_dn.items():
-            wit["inf_" + k.removeprefix("sup_")] = v
-        return BoundedDifferenceCertificate(lower, up, "exact-lp", wit)
+    """Certificate for inf/sup of f - g, for a log-sum-exp potential u_k over
+    P against the support function h_P: the analytic bound
+    0 <= u_k - h_P <= ln N(k)/k.  g is h_P exactly when its slopes are the
+    vertices of P."""
     if isinstance(f, SmoothToricPotential) and f.family == "lse" \
             and isinstance(g, MaxAffineFunction):
-        # pieces and vertices are both sorted, so each vertex is found in order
-        P, zero = f.slope_polytope, iter([p.slope for p in g.pieces if p.offset == 0])
-        if not (g.slope_polytope == P and max(p.offset for p in g.pieces) <= 0
-                and all(v in zero for v in P.vertices)):
+        if g.slopes != f.slope_polytope.vertices:
             raise IncomparableFamilies(
                 "log-sum-exp is bounded only against its polytope's support function")
         n_count = f.lattice_count
@@ -381,49 +233,14 @@ def sup_difference(f, g):
         f"cannot bound difference of {type(f).__name__} and {type(g).__name__}")
 
 
-def radial_component(f, lam):
-    """Component of f at logarithmic homogeneity lam.
-
-    Computes inf over t of f(x + t*ones) - lam*t as an exact max-affine
-    function whose slopes all have coordinate sum lam, or None when the
-    infimum is identically -infinity (lam outside the slope sums of f).
-    For a support function h_P the result is the support function of the
-    slice of P at total coordinate lam.  f's slope polytope must be
-    full-dimensional: each slice is read off the edges of a certified hull.
-
-    With mixed offsets the component's conjugate is f's conjugate g
-    restricted to the slice, so its lifted hull is W = f's lifted hull Q cut
-    by sum(y) = lam.  The cut only constrains y, so W is {(y, t) : y in the
-    slice, g(y) <= t <= cap}; a vertex of W strictly below cap cannot lie
-    inside a vertical segment of W, so it is on the graph of g, and the
-    pieces read off these vertices are already pruned.
-    """
-    lam = rat(lam)
-    if not f.slope_polytope.is_full_dim:
-        raise DegenerateInput("radial components need a full-dimensional slope polytope")
-    offsets = {p.offset for p in f._pruned_pieces}
-    n = f.dim
-    if len(offsets) == 1:
-        c0, = offsets
-        vertices = pt.slice_vertices(f.slope_polytope, (1,) * n, lam)
-        return MaxAffineFunction([(v, c0) for v in vertices]) if vertices else None
-    Q, cap = f._lifted_hull
-    W = pt.slice_vertices(Q, (1,) * n + (0,), lam)
-    if not W:
-        return None
-    return MaxAffineFunction([(w[:n], -w[n]) for w in W if w[n] < cap])
-
-
-def reassemble(components):
-    """Pointwise max of radial components: the union of their pieces."""
-    parts = [c for c in components.values() if c is not None] \
-        if isinstance(components, dict) else [c for c in components if c is not None]
-    if not parts:
-        raise EmptyInput("no nonempty components to reassemble")
-    pieces = []
-    for c in parts:
-        pieces.extend(c.pieces)
-    return MaxAffineFunction(pieces)
+def radial_component(h, lam):
+    """Component of the support function h = h_P at logarithmic homogeneity
+    lam: inf over t of h(x + t*ones) - lam*t.  It is the support function of
+    the slice of P at total coordinate lam, or None when the slice is empty
+    and the infimum is identically -infinity.  P must be full-dimensional:
+    the slice is read off the edges of its certified hull."""
+    vertices = pt.slice_vertices(h.slope_polytope, (1,) * h.dim, lam)
+    return MaxAffineFunction(vertices) if vertices else None
 
 
 def slope_inclusion_witness(A, B):

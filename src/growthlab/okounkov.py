@@ -168,7 +168,7 @@ def volume_identity_check(body, vol_L):
 class ChebyshevTransform:
     """Convex conjugate restricted to the interior of the slope polytope.
 
-    Exact (LP) for max-affine inputs, closed-form entropy for the scaled
+    Exact (LP) for a support function, closed-form entropy for the scaled
     Fubini-Study family, certified numeric maximization for log-sum-exp.
     """
 
@@ -184,8 +184,7 @@ class ChebyshevTransform:
 
 def chebyshev_transform(u):
     if isinstance(u, cf.MaxAffineFunction):
-        conj = cf.legendre(u)
-        return ChebyshevTransform("exact-lp", conj.domain, conj)
+        return ChebyshevTransform("exact-lp", u.slope_polytope, cf.ConvexConjugate(u))
     if isinstance(u, cf.SmoothToricPotential) and u.family == "fs":
         try:
             lam = float(u.lam)

@@ -3,7 +3,8 @@
 Each oracle is deliberately implemented with a different method than the
 package uses: facets by cofactor-expansion hyperplanes through point
 subsets, areas by Pick's theorem, volumes by Ehrhart differences, radial
-components and conjugates by grid search, slices by crossing every segment
+components and conjugates by grid search, support functions by the
+largest dot product over the slopes, slices by crossing every segment
 between two vertices, simplex inclusion by bisection with membership tests,
 lattice points by testing every point of the bounding box against those
 facets, vertices and membership by those facets too, determinants by
@@ -228,6 +229,12 @@ def bisection_simplex_inclusion(P, contains, hi, tol=Fraction(1, 2 ** 40)):
         else:
             hi = mid
     return lo
+
+
+def support_value(slopes, x):
+    """The support function of the slopes at x: the largest dot product,
+    exact for exact x."""
+    return max(sum(a * b for a, b in zip(v, x)) for v in slopes)
 
 
 def grid_inf_radial(f, lam, x, t_lo=-50.0, t_hi=50.0, steps=4001):

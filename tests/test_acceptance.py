@@ -136,17 +136,16 @@ def test_criterion_6_radial_decomposition_random():
         P = random_delzant(rng, n)
         h = cf.MaxAffineFunction.support_function(P)
         lams = sorted({sum(v) for v in P.vertices})
-        comps = {}
+        slopes = []
         for lam in lams:
             comp = cf.radial_component(h, lam)
             sl = brute_force_slice(P.vertices, (1,) * n, lam)
-            ref = cf.MaxAffineFunction([(v, 0) for v in sl])
-            assert same_function(comp, ref)
-            comps[lam] = comp
-        assert same_function(cf.reassemble(comps), h)
+            assert same_function(comp, cf.MaxAffineFunction(sl))
+            slopes.extend(comp.slopes)
+        assert pt.Polytope.from_points(slopes, n) == P
         count += 1
     print("\nPASS criterion-6: radial components equal slice support "
-          "functions and reassemble exactly on 20 random Delzant polytopes")
+          "functions and their vertices span P on 20 random Delzant polytopes")
 
 
 def test_criterion_7_okounkov_toric():

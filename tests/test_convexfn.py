@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from growthlab.errors import (
     NotNormalized,
 )
 
-from _oracles import (brute_force_lattice_points, brute_force_slice, grid_conjugate_1d,
-                      grid_inf_radial)
+from _oracles import (brute_force_lattice_points, brute_force_slice, brute_force_vertices,
+                      grid_conjugate_1d, grid_inf_radial, support_value)
 from conftest import piece_set, same_function
 
 SIGMA = pt.standard_simplex(2)
@@ -29,18 +30,44 @@ h_square = cf.MaxAffineFunction.support_function(SQUARE)
 h_trap = cf.MaxAffineFunction.support_function(TRAP)
 
 
-def random_max_affine(rng, n, pieces=5, denom=3):
-    ps = []
-    for _ in range(pieces):
-        slope = tuple(F(rng.randint(-4, 4), rng.randint(1, denom))
-                      for _ in range(n))
-        ps.append((slope, F(rng.randint(-6, 6), rng.randint(1, denom))))
-    return cf.MaxAffineFunction(ps)
+def random_point(rng, n, lo=-4, hi=4, denom=3):
+    return tuple(F(rng.randint(lo, hi), rng.randint(1, denom)) for _ in range(n))
+
+
+def random_support_function(rng, n, points=5):
+    """h_P for the hull P of a few random rational points."""
+    return cf.MaxAffineFunction.support_function(
+        pt.Polytope.from_points([random_point(rng, n) for _ in range(points)], n))
+
+
+def dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
 
 
 class TestEval:
     def test_support_function_example(self):
-        assert h_sigma((3, -1)) == 3
+        assert support_value(h_sigma.slopes, (3, -1)) == 3
+        assert h_sigma.eval_many([[3.0, -1.0]])[0] == 3.0
+
+    def test_eval_many_matches_oracle(self):
+        X = np.random.default_rng(4).uniform(-20, 20, (100, 2))
+        for h in (h_sigma, h_square, h_trap):
+            expect = [float(support_value(h.slopes, x)) for x in X.tolist()]
+            assert h.eval_many(X).tolist() == pytest.approx(expect, abs=1e-12)
+            assert h.eval_many(X, dtype=np.longdouble).dtype == np.longdouble
+        # the origin vertex gives +0.0, never -0.0, on the negative orthant:
+        # the radial profile prints it
+        for dtype in (float, np.longdouble):
+            assert math.copysign(1.0, h_sigma.eval_many([[-1.0, -2.0]], dtype=dtype)[0]) == 1.0
+
+    def test_slopes_are_the_sorted_vertices(self):
+        assert h_trap.slopes == TRAP.vertices and h_trap.slope_polytope is TRAP
+        f = cf.MaxAffineFunction([(1, 1), (0, F(1, 2))])
+        assert f.slopes == ((0, F(1, 2)), (1, 1))
+        assert all(type(x) is F for v in f.slopes for x in v)
+        assert h_sigma.to_json_dict() == {"pieces": [
+            {"slope": ["0", "0"], "offset": "0"}, {"slope": ["0", "1"], "offset": "0"},
+            {"slope": ["1", "0"], "offset": "0"}]}
 
     def test_logsumexp_at_origin(self):
         u2 = cf.logsumexp_from_polytope(SIGMA, 2)
@@ -52,57 +79,60 @@ class TestEval:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            h_sigma((1, 2, 3))
+            cf.MaxAffineFunction([(0, 0), (1, 2, 3)])
+        with pytest.raises(DimensionMismatch):
+            cf.ConvexConjugate(h_sigma)((1, 2, 3))
 
 
 class TestLegendre:
     def test_support_function_conjugate_is_indicator(self):
-        conj = cf.legendre(h_sigma)
+        conj = cf.ConvexConjugate(h_sigma)
         assert conj((F(1, 3), F(1, 3))) == 0
         assert conj((0, 0)) == 0
         assert conj((2, 2)) == math.inf
-        assert conj.domain == SIGMA
 
     def test_one_dimensional_ramp(self):
-        f = cf.MaxAffineFunction([((0,), 0), ((1,), 0)])
-        conj = cf.legendre(f)
+        conj = cf.ConvexConjugate(cf.MaxAffineFunction.support_function(pt.box([1])))
         assert conj((F(1, 2),)) == 0 and conj((0,)) == 0 and conj((1,)) == 0
         assert conj((F(3, 2),)) == math.inf
 
     def test_roof_values_match_grid_oracle(self):
-        f = cf.MaxAffineFunction([((0,), 0), ((1,), -1), ((2,), -3)])
-        conj = cf.legendre(f)
-        assert conj((1,)) == 1
-        assert grid_conjugate_1d(f, 1) == pytest.approx(1, abs=1e-3)
-        assert conj((2,)) == 3
-        assert grid_conjugate_1d(f, 2) == pytest.approx(3, abs=1e-3)
+        # h of [0, 2] is max(0, 2x); on [-60, 60] the grid supremum of
+        # yx - h(x) is 0 for y in [0, 2] and grows with the grid off it
+        h = cf.MaxAffineFunction.support_function(pt.box([2]))
+        conj, oracle = cf.ConvexConjugate(h), partial(support_value, h.slopes)
+        assert conj((1,)) == 0
+        assert grid_conjugate_1d(oracle, 1, steps=12001) == pytest.approx(0, abs=1e-9)
+        assert conj((3,)) == math.inf
+        assert grid_conjugate_1d(oracle, 3, steps=12001) == pytest.approx(60, abs=1e-9)
 
     def test_involution_on_random_functions(self):
+        # h(x) = max over y of <x, y> - h*(y), attained at a vertex
         rng = random.Random(11)
         for n in (1, 2, 3):
             for _ in range(4):
-                f = random_max_affine(rng, n)
-                # conjugate back: the roof (slope, value) is the piece (slope, -value)
-                g = cf.MaxAffineFunction([(s, -v) for s, v in cf.legendre(f).breakpoints])
-                assert same_function(g, f)
-                for _ in range(85):
-                    x = tuple(F(rng.randint(-40, 40), rng.randint(1, 5))
-                              for _ in range(n))
-                    assert f(x) == g(x)
+                h = random_support_function(rng, n)
+                conj = cf.ConvexConjugate(h)
+                ys = list(h.slopes) + [random_point(rng, n) for _ in range(6)]
+                values = [conj(y) for y in ys]
+                assert values[:len(h.slopes)] == [0] * len(h.slopes)
+                for _ in range(20):
+                    x = random_point(rng, n, -40, 40, 5)
+                    assert max(dot(x, y) - v for y, v in zip(ys, values)) \
+                        == support_value(h.slopes, x)
 
     def test_fenchel_young_with_equality_witnesses(self):
         rng = random.Random(13)
         for _ in range(10):
-            f = random_max_affine(rng, 2)
-            conj = cf.legendre(f)
-            for slope, offset in piece_set(f):
-                # active slopes achieve equality: f*(slope) = -offset
-                assert conj(slope) == -offset
-            for _ in range(30):
-                x = tuple(F(rng.randint(-15, 15), rng.randint(1, 3))
-                          for _ in range(2))
-                y = rng.choice(f.pieces).slope
-                assert f(x) + conj(y) >= sum(a * b for a, b in zip(x, y))
+            h = random_support_function(rng, 2)
+            conj = cf.ConvexConjugate(h)
+            for _ in range(15):
+                x = random_point(rng, 2, -15, 15)
+                y = random_point(rng, 2)
+                assert support_value(h.slopes, x) + conj(y) >= dot(x, y)
+                # the vertex attaining h(x) achieves equality
+                v = max(h.slopes, key=partial(dot, x))
+                assert support_value(h.slopes, x) + conj(v) == dot(x, v)
 
 
 class TestLogSumExp:
@@ -139,30 +169,6 @@ class TestLogSumExp:
 
 
 class TestSupDifference:
-    def test_constant_shift(self):
-        shifted = cf.MaxAffineFunction([(p.slope, p.offset + 1) for p in h_sigma.pieces])
-        cert = cf.sup_difference(h_sigma, shifted)
-        assert cert.lower == -1 and cert.upper == -1
-
-    def test_different_polytopes_unbounded_with_witness(self):
-        cert = cf.sup_difference(h_sigma, h_square)
-        assert cert.lower == -math.inf and cert.upper == 0
-        # f - g must diverge along the witness; g's slope polytope is a
-        # square, a point, a segment off f's slope and a segment whose span
-        # holds f's slope
-        cases = [(h_square, h_sigma, cert.witnesses["inf_recession_direction"])]
-        ray = cf.MaxAffineFunction([((0, 0), 0), ((3, 0), 0)])
-        for f, g_slopes in ((h_sigma, [(1, 1)]), (h_sigma, [(0, 0), (1, 1)]),
-                            (ray, [(0, 0), (2, 0)])):
-            g = cf.MaxAffineFunction([(s, 0) for s in g_slopes])
-            cert = cf.sup_difference(f, g)
-            assert cert.upper == math.inf
-            cases.append((f, g, cert.witnesses["sup_recession_direction"]))
-        for f, g, d in cases:
-            vals = [f(tuple(t * c for c in d)) - g(tuple(t * c for c in d))
-                    for t in (1, 10, 100)]
-            assert vals[0] > 0 and vals[1] == 10 * vals[0] and vals[2] == 100 * vals[0]
-
     def test_lse_certificate(self):
         u3 = cf.logsumexp_from_polytope(SIGMA, 3)
         cert = cf.sup_difference(u3, h_sigma)
@@ -172,17 +178,16 @@ class TestSupDifference:
 
     def test_lse_certificate_only_against_h_P(self):
         u = cf.logsumexp_from_polytope(SQUARE, 2)
-        corners = [(v, 0) for v in SQUARE.vertices]
+        corners = list(SQUARE.vertices)
         for g in (cf.MaxAffineFunction.support_function(pt.box([2, 2])),
-                  cf.MaxAffineFunction(corners + [((1, 1), -3)])):
+                  cf.MaxAffineFunction(corners)):
             cert = cf.sup_difference(u, g)
             assert (cert.lower, cert.witnesses["lattice_count"]) == (0, 25)
-        low_corner = [(v, -1 if v == (2, 2) else 0) for v in SQUARE.vertices]
         for g in (cf.MaxAffineFunction.support_function(pt.box([2, 3])),
-                  cf.MaxAffineFunction([(v, 1) for v in SQUARE.vertices]),
-                  cf.MaxAffineFunction(low_corner),
-                  cf.MaxAffineFunction(corners + [((1, 1), 1)]),
-                  cf.MaxAffineFunction(corners + [((0, 3), -1)])):
+                  cf.radial_component(h_square, 2),
+                  cf.MaxAffineFunction(corners[:-1]),
+                  cf.MaxAffineFunction(corners + [(1, 1)]),
+                  cf.MaxAffineFunction(corners + [(0, 3)])):
             with pytest.raises(IncomparableFamilies):
                 cf.sup_difference(u, g)
 
@@ -193,20 +198,21 @@ class TestSupDifference:
         u = cf.logsumexp_from_polytope(SIGMA, 2)
         with pytest.raises(IncomparableFamilies):
             cf.sup_difference(u, h_square)
+        with pytest.raises(IncomparableFamilies):
+            cf.sup_difference(h_sigma, h_sigma)
 
 
 class TestRadialComponent:
     def test_simplex_levels(self):
         v1 = cf.radial_component(h_sigma, 1)
-        assert same_function(v1, cf.MaxAffineFunction([((1, 0), 0), ((0, 1), 0)]))
+        assert same_function(v1, cf.MaxAffineFunction([(1, 0), (0, 1)]))
         v0 = cf.radial_component(h_sigma, 0)
-        assert same_function(v0, cf.MaxAffineFunction([((0, 0), 0)]))
+        assert same_function(v0, cf.MaxAffineFunction([(0, 0)]))
         assert cf.radial_component(h_sigma, 2) is None
 
     def test_square_off_vertex_level(self):
         v3 = cf.radial_component(h_square, 3)
-        assert same_function(
-            v3, cf.MaxAffineFunction([((1, 2), 0), ((2, 1), 0)]))
+        assert same_function(v3, cf.MaxAffineFunction([(1, 2), (2, 1)]))
 
     def test_grid_infimum_oracle(self):
         rng = random.Random(5)
@@ -214,39 +220,11 @@ class TestRadialComponent:
             v = cf.radial_component(h_sigma, lam)
             for _ in range(10):
                 x = (rng.uniform(-5, 5), rng.uniform(-5, 5))
-                grid = grid_inf_radial(h_sigma, lam, x, -50, 50, 2001)
-                exact = v(x)
+                grid = grid_inf_radial(partial(support_value, h_sigma.slopes),
+                                       lam, x, -50, 50, 2001)
+                exact = support_value(v.slopes, x)
                 assert exact <= grid + 1e-9
                 assert grid - exact <= 0.08  # grid resolution * Lipschitz
-
-    def test_mixed_offsets_against_grid(self):
-        f = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), F(1, 2)),
-                                  ((0, 1), -1), ((1, 1), 0)])
-        rng = random.Random(6)
-        for lam in (0, F(1, 2), 1, 2):
-            v = cf.radial_component(f, lam)
-            assert v is not None
-            assert all(sum(p.slope) == lam for p in v.pieces)
-            for _ in range(10):
-                x = (rng.uniform(-4, 4), rng.uniform(-4, 4))
-                grid = grid_inf_radial(f, lam, x, -60, 60, 4001)
-                exact = v(x)
-                assert exact <= grid + 1e-9
-                assert grid - exact <= 0.15
-
-    def test_mixed_offset_components_are_pruned(self):
-        rng = random.Random(19)
-        checked = 0
-        for _ in range(30):
-            f = random_max_affine(rng, 2)
-            if not f.slope_polytope.is_full_dim:
-                continue
-            for lam in (-2, 0, F(1, 2), 3):
-                v = cf.radial_component(f, lam)
-                if v is not None:
-                    assert piece_set(v) == {(p.slope, p.offset) for p in v.pieces}
-                    checked += 1
-        assert checked >= 20
 
     def test_slice_identity_on_random_delzant(self, rng):
         from conftest import random_delzant
@@ -256,26 +234,31 @@ class TestRadialComponent:
                 h = cf.MaxAffineFunction.support_function(P)
                 for lam in sorted({sum(v) for v in P.vertices}):
                     comp = cf.radial_component(h, lam)
-                    href = cf.MaxAffineFunction(
-                        [(v, 0) for v in brute_force_slice(P.vertices, (1,) * n, lam)])
-                    assert same_function(comp, href)
+                    ref = brute_force_slice(P.vertices, (1,) * n, lam)
+                    assert piece_set(comp) == set(ref)
                     for _ in range(5):
-                        x = tuple(F(rng.randint(-30, 30), rng.randint(1, 4))
-                                  for _ in range(n))
-                        assert comp(x) == href(x)
+                        x = random_point(rng, n, -30, 30, 4)
+                        assert support_value(comp.slopes, x) == support_value(ref, x)
 
 
 class TestReassemble:
+    """The slices of P at its vertex levels hold every vertex of P, so the
+    hull of their vertices is P: h_P is the max of its radial components."""
+
+    @staticmethod
+    def slice_hull(h, lams):
+        comps = [cf.radial_component(h, lam) for lam in lams]
+        return pt.Polytope.from_points([v for c in comps if c is not None for v in c.slopes],
+                                       h.dim)
+
     def test_single_component_identity(self):
-        assert same_function(cf.reassemble({F(1): h_sigma}), h_sigma)
+        assert pt.Polytope.from_points(h_sigma.slopes, 2) == SIGMA
 
     def test_simplex_from_slices(self):
-        comps = {lam: cf.radial_component(h_sigma, lam) for lam in (0, 1)}
-        assert same_function(cf.reassemble(comps), h_sigma)
+        assert self.slice_hull(h_sigma, (0, 1)) == SIGMA
 
     def test_trapezoid_from_slices(self):
-        comps = {lam: cf.radial_component(h_trap, lam) for lam in (0, 1, 2, 3)}
-        assert same_function(cf.reassemble(comps), h_trap)
+        assert self.slice_hull(h_trap, (0, 1, 2, 3)) == TRAP
 
     def test_partial_reassembly_below_full(self, rng):
         from conftest import random_delzant
@@ -283,18 +266,17 @@ class TestReassemble:
             P = random_delzant(rng, 2)
             h = cf.MaxAffineFunction.support_function(P)
             lams = sorted({sum(v) for v in P.vertices})
-            partial = cf.reassemble(
-                {lam: cf.radial_component(h, lam) for lam in lams[:-1]})
-            full = cf.reassemble(
-                {lam: cf.radial_component(h, lam) for lam in lams})
-            assert same_function(full, h)
-            for _ in range(20):
-                x = tuple(F(rng.randint(-20, 20)) for _ in range(2))
-                assert partial(x) <= h(x)
+            assert self.slice_hull(h, lams) == P
+            # without the top level the hull misses the top vertices
+            partial_hull = self.slice_hull(h, lams[:-1])
+            top = [v for v in P.vertices if sum(v) == lams[-1]]
+            assert not set(top) & set(partial_hull.vertices)
+            assert set(brute_force_vertices(list(partial_hull.vertices) + top)) \
+                == set(P.vertices)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            cf.reassemble({})
+            cf.MaxAffineFunction([])
 
 
 def grows_slower(f, g):
@@ -336,7 +318,8 @@ class TestGrowsSlower:
             for _ in range(20):
                 x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10))
                 ts = [40.0, 80.0, 160.0, 320.0]
-                vals = [h((x0[0] + t, x0[1] + t)) - fs((x0[0] + t, x0[1] + t))
+                vals = [support_value(h.slopes, (x0[0] + t, x0[1] + t))
+                        - fs((x0[0] + t, x0[1] + t))
                         for t in ts]
                 assert all(b > a for a, b in zip(vals, vals[1:]))
                 assert vals[-1] > float(lam_star - lam) * 320 / 2
@@ -424,49 +407,30 @@ class TestSerialization:
 
 
 class TestPruning:
+    """A support function keeps only its polytope's vertices: with every
+    offset 0, a slope is dropped iff it lies in the hull of the others."""
+
     def test_collinear_piece_dropped(self):
-        f = cf.MaxAffineFunction([((0,), 0), ((1,), 0), ((2,), 0)])
-        assert piece_set(f) == {((F(0),), F(0)), ((F(2),), F(0))}
-
-    def test_low_offset_piece_dropped(self):
-        f = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), 0), ((0, 1), 0),
-                                  ((F(1, 2), F(1, 4)), F(-10))])
-        g = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), 0), ((0, 1), 0)])
-        assert same_function(f, g)
-
-    def test_high_offset_interior_piece_kept(self):
-        f = cf.MaxAffineFunction([((0, 0), 0), ((1, 0), 0), ((0, 1), 0),
-                                  ((F(1, 2), F(1, 4)), 5)])
-        assert (((F(1, 2), F(1, 4)), F(5))) in piece_set(f)
+        h = cf.MaxAffineFunction.support_function(pt.Polytope.from_points([(0,), (1,), (2,)], 1))
+        assert piece_set(h) == {(F(0),), (F(2),)}
 
     def test_single_piece_kept(self):
-        f = cf.MaxAffineFunction([((1, 2), 3)])
-        assert piece_set(f) == {((F(1), F(2)), F(3))}
-
-    def test_collinear_slopes_with_mixed_offsets(self):
-        # the lifted points span a plane in R^3: a lower-dimensional hull
-        low = cf.MaxAffineFunction([((0, 0), 0), ((1, 1), -1), ((2, 2), 0)])
-        assert low._lifted_hull[0].dim == 2
-        assert piece_set(low) == {((F(0), F(0)), F(0)), ((F(2), F(2)), F(0))}
-        high = cf.MaxAffineFunction([((0, 0), 0), ((1, 1), 5), ((2, 2), 0)])
-        assert len(piece_set(high)) == 3
+        h = cf.MaxAffineFunction.support_function(pt.Polytope.from_points([(1, 2)], 2))
+        assert piece_set(h) == {(F(1), F(2))}
 
     def test_matches_lp_definition(self):
-        # piece i is kept iff the other pieces' envelope at slope_i is
-        # undefined or lies strictly above -offset_i
+        # slope i is kept iff the envelope of the others at it is undefined
         rng = random.Random(17)
         dropped = 0
         for trial in range(100):
-            f = random_max_affine(rng, 1 + trial % 3, pieces=rng.randint(1, 7))
-            if trial % 4 == 0:
-                f = cf.MaxAffineFunction([(p.slope, 1) for p in f.pieces])
+            n = 1 + trial % 3
+            cloud = sorted({random_point(rng, n) for _ in range(rng.randint(1, 7))})
+            h = cf.MaxAffineFunction.support_function(pt.Polytope.from_points(cloud, n))
             expect = set()
-            for i, p in enumerate(f.pieces):
-                others = f.pieces[:i] + f.pieces[i + 1:]
-                best = lp.envelope_min([q.slope for q in others],
-                                       [-q.offset for q in others], p.slope)
-                if best is None or best > -p.offset:
-                    expect.add((p.slope, p.offset))
-            assert piece_set(f) == expect
-            dropped += len(expect) < len(f.pieces)
+            for i, p in enumerate(cloud):
+                others = cloud[:i] + cloud[i + 1:]
+                if not others or lp.envelope_min(others, [0] * len(others), p) is None:
+                    expect.add(p)
+            assert piece_set(h) == expect
+            dropped += len(expect) < len(cloud)
         assert dropped >= 20

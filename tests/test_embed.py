@@ -51,7 +51,7 @@ class TestFitBall:
         assert exc.value.facet is not None
 
     def test_affine_source_rejected(self, gc_square):
-        aff = cf.MaxAffineFunction([((F(1, 2), F(1, 2)), 0)])
+        aff = cf.MaxAffineFunction([(F(1, 2), F(1, 2))])
         with pytest.raises(IncomparableFamilies):
             em.fit_ball(gc_square, aff, 5)
 

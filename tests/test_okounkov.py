@@ -268,7 +268,7 @@ class TestChebyshev:
         tr = ok.chebyshev_transform(cf.MaxAffineFunction.support_function(SIGMA))
         assert tr(( F(1, 3), F(1, 3))) == 0
         assert tr((F(1, 4), F(1, 2))) == 0
-        assert tr.domain == SIGMA
+        assert tr.domain is SIGMA  # the polytope itself, with no new hull
 
     def test_fubini_study_entropy_value(self):
         tr = ok.chebyshev_transform(cf.SmoothToricPotential.fubini_study(3, dim=2))
