@@ -145,10 +145,15 @@ class SeshadriResult:
                 "slack": self.slack}
 
 
-def _simplex_fits(P, p, q):
-    """lam e_i in P for every i, lam = p/q >= 0: a_i p D <= c q for every
-    facet a.x <= c / D of the full-dimensional P, in ints."""
-    return all(a_i * p * P.denom <= c * q for a, c in P.int_facets for a_i in a)
+def _simplex_bounds(P):
+    """(D max(a), c) for each facet a.x <= c / D of the full-dimensional P."""
+    return [(P.denom * max(a), c) for a, c in P.int_facets]
+
+
+def _simplex_fits(bounds, p, q):
+    """lam e_i in P for every i, lam = p/q >= 0, given _simplex_bounds(P):
+    a_i p D <= c q for every i iff D max(a) p <= c q, in ints."""
+    return all(m * p <= c * q for m, c in bounds)
 
 
 def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
@@ -160,23 +165,25 @@ def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
     the scaled simplex vertices, then snaps the interval to the simplest
     rational it contains.  Both routes agree exactly on rational data.  The
     bisection runs in ints on [L/S, H/S] from [0, c_max + 1]: each step
-    doubles L, H and S and tests the midpoint (L + H) / 2 over S.
+    doubles L, H and S and tests the midpoint (L + H) / 2 over S, one
+    comparison per facet.
     """
     if tol <= 0:
         raise ValueError("bisection tolerance must be positive")
     lp_value = pt.simplex_inclusion(gc.polytope)
+    bounds = _simplex_bounds(gc.polytope)
     top = gc.c_max + 1
     L, H, S = 0, top.numerator, top.denominator
     while (H - L) * tol.denominator > tol.numerator * S:
         L, H, S = 2 * L, 2 * H, 2 * S
         M = (L + H) // 2
-        if _simplex_fits(gc.polytope, M, S):
+        if _simplex_fits(bounds, M, S):
             L = M
         else:
             H = M
     lo, hi = Fraction(L, S), Fraction(H, S)
     snapped = simplest_fraction_in(lo, hi)
-    if not _simplex_fits(gc.polytope, snapped.numerator, snapped.denominator):
+    if not _simplex_fits(bounds, snapped.numerator, snapped.denominator):
         snapped = lo
     n = gc.dim
     upper = (math.factorial(n) * float(pt.volume(gc.polytope))) ** (1.0 / n)

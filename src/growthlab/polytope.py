@@ -4,16 +4,19 @@ A full-dimensional polytope is stored in ints over one denominator D > 0 in
 lowest terms: vertices and boundary-simplex points as integer numerator
 tuples X (the points X / D), facets as pairs (a, c), a primitive, meaning
 a.x <= c / D.  The hull runs in ints on the input times the lcm of its
-denominators: points strictly inside an axis-parallel segment are dropped,
-the hull of the rest is built incrementally, and its simplicial facets are
-certified by incidence (each input point inside each facet halfspace, the
-facets an oriented boundary cycle of degree 1).  The volume sums integer
-cone determinants over those simplices and divides by D^n once.  Scaling
-and unimodular maps act on D and the numerators, with no new hull.
-`vertices` and `facets` are Fraction views, built once per polytope for
-reports and JSON.  Below full dimension d >= 1 there is an integer chart
-(U, T, P'): U x has the constant tail T / D on aff(P) for a unimodular U,
-and P' is the full-dimensional d-polytope of the heads of U P.
+denominators: the affine basis is the pivot columns of one elimination on
+the point differences, points strictly inside an axis-parallel segment are
+dropped, the hull of the rest is built incrementally, and its simplicial
+facets are certified by incidence (each input point inside each facet
+halfspace, the facets an oriented boundary cycle of degree 1).  Edges come
+from the certified incidence; a pair with a simple end (n facets) needs no
+rank.  The volume sums integer cone determinants over those simplices and
+divides by D^n once.  Scaling and unimodular maps act on D and the
+numerators, with no new hull.  `vertices` and `facets` are Fraction views,
+built once per polytope for reports and JSON.  Below full dimension d >= 1
+there is an integer chart (U, T, P'): U x has the constant tail T / D on
+aff(P) for a unimodular U, and P' is the full-dimensional d-polytope of the
+heads of U P.
 """
 
 from dataclasses import dataclass
@@ -201,6 +204,12 @@ class Polytope:
         return self._edges
 
     def _find_edges(self):
+        """Pairs of vertices whose common facets have normals of rank n - 1.
+        At a simple vertex, one with exactly n facets, the certified rank n
+        of its n normals makes every n - 1 of them independent, and two
+        vertices share at most n - 1 facets; so a pair with a simple end is
+        an edge iff it shares n - 1 facets, with no rank to take.  Below
+        full dimension, the edges of P' through the chart."""
         if not self.is_full_dim:
             if self.dim <= 0:
                 return []
@@ -212,10 +221,12 @@ class Polytope:
             return [(at[i], at[j]) for i, j in Q.edges()]
         n = self.ambient_dim
         active = [self._incidence[X] for X in self.int_vertices]
+        simple = [len(fs) == n for fs in active]
         pairs = ((i, j, active[i] & active[j])
                  for i, j in combinations(range(len(active)), 2))
         return [(i, j) for i, j, common in pairs if len(common) >= n - 1
-                and rank([self.int_facets[k][0] for k in common]) == n - 1]
+                and (simple[i] or simple[j]
+                     or rank([self.int_facets[k][0] for k in common]) == n - 1)]
 
     def scaled(self, c):
         """cP.  For c = p/q > 0 and dim P >= 1 there is no new hull.  A
@@ -319,14 +330,13 @@ def _chart_matrix(M, d):
 
 
 def _affine_basis(pts):
-    """Indices i with the pts[i] - pts[0] a basis of the affine span's directions."""
-    ids = []
-    for i in range(1, len(pts)):
-        if rank([vsub(pts[j], pts[0]) for j in ids + [i]]) > len(ids):
-            ids.append(i)
-            if len(ids) == len(pts[0]):
-                break
-    return ids
+    """The first indices i, in order, with pts[i] - pts[0] independent of the
+    differences before it, for integer pts: a basis of the affine span's
+    directions.  They are the pivot columns of one elimination on the
+    differences taken as columns."""
+    p0 = pts[0]
+    rows = [[p[c] - x for p in pts[1:]] for c, x in enumerate(p0)]
+    return [1 + c for c in _bareiss(rows)[0]]
 
 
 def _axis_endpoints(pts):
@@ -422,8 +432,8 @@ def _certify(pts, facets, halfspaces, n):
         p0 = pts[simplex[0]]
         if any(dot(a, pts[i]) != b for i in simplex):
             raise GrowthLabError("hull facet point off its plane")
-        orient = det([vsub(pts[i], p0) for i in simplex[1:]] + [a])
-        if orient == 0:
+        pivots, orient = _bareiss([vsub(pts[i], p0) for i in simplex[1:]] + [a])
+        if len(pivots) < n:
             raise GrowthLabError("degenerate hull facet")
         s = 1 if orient > 0 else -1
         for i in range(n):
@@ -450,7 +460,7 @@ def _certify(pts, facets, halfspaces, n):
                 raise GrowthLabError("input point outside a hull facet")
             if v == b:
                 active.append(i)
-        if len(active) >= n and rank([planes[i][0] for i in active]) == n:
+        if len(active) >= n and len(_bareiss([planes[i][0] for i in active])[0]) == n:
             verts[idx] = frozenset(active)
     return verts
 
@@ -533,14 +543,21 @@ def _is_lattice(P):
 
 
 def is_delzant(P):
-    """Per-vertex unimodularity check for a full-dimensional lattice polytope."""
+    """Per-vertex unimodularity check for a full-dimensional lattice polytope:
+    the edge generators of every vertex come from one pass over the edges."""
     if not P.is_full_dim:
         raise DegenerateInput("Delzant check requires a full-dimensional polytope")
     if not _is_lattice(P):
         raise NotLatticePolytope("vertices must be integral")
+    X = P.int_vertices
+    at = [[] for _ in X]
+    for i, j in P.edges():
+        g = primitive_integer(vsub(X[j], X[i]))
+        at[i].append(g)
+        at[j].append(tuple(-x for x in g))
     entries = []
-    for i, v in enumerate(P.vertices):
-        gens = _edge_generators(P, i)
+    for v, gens in zip(P.vertices, at):
+        gens.sort()
         d = det(gens) if len(gens) == P.ambient_dim else None
         entries.append(DelzantVertexReport(v, d in (1, -1), tuple(gens), d))
     return DelzantReport(tuple(entries), all(e.ok for e in entries))
@@ -551,23 +568,28 @@ def normalize_at_vertex(P, v):
 
     The unimodular map sends the primitive edge generators, sorted in
     descending lexicographic order, to e_1, ..., e_n; the descending order
-    makes the map the identity on an already normalized vertex.  Returns
-    (normalized polytope, map).
+    makes the map the identity on an already normalized vertex.  The vertex
+    is found by its numerators over P.denom, and the generator matrix G is
+    unimodular iff it has an integer inverse, which is the map's matrix.
+    Returns (normalized polytope, map).
     """
-    v = vec(v)
-    if v not in P.vertices:
+    v, D = vec(v), P.denom
+    X = tuple(x.numerator * (D // x.denominator) for x in v)
+    if any(D % x.denominator for x in v) or X not in P.int_vertices:
         raise NotDelzantVertex(f"{v} is not a vertex")
     n = P.ambient_dim
-    gens = sorted(_edge_generators(P, P.vertices.index(v)), reverse=True)
+    gens = sorted(_edge_generators(P, P.int_vertices.index(X)), reverse=True)
     if len(gens) != n:
         raise NotDelzantVertex(f"vertex {v} has {len(gens)} edges, expected {n}")
     G = tuple(tuple(gens[c][r] for c in range(n)) for r in range(n))
-    if abs(det(G)) != 1:
-        raise NotDelzantVertex(f"edge generators at {v} are not unimodular")
-    umap = UnimodularMap(inverse(G), v)
+    try:
+        A = inverse(G)
+    except ValueError:
+        raise NotDelzantVertex(f"edge generators at {v} are not unimodular") from None
+    umap = UnimodularMap(A, v)
     # n unimodular edge directions at v make P full-dimensional
     Q = umap.image(P, G)
-    if any(any(x < 0 for x in X) for X in Q.int_vertices):
+    if any(any(x < 0 for x in Y) for Y in Q.int_vertices):
         raise GrowthLabError("normalized polytope left the positive orthant")
     return Q, umap
 
@@ -721,8 +743,8 @@ def volume(P):
     if P._volume is None:
         n, total = P.ambient_dim, 0
         for s in triangulate(P):
-            r, d = _bareiss([vsub(X, s[0]) for X in s[1:]])
-            if r == n:
+            pivots, d = _bareiss([vsub(X, s[0]) for X in s[1:]])
+            if len(pivots) == n:
                 total += abs(d)
         P._volume = Fraction(total, factorial(n) * P.denom ** n)
     return P._volume

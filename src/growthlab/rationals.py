@@ -3,14 +3,16 @@
 Vectors are tuples of int or Fraction (floats convert exactly), matrices
 tuples of rows; `dot` stays an int on ints.  Every elimination is one
 fraction-free integer elimination (Bareiss) on rows cleared of
-denominators: `det`, `rank` and `null_vector` read its echelon form, and
-`solve`, `solve_general` and `inverse` back-substitute in it.  `hermite`
-keeps its row operations in GL(n, Z) with extended-gcd steps instead.
+denominators, which returns its pivot columns: `det`, `rank` and
+`null_vector` read its echelon form, and `solve`, `solve_general` and
+`inverse` back-substitute in it.  Integer rows go to `_bareiss` directly.
+`hermite` keeps its row operations in GL(n, Z) with extended-gcd steps
+instead.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 
 def rat(x) -> Fraction:
@@ -37,7 +39,7 @@ def vec(xs) -> tuple:
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def dot(a, b):
@@ -61,40 +63,50 @@ def _integer_rows(rows):
 def _bareiss(rows):
     """Fraction-free echelon form of integer rows in place (Bareiss, Math.
     Comp. 22, 1968): row_i = (p row_i - row_i[c] row_r) / p_prev is exact, as
-    every entry is a minor.  Returns (rank, +-last pivot); det if square."""
-    r, sign, prev = 0, 1, 1
+    every entry is a minor.  A row with 0 under the pivot only scales by p /
+    p_prev, so it is left as it is when the pivot repeats.  Returns (pivot
+    columns, +-last pivot): the pivot columns are the columns independent of
+    the columns before them, as many as the rank, and +-the last pivot is
+    det if square."""
+    pivots, sign, prev, m = [], 1, 1, len(rows)
     for c in range(len(rows[0]) if rows else 0):
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
+        r = len(pivots)
+        for p in range(r, m):
+            if rows[p][c]:
+                break
+        else:
+            continue  # no pivot in column c
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
         top = rows[r]
         pv = top[c]
-        for i in range(r + 1, len(rows)):
+        for i in range(r + 1, m):
             f = rows[i][c]
-            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
+            if f:
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
+            elif pv != prev:
+                rows[i] = [pv * x // prev for x in rows[i]]
         prev = pv
-        r += 1
-        if r == len(rows):
+        pivots.append(c)
+        if r + 1 == m:
             break
-    return r, sign * prev
+    return pivots, sign * prev
 
 
 def null_vector(rows):
     """+-the cofactor vector of n - 1 integer rows of rank n - 1 in Z^n, or
     None: the free column gets the last pivot, +-its cofactor, and exact
     back substitution the rest, since the solution is integral."""
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     n = len(rows[0])
-    if _bareiss(rows)[0] != n - 1:
+    pivots = _bareiss(rows)[0]
+    if len(pivots) != n - 1:
         return None
-    pivots = [next(c for c in range(n) if row[c]) for row in rows]
     a = [0] * n
     a[next(c for c in range(n) if c not in pivots)] = rows[-1][pivots[-1]]
     for row, c in reversed(list(zip(rows, pivots))):
-        a[c] = -sum(x * y for x, y in zip(row[c + 1:], a[c + 1:])) // row[c]
+        a[c] = -sum(map(mul, row[c + 1:], a[c + 1:])) // row[c]
     return a
 
 
@@ -122,13 +134,13 @@ def hermite(A):
 
 
 def rank(vectors) -> int:
-    return _bareiss(_integer_rows(vectors)[0])[0]
+    return len(_bareiss(_integer_rows(vectors)[0])[0])
 
 
 def det(A):
     rows, scale = _integer_rows(A)
-    r, d = _bareiss(rows)
-    d = d if r == len(rows) else 0
+    pivots, d = _bareiss(rows)
+    d = d if len(pivots) == len(rows) else 0
     return d if scale == 1 else Fraction(d, scale)
 
 
@@ -140,11 +152,10 @@ def _solve_columns(A, bs):
     integral (Cramer) and the back substitution exact in ints."""
     n = len(A[0]) if A else 0
     rows = _integer_rows([[*a, *c] for a, c in zip(A, zip(*bs))])[0]
-    r = _bareiss(rows)[0]
-    pivots = [next(c for c, x in enumerate(row) if x) for row in rows[:r]]
+    pivots = _bareiss(rows)[0]
     if pivots and pivots[-1] >= n:
         return None
-    D = rows[r - 1][pivots[-1]] if r else 1
+    D = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     ys = []
     for j in range(n, n + len(bs)):
         y = [0] * n

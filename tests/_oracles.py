@@ -8,9 +8,10 @@ largest dot product over the slopes, slices by crossing every segment
 between two vertices, simplex inclusion by bisection with membership tests,
 lattice points by testing every point of the bounding box against those
 facets, vertices and membership by those facets too, determinants by
-Laplace expansion and ranks by the largest nonzero minor, relative volumes
-by vertex coordinates in an integer-kernel basis of the span's lattice, and
-simplest fractions by scanning denominators.
+Laplace expansion and ranks by the largest nonzero minor, edges and affine
+bases by those ranks, relative volumes by vertex coordinates in an
+integer-kernel basis of the span's lattice, and simplest fractions by
+scanning denominators.
 """
 
 from fractions import Fraction
@@ -108,15 +109,23 @@ def brute_force_lattice_points(points, k):
             if all(sum(ai * xi for ai, xi in zip(a, x)) <= b for a, b in facets)]
 
 
+def greedy_affine_basis(points):
+    """The indices i >= 1, in order, whose difference points[i] - points[0]
+    raises the minor_rank of the differences kept before it."""
+    ids, basis = [], []
+    for i, p in enumerate(points[1:], 1):
+        row = [x - y for x, y in zip(p, points[0])]
+        if minor_rank(basis + [row]) > len(basis):
+            ids.append(i)
+            basis.append(row)
+    return ids
+
+
 def _flat_lattice_points(points):
     """The integer points of the hull of points whose affine span is not
     full-dimensional, by the lift of brute_force_lattice_points."""
     p0 = points[0]
-    basis = []
-    for p in points[1:]:
-        row = [x - y for x, y in zip(p, p0)]
-        if minor_rank(basis + [row]) > len(basis):
-            basis.append(row)
+    basis = [[x - y for x, y in zip(points[i], p0)] for i in greedy_affine_basis(points)]
     if not basis:
         return [tuple(int(x) for x in p0)] if all(x.denominator == 1 for x in p0) else []
     d = len(basis)
@@ -163,6 +172,18 @@ def brute_force_vertices(points):
     return [p for p in points
             if minor_rank([a for a, b in facets
                            if sum(ai * x for ai, x in zip(a, p)) == b]) == n]
+
+
+def brute_force_edges(vertices):
+    """Index pairs (i, j), i < j, of the vertices of a full-dimensional
+    polytope whose common facets of brute_force_facets have normals of
+    minor_rank n - 1."""
+    facets = brute_force_facets(vertices)
+    on = [{a for a, b in facets if sum(ai * x for ai, x in zip(a, v)) == b}
+          for v in vertices]
+    n = len(vertices[0])
+    return {(i, j) for i, j in combinations(range(len(on)), 2)
+            if minor_rank(list(on[i] & on[j])) == n - 1}
 
 
 def brute_force_slice(vertices, normal, value):

@@ -159,6 +159,22 @@ class TestSeshadri:
                     assert ses.bisection_interval == (lo, hi)
                     assert ses.domination_value == (snapped if fits(snapped) else lo)
 
+    def test_facet_predicate_matches_coordinate_predicate(self, rng):
+        # one comparison per facet, D max(a) p <= c q, against the n
+        # comparisons a_i p D <= c q, at 0, around the Seshadri constant
+        # lam and above it
+        from conftest import random_normalized_delzant
+        for _ in range(12):
+            P = random_normalized_delzant(rng, rng.choice((2, 3)))
+            bounds = gr._simplex_bounds(P)
+            lam = pt.simplex_inclusion(P)
+            for t in (F(0), lam / 3, lam - F(1, 2 ** 48), lam, lam + F(1, 2 ** 48),
+                      lam + F(1, 3), 2 * lam + 1):
+                p, q = t.numerator, t.denominator
+                assert gr._simplex_fits(bounds, p, q) == all(
+                    a_i * p * P.denom <= c * q for a, c in P.int_facets for a_i in a)
+                assert gr._simplex_fits(bounds, p, q) == (t <= lam)
+
     def test_fractional_inclusion_value_is_exact(self):
         # Delzant corpus values are integral (edge degrees); fractional
         # values still arise for scaled bodies and must stay exact

@@ -17,16 +17,19 @@ from growthlab.errors import (
     NotLatticePolytope,
     NotNormalized,
 )
-from growthlab.rationals import (det, inverse, rank, simplest_fraction_in, solve,
-                                 solve_general)
+from growthlab.rationals import (det, inverse, null_vector, rank, simplest_fraction_in,
+                                 solve, solve_general)
 
 from _oracles import (
+    _cofactor_normal,
     bisection_simplex_inclusion,
+    brute_force_edges,
     brute_force_facets,
     brute_force_lattice_points,
     brute_force_slice,
     brute_force_vertices,
     ehrhart_volume_3d,
+    greedy_affine_basis,
     kernel_relative_volume,
     laplace_det,
     minor_rank,
@@ -157,6 +160,85 @@ class TestDelzant:
         with pytest.raises(NotLatticePolytope):
             pt.is_delzant(pt.hull([(0, 0), (F(1, 2), 0), (0, 1)]))
 
+    def test_generators_match_per_vertex_edges(self, rng):
+        # the one pass over the edges against each vertex's own edges
+        from conftest import random_delzant
+        for P in [OCTAHEDRON, TRAP] + [random_delzant(rng, n) for n in (2, 3, 2, 3)]:
+            report = pt.is_delzant(P)
+            for i, e in enumerate(report.entries):
+                assert e.vertex == P.vertices[i]
+                assert list(e.generators) == pt._edge_generators(P, i)
+        assert not pt.is_delzant(OCTAHEDRON).ok
+
+
+def cross_polytope(n):
+    return pt.hull([tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)])
+
+
+OCTAHEDRON = cross_polytope(3)
+# Non-simple polytopes: more than n facets at some vertex.  In the join of
+# two squares in R^5, the ends of a diagonal of either square lie on n - 1 =
+# 4 common facets whose normals have rank 3, so they span no edge; only
+# that pair needs the rank test, as both ends are on 6 facets.
+NON_SIMPLE = {
+    "octahedron": OCTAHEDRON,
+    "square pyramid": pt.hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]),
+    "cross-polytope 4": cross_polytope(4),
+    "triangular bipyramid": pt.hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 1), (1, 1, -1)]),
+    "join of two squares": pt.hull([(x, y, 0, 0, 0) for x in (0, 1) for y in (0, 1)]
+                                   + [(0, 0, x, y, 1) for x in (0, 1) for y in (0, 1)]),
+}
+
+
+class TestEdges:
+    @pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+    def test_non_simple_match_brute_force(self, name):
+        P = NON_SIMPLE[name]
+        n = P.ambient_dim
+        assert any(len(fs) > n for fs in P._incidence.values())
+        assert set(P.edges()) == brute_force_edges(P.vertices)
+
+    def test_join_diagonals_are_not_edges(self):
+        P = NON_SIMPLE["join of two squares"]
+        # 4 + 4 square edges and 16 edges between the squares
+        assert len(P.edges()) == 24
+        assert all(len(P._incidence[X]) == 6 for X in P.int_vertices)
+
+    def test_delzant_match_brute_force(self, rng):
+        from conftest import random_delzant
+        for n in (2, 3, 2, 3, 3, 3):
+            P = random_delzant(rng, n)
+            assert all(len(fs) == n for fs in P._incidence.values())
+            assert set(P.edges()) == brute_force_edges(P.vertices)
+
+
+@st.composite
+def point_runs(draw):
+    """1 to 9 integer points in Z^n, n = 1..4: each after the first is new,
+    a repeat of an earlier one, on the line through two earlier ones or on
+    the plane through three."""
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-3, 3)] * n)
+    pts = [draw(point)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "repeat", "line", "plane"]))
+        p, q, r = [draw(st.sampled_from(pts)) for _ in range(3)]
+        s, t = draw(st.integers(-2, 3)), draw(st.integers(-2, 3))
+        if kind == "new":
+            pts.append(draw(point))
+        elif kind == "repeat":
+            pts.append(p)
+        else:
+            t = t if kind == "plane" else 0
+            pts.append(tuple(a + s * (b - a) + t * (c - a) for a, b, c in zip(p, q, r)))
+    return pts
+
+
+class TestAffineBasis:
+    @given(point_runs())
+    def test_greedy_first_independent(self, pts):
+        assert pt._affine_basis(pts) == greedy_affine_basis(pts)
+
 
 class TestNormalize:
     def test_simplex_at_far_vertex(self):
@@ -188,8 +270,24 @@ class TestNormalize:
                 assert umap.apply(v) == zero
 
     def test_non_vertex_rejected(self):
-        with pytest.raises(NotDelzantVertex):
-            pt.normalize_at_vertex(SIGMA, (F(1, 2), F(1, 2)))
+        # a fractional point, a lattice point that is no vertex, a vertex of
+        # 2 SIGMA and a point of another dimension
+        for v in ((F(1, 2), F(1, 2)), (1, 1), (2, 0), (0, 0, 0)):
+            with pytest.raises(NotDelzantVertex, match="is not a vertex"):
+                pt.normalize_at_vertex(SIGMA, v)
+
+    def test_rational_vertex_found_by_numerators(self):
+        P = pt.hull([(F(1, 2), F(1, 3)), (F(5, 2), F(1, 3)), (F(1, 2), F(7, 3))])
+        Q, umap = pt.normalize_at_vertex(P, (F(5, 2), F(1, 3)))
+        assert umap.apply((F(5, 2), F(1, 3))) == (0, 0)
+        assert Q == SIGMA.scaled(2)
+
+    def test_refusals(self):
+        # n edges that are not unimodular: G has no integer inverse
+        with pytest.raises(NotDelzantVertex, match=r"at \(.*\) are not unimodular"):
+            pt.normalize_at_vertex(pt.hull([(0, 0), (1, 2), (2, 1)]), (0, 0))
+        with pytest.raises(NotDelzantVertex, match="has 4 edges, expected 3"):
+            pt.normalize_at_vertex(OCTAHEDRON, (1, 0, 0))
 
 
 @st.composite
@@ -695,7 +793,40 @@ def systems(draw, square):
     return A, b
 
 
+# Entries mostly 0, so that an elimination meets columns with no pivot,
+# rows with 0 under the pivot and pivots equal to the one before.
+sparse_entry = st.sampled_from([0] * 6 + [-1, 1, 2])
+
+
+@st.composite
+def sparse_matrices(draw, rows=None):
+    """m x n sparse_entry matrices, m, n = 1..5; n x n, or n - 1 x n for
+    n = 2..5, by rows = "square" or "corank1"."""
+    n = draw(st.integers(2 if rows == "corank1" else 1, 5))
+    m = {"square": n, "corank1": n - 1}.get(rows) or draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(sparse_entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
 class TestSolvers:
+    @given(sparse_matrices("square"))
+    def test_sparse_det(self, A):
+        assert det(A) == laplace_det(A)
+
+    @given(sparse_matrices())
+    def test_sparse_rank(self, A):
+        assert rank(A) == minor_rank(A)
+
+    @given(sparse_matrices("corank1"))
+    def test_sparse_null_vector(self, rows):
+        # +-the cofactor vector, or None when the rank is below n - 1
+        a = null_vector(rows)
+        oracle = _cofactor_normal([[0] * len(rows[0])] + rows)
+        if oracle is None:
+            assert a is None
+        else:
+            assert tuple(a) in (oracle[0], tuple(-x for x in oracle[0]))
+
     @given(systems(square=False))
     def test_solve_general_matches_ranks(self, system):
         A, b = system
