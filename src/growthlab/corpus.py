@@ -75,7 +75,9 @@ def corpus_rows(entries, k_levels=(1, 2, 4)):
     """One exact row per (polytope, vertex); a bad entry flags its own rows
     and never aborts the run.  A row's values depend only on the polytope Q
     normalized at its vertex, so within one call they are computed once per
-    distinct Q and shared by its rows, a GrowthLabError's text included."""
+    distinct Q and shared by its rows, a GrowthLabError's text included.
+    Rows are looked up by Q's vertices, read off the normalizing map, and
+    only a new one builds Q."""
     rows, by_q = [], {}
     for name, P in entries:
         try:
@@ -96,18 +98,23 @@ def _error_row(P, e):
 
 def _shared_row(P, v, by_q, k_levels):
     """The row at the vertex v of the Delzant P, name and vertex blank, from
-    by_q or computed into it for the normalized polytope Q."""
+    by_q or computed into it.  P is a lattice polytope over denom 1, so the
+    images A (X - X_v) of its vertex numerators under the map that
+    normalizes P at v are the vertex numerators of Q, Q's _key: by_q is
+    keyed by them, and only a new key builds Q."""
     try:
-        Q, umap = pt.normalize_at_vertex(P, v)
+        umap, G = pt.vertex_map(P, v)
+        key = pt.vertex_images(P, umap)
     except GrowthLabError as e:
         return _error_row(P, e)
-    if Q not in by_q:
+    if key not in by_q:
         try:
+            Q = umap.image(P, G)
             gc = gr.normalized_growth_condition(v, Q, umap, k_levels)
-            by_q[Q] = _exact_row(gc)
+            by_q[key] = _exact_row(gc)
         except GrowthLabError as e:
-            by_q[Q] = _error_row(P, e)
-    return by_q[Q]
+            by_q[key] = _error_row(P, e)
+    return by_q[key]
 
 
 def _exact_row(gc):

@@ -146,8 +146,10 @@ class SeshadriResult:
 
 
 def _simplex_bounds(P):
-    """(D max(a), c) for each facet a.x <= c / D of the full-dimensional P."""
-    return [(P.denom * max(a), c) for a, c in P.int_facets]
+    """(D max(a), c) for each facet a.x <= c / D of the normalized P with
+    max(a) > 0, the facets simplex_inclusion minimizes over.  As 0 is in P,
+    every c >= 0, so a facet with max(a) <= 0 holds at every lam >= 0."""
+    return [(P.denom * max(a), c) for a, c in P.int_facets if max(a) > 0]
 
 
 def _simplex_fits(bounds, p, q):
@@ -166,7 +168,7 @@ def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
     rational it contains.  Both routes agree exactly on rational data.  The
     bisection runs in ints on [L/S, H/S] from [0, c_max + 1]: each step
     doubles L, H and S and tests the midpoint (L + H) / 2 over S, one
-    comparison per facet.
+    comparison per facet that binds (_simplex_bounds).
     """
     if tol <= 0:
         raise ValueError("bisection tolerance must be positive")

@@ -8,9 +8,9 @@ coordinate, which a toric series reads straight off the polytope's scan of
 kP, so no level lists its points.  A level is certified as the candidate
 body B, the toric polytope or else the first full-dimensional level, by two
 integer checks: (a) kB's vertices lie in W_k, so kB is inside conv(W_k);
-(b) the two ends of each row of W_k, which keep conv(W_k), satisfy kB's
-facet inequalities, so conv(W_k) is inside kB.  Any other level is the hull
-of its row ends."""
+(b) the ends of each row of W_k, which keep conv(W_k), satisfy kB's facet
+inequalities, so conv(W_k) is inside kB; a facet needs only the row end
+its normal points to.  Any other level is the hull of its row ends."""
 
 import math
 from dataclasses import dataclass
@@ -112,7 +112,10 @@ def okounkov_body(series):
 
 def _is_dilate(W, k, B):
     """conv(W) = kB for the rows W and a full-dimensional B, by checks (a)
-    and (b)."""
+    and (b).  In (b), a.(head, x) is linear in x along a row, so its larger
+    end value is at the top end xs[-1] when a_n > 0, at the bottom end xs[0]
+    when a_n < 0, and at either when a_n = 0: one end per row and facet,
+    with a'.head taken once, has the truth value of both ends."""
     D = B.denom
     if any(k * x % D for X in B.int_vertices for x in X):
         return False
@@ -120,7 +123,9 @@ def _is_dilate(W, k, B):
         Y = tuple(k * x // D for x in X)
         if Y[-1] not in W.get(Y[:-1], ()):
             return False
-    return all(dot(a, w) * D <= k * c for w in _row_ends(W) for a, c in B.int_facets)
+    facets = [(a[:-1], a[-1], k * c) for a, c in B.int_facets]
+    return all((dot(a, head) + an * (xs[-1] if an > 0 else xs[0])) * D <= kc
+               for head, xs in W.items() for a, an, kc in facets)
 
 
 def infinitesimal_map(B):

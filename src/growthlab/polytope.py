@@ -4,19 +4,20 @@ A full-dimensional polytope is stored in ints over one denominator D > 0 in
 lowest terms: vertices and boundary-simplex points as integer numerator
 tuples X (the points X / D), facets as pairs (a, c), a primitive, meaning
 a.x <= c / D.  The hull runs in ints on the input times the lcm of its
-denominators: the affine basis is the pivot columns of one elimination on
-the point differences, points strictly inside an axis-parallel segment are
-dropped, the hull of the rest is built incrementally, and its simplicial
-facets are certified by incidence (each input point inside each facet
-halfspace, the facets an oriented boundary cycle of degree 1).  Edges come
-from the certified incidence; a pair with a simple end (n facets) needs no
-rank.  The volume sums integer cone determinants over those simplices and
-divides by D^n once.  Scaling and unimodular maps act on D and the
-numerators, with no new hull.  `vertices` and `facets` are Fraction views,
-built once per polytope for reports and JSON.  Below full dimension d >= 1
-there is an integer chart (U, T, P'): U x has the constant tail T / D on
-aff(P) for a unimodular U, and P' is the full-dimensional d-polytope of the
-heads of U P.
+denominators: points strictly inside an axis-parallel segment are dropped,
+the pivot columns of one elimination on the differences of the rest give
+their affine basis and the first simplex, the hull is built incrementally
+from it, and its simplicial facets are certified by incidence (each input
+point inside each facet halfspace, the facets an oriented boundary cycle of
+degree 1).  Edges come from the certified incidence; a pair with a simple
+end (n facets) needs no rank, and each vertex's primitive edge generators
+come from one pass over the edges.  The volume sums integer cone
+determinants over those simplices and divides by D^n once.  Scaling and
+unimodular maps act on D and the numerators, with no new hull.  `vertices`
+and `facets` are Fraction views, built once per polytope for reports and
+JSON.  Below full dimension d >= 1 there is an integer chart (U, T, P'): U
+x has the constant tail T / D on aff(P) for a unimodular U, and P' is the
+full-dimensional d-polytope of the heads of U P.
 """
 
 from dataclasses import dataclass
@@ -118,15 +119,16 @@ class Polytope:
     full-dimensional the facet pairs `int_facets`, the simplices `_boundary[i]`
     on facet i and each vertex numerator's facet indices `_incidence`, else
     if not a point the chart `_chart` (U, T, P'), T over `denom`.  Like
-    its volume and edges, its row scans of kP (`_scans`, by level) and its
-    Ehrhart differences are computed once, on first use."""
+    its volume, edges and edge generators, its row scans of kP (`_scans`,
+    by level) and its Ehrhart differences are computed once, on first use."""
 
     def __init__(self, ambient_dim, vertices, dim, denom, chart=None, facets=(), boundary=(),
                  incidence=None):
         self.ambient_dim, self.dim, self.denom = ambient_dim, dim, denom
         self.int_vertices, self.int_facets = tuple(sorted(vertices)), facets
         self._chart, self._boundary, self._incidence = chart, boundary, incidence
-        self._vertices = self._facets = self._edges = self._volume = self._ehrhart = None
+        self._vertices = self._facets = self._edges = self._generators = None
+        self._volume = self._ehrhart = None
         self._scans = {}
 
     @property
@@ -156,7 +158,10 @@ class Polytope:
     @classmethod
     def from_points(cls, points, ambient_dim=None):
         """Convex hull of arbitrary points; lower-dimensional results allowed.
-        The hull runs on the points times D > 0, which keeps their order."""
+        The hull runs on the points times D > 0, which keeps their order.
+        _axis_endpoints runs first: it keeps conv(pts) and so the affine
+        span, and one _affine_basis of what it keeps gives both the
+        dimension and the first simplex of a full-dimensional hull."""
         pts = [tuple(x if type(x) is int else rat(x) for x in p) for p in points]
         if ambient_dim is None:
             if not pts:
@@ -167,18 +172,19 @@ class Polytope:
         if not pts:
             return cls.empty(ambient_dim)
         D = lcm(*(x.denominator for p in pts for x in p))
-        pts = sorted({tuple(x.numerator * (D // x.denominator) for x in p) for p in pts})
-        base = pts[0]
-        basis = [vsub(pts[i], base) for i in _affine_basis(pts)]
+        pts = _axis_endpoints(sorted({tuple(x.numerator * (D // x.denominator) for x in p)
+                                      for p in pts}))
+        base, basis = pts[0], _affine_basis(pts)
         d = len(basis)
         if d == ambient_dim:
-            return _hull_full_dim(pts, ambient_dim, D)
+            return _hull_full_dim(pts, ambient_dim, D, basis)
         if d == 0:
             return cls(ambient_dim, [base], 0, D)
-        U = _chart_matrix(list(zip(*basis)), d)
+        U = _chart_matrix(list(zip(*(vsub(pts[i], base) for i in basis))), d)
         images = [tuple(dot(row, p) for row in U) for p in pts]
         point = {y[:d]: p for y, p in zip(images, pts)}
-        Q = _hull_full_dim(sorted(point), d, D)
+        heads = _axis_endpoints(sorted(point))
+        Q = _hull_full_dim(heads, d, D, _affine_basis(heads))
         g = D // Q.denom
         return cls(ambient_dim, [point[tuple(g * x for x in H)] for H in Q.int_vertices], d, D,
                    chart=(U, images[0][d:], Q))
@@ -371,9 +377,10 @@ def _facet(pts, ids, total):
     return frozenset(ids), a, dot(a, p0)
 
 
-def _incremental_hull(pts, n):
-    """Simplicial facets [(ids frozenset, a, b)] of the hull of integer pts."""
-    simplex = [0] + _affine_basis(pts)
+def _incremental_hull(pts, n, basis):
+    """Simplicial facets [(ids frozenset, a, b)] of the hull of integer pts,
+    from the simplex of pts[0] and the points of basis = _affine_basis(pts)."""
+    simplex = [0] + basis
     total = tuple(map(sum, zip(*(pts[i] for i in simplex))))
     facets = [_facet(pts, simplex[:drop] + simplex[drop + 1:], total)
               for drop in range(n + 1)]
@@ -474,16 +481,16 @@ def _dedupe_halfspaces(facets, D):
     return dict(sorted(groups.items(), key=lambda g: _scaled_normal(*g[0], D)))
 
 
-def _hull_full_dim(pts, n, D):
+def _hull_full_dim(pts, n, D, basis):
     """The certified full-dimensional Polytope conv(pts) / D of integer pts,
-    reduced to lowest terms."""
-    pts = _axis_endpoints(pts)
+    their own _axis_endpoints with basis = _affine_basis(pts), reduced to
+    lowest terms."""
     if n == 1:
         lo, hi = min(pts), max(pts)
         incidence = {lo: frozenset({0}), hi: frozenset({1})}
         facets, boundary = (((-1,), -lo[0]), ((1,), hi[0])), (((lo,),), ((hi,),))
     else:
-        simplicial = _incremental_hull(pts, n)
+        simplicial = _incremental_hull(pts, n, basis)
         halfspaces = _dedupe_halfspaces(simplicial, D)
         incidence = {pts[i]: fs for i, fs in _certify(pts, simplicial, halfspaces, n).items()}
         facets = tuple(halfspaces)
@@ -530,11 +537,18 @@ class DelzantReport:
                              for e in self.entries]}
 
 
-def _edge_generators(P, i):
-    """The sorted primitive integer directions of the edges at vertex i."""
-    X = P.int_vertices
-    return sorted(primitive_integer(vsub(X[j if a == i else a], X[i]))
-                  for a, j in P.edges() if i in (a, j))
+def _edge_generators(P):
+    """Each vertex's sorted primitive integer edge directions, by vertex
+    index, from one pass over the edges; computed once per polytope."""
+    if P._generators is None:
+        X = P.int_vertices
+        at = [[] for _ in X]
+        for i, j in P.edges():
+            g = primitive_integer(vsub(X[j], X[i]))
+            at[i].append(g)
+            at[j].append(tuple(-x for x in g))
+        P._generators = tuple(tuple(sorted(gens)) for gens in at)
+    return P._generators
 
 
 def _is_lattice(P):
@@ -543,54 +557,72 @@ def _is_lattice(P):
 
 
 def is_delzant(P):
-    """Per-vertex unimodularity check for a full-dimensional lattice polytope:
-    the edge generators of every vertex come from one pass over the edges."""
+    """Per-vertex unimodularity check for a full-dimensional lattice polytope,
+    on the edge generators that P keeps (_edge_generators)."""
     if not P.is_full_dim:
         raise DegenerateInput("Delzant check requires a full-dimensional polytope")
     if not _is_lattice(P):
         raise NotLatticePolytope("vertices must be integral")
-    X = P.int_vertices
-    at = [[] for _ in X]
-    for i, j in P.edges():
-        g = primitive_integer(vsub(X[j], X[i]))
-        at[i].append(g)
-        at[j].append(tuple(-x for x in g))
-    entries = []
-    for v, gens in zip(P.vertices, at):
-        gens.sort()
-        d = det(gens) if len(gens) == P.ambient_dim else None
-        entries.append(DelzantVertexReport(v, d in (1, -1), tuple(gens), d))
+    n, entries = P.ambient_dim, []
+    for v, gens in zip(P.vertices, _edge_generators(P)):
+        d = det(gens) if len(gens) == n else None
+        entries.append(DelzantVertexReport(v, d in (1, -1), gens, d))
     return DelzantReport(tuple(entries), all(e.ok for e in entries))
 
 
-def normalize_at_vertex(P, v):
-    """Translate v to the origin and map its edge cone to the positive orthant.
-
-    The unimodular map sends the primitive edge generators, sorted in
-    descending lexicographic order, to e_1, ..., e_n; the descending order
-    makes the map the identity on an already normalized vertex.  The vertex
-    is found by its numerators over P.denom, and the generator matrix G is
-    unimodular iff it has an integer inverse, which is the map's matrix.
-    Returns (normalized polytope, map).
-    """
+def vertex_map(P, v):
+    """(umap, G) normalizing P at its vertex v, with no image built: umap
+    translates v to the origin and its matrix A = G^-1 maps the primitive
+    edge generators at v, sorted in descending lexicographic order and taken
+    as the columns of G, to e_1, ..., e_n; the descending order makes the
+    map the identity on an already normalized vertex.  The vertex is found
+    by its numerators over P.denom, and G is unimodular iff it has an
+    integer inverse.  NotDelzantVertex for a non-vertex or a vertex without
+    n unimodular edge generators."""
     v, D = vec(v), P.denom
     X = tuple(x.numerator * (D // x.denominator) for x in v)
     if any(D % x.denominator for x in v) or X not in P.int_vertices:
         raise NotDelzantVertex(f"{v} is not a vertex")
     n = P.ambient_dim
-    gens = sorted(_edge_generators(P, P.int_vertices.index(X)), reverse=True)
+    gens = _edge_generators(P)[P.int_vertices.index(X)][::-1]
     if len(gens) != n:
         raise NotDelzantVertex(f"vertex {v} has {len(gens)} edges, expected {n}")
-    G = tuple(tuple(gens[c][r] for c in range(n)) for r in range(n))
+    G = tuple(zip(*gens))
     try:
         A = inverse(G)
     except ValueError:
         raise NotDelzantVertex(f"edge generators at {v} are not unimodular") from None
-    umap = UnimodularMap(A, v)
+    return UnimodularMap(A, v), G
+
+
+def vertex_images(P, umap):
+    """The sorted numerators A (X - X_v) over P.denom of the vertices of the
+    polytope normalized by umap = vertex_map(P, v)[0], X_v the numerators
+    of v; with P.denom = 1, as for a lattice P, they are its _key.
+    GrowthLabError if one leaves the positive orthant."""
+    D = P.denom
+    Xv = tuple(x.numerator * (D // x.denominator) for x in umap.base)
+    images = tuple(sorted(tuple(dot(row, vsub(X, Xv)) for row in umap.matrix)
+                          for X in P.int_vertices))
+    _require_orthant(images)
+    return images
+
+
+def _require_orthant(points):
+    """GrowthLabError unless the normalized vertex numerators points lie in
+    the positive orthant."""
+    if any(x < 0 for Y in points for x in Y):
+        raise GrowthLabError("normalized polytope left the positive orthant")
+
+
+def normalize_at_vertex(P, v):
+    """Translate v to the origin and map its edge cone to the positive
+    orthant: the image Q of P under vertex_map(P, v), after the orthant
+    check that vertex_images also runs.  Returns (Q, map)."""
+    umap, G = vertex_map(P, v)
     # n unimodular edge directions at v make P full-dimensional
     Q = umap.image(P, G)
-    if any(any(x < 0 for x in Y) for Y in Q.int_vertices):
-        raise GrowthLabError("normalized polytope left the positive orthant")
+    _require_orthant(Q.int_vertices)
     return Q, umap
 
 

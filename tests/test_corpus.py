@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from growthlab import corpus
 from growthlab import growth as gr
@@ -13,7 +15,7 @@ from growthlab import okounkov as ok
 from growthlab import polytope as pt
 from growthlab.errors import GrowthLabError
 
-from conftest import random_unimodular
+from conftest import random_delzant, random_unimodular
 
 
 def reference_rows(entries, k_levels, k_max_body=3):
@@ -44,6 +46,25 @@ def _embedded(points, seed, shift):
     M = random_unimodular(rng, len(points[0]))
     return [[str(sum(a * x for a, x in zip(row, p)) + t) for row, t in zip(M, shift)]
             for p in points]
+
+
+@st.composite
+def moved_delzant_entries(draw):
+    """One or two random_delzant shapes in 2-d or 3-d, each next to its
+    image under a random unimodular map and integer translation: the copies
+    share every normalized polytope, and a symmetric shape shares one
+    between its own vertices."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = []
+    for i in range(draw(st.integers(1, 2))):
+        n = draw(st.sampled_from((2, 3)))
+        P = random_delzant(rng, n)
+        M = random_unimodular(rng, n)
+        t = [rng.randint(-3, 3) for _ in range(n)]
+        moved = pt.hull([tuple(sum(a * x for a, x in zip(row, v)) + s for row, s in zip(M, t))
+                         for v in P.vertices])
+        entries += [(f"shape{i}", P), (f"shape{i}_moved", moved)]
+    return entries
 
 
 @pytest.fixture()
@@ -77,25 +98,32 @@ class TestSharedRows:
         assert [r.vertex for r in rows if r.name == "c_segment"] == [(0, 0), (2, 1)]
 
     def test_one_computation_per_normalized_polytope(self, monkeypatch):
+        # a row is looked up by its normalized vertices: only the 9 distinct
+        # normalized polytopes of the 27 rows are built as images of P
         entries = corpus.builtin_corpus()
-        calls = {"okounkov_body": 0, "is_delzant": 0, "normalize_at_vertex": 0}
+        calls = {"okounkov_body": 0, "is_delzant": 0, "image": 0}
 
-        def counted(module, name):
-            real = getattr(module, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
         distinct = {pt.normalize_at_vertex(P, v)[0] for _, P in entries for v in P.vertices}
         counted(ok, "okounkov_body")
         counted(pt, "is_delzant")
-        counted(pt, "normalize_at_vertex")
+        counted(pt.UnimodularMap, "image")
         rows = corpus.corpus_rows(entries, (1, 2))
         assert len(rows) == 27 and len(distinct) == 9
-        assert calls == {"okounkov_body": 9, "is_delzant": len(entries),
-                         "normalize_at_vertex": 27}
+        assert calls == {"okounkov_body": 9, "is_delzant": len(entries), "image": 9}
+
+    @given(moved_delzant_entries())
+    def test_moved_copies_equal_per_vertex_chain(self, entries):
+        rows = corpus.corpus_rows(entries, (1, 2))
+        assert rows == reference_rows(entries, (1, 2))
+        assert not any(r.error for r in rows)
 
     def test_shared_error_text(self, monkeypatch):
         # a failure past normalization is computed once and copied to every row of Q

@@ -202,6 +202,36 @@ class TestCertifiedLevels:
             == pt.hull([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(3, 2))])
         assert body.limit is None
 
+    def test_bottom_end_of_a_row_outside_the_dilate(self, hulls):
+        # W_2 holds 2B = [0,2]^2's vertices, and its only point outside 2B is
+        # (1, -1), the bottom end of the row x = 1, which breaks y >= 0, a
+        # facet with a_n < 0: a check of the top ends alone would certify it
+        square = [(x, y) for x in (0, 1) for y in (0, 1)]
+        level2 = [(x, y) for x in range(3) for y in range(3)] + [(1, -1)]
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
+        assert series.rows[2][(1,)] == (-1, 0, 1, 2)
+        hulls.clear()
+        body = ok.okounkov_body(series)
+        assert len(hulls) == 2
+        assert body.hull_at[1] == pt.box([1, 1])
+        assert body.hull_at[2] == fresh_hull(series, 2) \
+            == pt.hull([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(-1, 2))])
+        assert body.limit is None
+
+    def test_whole_row_outside_the_dilate(self, hulls):
+        # W_2 holds 2B = [0,2]^2's vertices, and the row x = 3 lies beyond
+        # x <= 2, a facet with a_n = 0, at both of its ends
+        square = [(x, y) for x in (0, 1) for y in (0, 1)]
+        level2 = [(x, y) for x in range(3) for y in range(3)] + [(3, 1), (3, 2)]
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
+        hulls.clear()
+        body = ok.okounkov_body(series)
+        assert len(hulls) == 2
+        assert body.hull_at[1] == pt.box([1, 1])
+        assert body.hull_at[2] == fresh_hull(series, 2) \
+            == pt.hull([(0, 0), (1, 0), (0, 1), (F(3, 2), F(1, 2)), (F(3, 2), 1)])
+        assert body.limit is None
+
 
 class TestInfinitesimalMap:
     def test_simplex(self):

@@ -22,6 +22,7 @@ from growthlab.rationals import (det, inverse, null_vector, rank, simplest_fract
 
 from _oracles import (
     _cofactor_normal,
+    _primitive,
     bisection_simplex_inclusion,
     brute_force_edges,
     brute_force_facets,
@@ -104,7 +105,7 @@ class TestHull:
 
     def test_certificate_rejects_missing_facet(self):
         pts = sorted(pt.lattice_points(pt.box([2, 2, 2]), 1))
-        facets = pt._incremental_hull(pts, 3)
+        facets = pt._incremental_hull(pts, 3, pt._affine_basis(pts))
         halfspaces = pt._dedupe_halfspaces(facets, 1)
         assert len(pt._certify(pts, facets, halfspaces, 3)) == 8
         with pytest.raises(GrowthLabError, match="oriented cycle"):
@@ -114,7 +115,7 @@ class TestHull:
         # every simplex twice: the ridge sums still vanish, but the cycle
         # covers the boundary twice and cone volumes would double
         pts = sorted(pt.lattice_points(pt.box([2, 2]), 1))
-        facets = pt._incremental_hull(pts, 2)
+        facets = pt._incremental_hull(pts, 2, pt._affine_basis(pts))
         doubled = facets + facets
         with pytest.raises(GrowthLabError, match="more than once"):
             pt._certify(pts, doubled, pt._dedupe_halfspaces(doubled, 1), 2)
@@ -161,13 +162,17 @@ class TestDelzant:
             pt.is_delzant(pt.hull([(0, 0), (F(1, 2), 0), (0, 1)]))
 
     def test_generators_match_per_vertex_edges(self, rng):
-        # the one pass over the edges against each vertex's own edges
+        # the generators P keeps against the primitive directions from each
+        # vertex to its neighbours on the oracle's edges
         from conftest import random_delzant
         for P in [OCTAHEDRON, TRAP] + [random_delzant(rng, n) for n in (2, 3, 2, 3)]:
+            V, edges = P.vertices, brute_force_edges(P.vertices)
             report = pt.is_delzant(P)
             for i, e in enumerate(report.entries):
-                assert e.vertex == P.vertices[i]
-                assert list(e.generators) == pt._edge_generators(P, i)
+                assert e.vertex == V[i]
+                want = sorted(_primitive([y - x for x, y in zip(V[i], V[j])], 0)[0]
+                              for pair in edges if i in pair for j in pair if j != i)
+                assert list(e.generators) == want
         assert not pt.is_delzant(OCTAHEDRON).ok
 
 
@@ -264,7 +269,7 @@ class TestNormalize:
                 Q, umap = pt.normalize_at_vertex(P, v)
                 zero = tuple(F(0) for _ in range(n))
                 assert zero in Q.vertices
-                gens = set(pt._edge_generators(Q, Q.vertices.index(zero)))
+                gens = set(pt._edge_generators(Q)[Q.vertices.index(zero)])
                 assert gens == {tuple(1 if j == i else 0 for j in range(n))
                                 for i in range(n)}
                 assert umap.apply(v) == zero
