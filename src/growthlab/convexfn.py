@@ -22,6 +22,7 @@ from .errors import (
     EmptyInput,
     IncomparableFamilies,
     NonpositiveEpsilon,
+    NotNormalized,
 )
 from .lp import envelope_min
 from .rationals import dot, rat, rat_str, vec
@@ -133,17 +134,12 @@ class SmoothToricPotential:
     def exponents(self):
         """The lattice points of kP as sorted int tuples, listed once from
         the polytope's scan of kP."""
-        return tuple(pt.row_points(pt._rows(self._polytope, self.k)))
+        return tuple(pt.lattice_points(self._polytope, self.k))
 
     @cached_property
     def _exp_arr(self):
         import numpy as np
         return np.array(self.exponents, dtype=float)
-
-    def __call__(self, x):
-        if len(x) != self.dim:
-            raise DimensionMismatch("point has wrong dimension")
-        return float(self.value_many([[float(c) for c in x]])[0])
 
     def value_many(self, X, dtype=float):
         import numpy as np
@@ -157,20 +153,14 @@ class SmoothToricPotential:
         return float(self.lam) * (m + np.log(s))
 
     def grad_many(self, X):
-        """Exact-formula gradients; for lse this is the softmax average of
-        exponents over k, which lies in the slope polytope."""
+        """Gradients of an lse potential: the softmax averages of the
+        exponents over k, which lie in the slope polytope."""
         import numpy as np
-        X = np.asarray(X, dtype=float)
-        if self.family == "lse":
-            XA = X @ self._exp_arr.T
-            XA -= XA.max(axis=1, keepdims=True)
-            W = np.exp(XA)
-            W /= W.sum(axis=1, keepdims=True)
-            return (W @ self._exp_arr) / self.k
-        m = np.maximum(0, X.max(axis=1, keepdims=True))
-        E = np.exp(X - m)
-        denom = np.exp(-m[:, 0]) + E.sum(axis=1)
-        return float(self.lam) * E / denom[:, None]
+        XA = np.asarray(X, dtype=float) @ self._exp_arr.T
+        XA -= XA.max(axis=1, keepdims=True)
+        W = np.exp(XA)
+        W /= W.sum(axis=1, keepdims=True)
+        return (W @ self._exp_arr) / self.k
 
     @cached_property
     def slope_polytope(self):
@@ -195,7 +185,6 @@ def logsumexp_from_polytope(P, k):
     """
     pt._require_normalized(P)
     if not pt._is_lattice(P):
-        from .errors import NotNormalized
         raise NotNormalized("polytope must be a lattice polytope")
     return SmoothToricPotential("lse", k=k, count=pt.lattice_count(P, k), polytope=P)
 

@@ -138,9 +138,7 @@ def _exact_row(gc):
 
 
 def corpus_identities_hold(row):
-    """The three exact identities a healthy row satisfies."""
-    if row.error is not None:
-        return False
+    """The three exact identities a row without error satisfies."""
     eq_routes = row.seshadri_lp == row.seshadri_domination
     eq_gromov = row.gromov == row.seshadri_lp
     bound = float(row.seshadri_lp) <= row.nth_root_volume + 2 ** -20

@@ -16,7 +16,7 @@ from . import convexfn as cf
 from . import growth as gr
 from . import polytope as pt
 from .errors import (DimensionMismatch, GrowthViolation, IncomparableFamilies,
-                     NonConvergence)
+                     NonConvergence, NonpositiveEpsilon)
 from .rationals import rat_str
 
 LOG_FLOOR = 1e-280  # |z_i|^2 clamp so x-space stays finite
@@ -55,7 +55,6 @@ class GluingCertificate:
     convexity_check: ConvexitySummary
     seed: int
     clamp_floor: float
-    method: str
 
     @property
     def passing(self):
@@ -72,7 +71,7 @@ class GluingCertificate:
                 "outer_check": self.outer_check.to_json_dict(),
                 "convexity_check": self.convexity_check.to_json_dict(),
                 "seed": self.seed, "clamp_floor": self.clamp_floor,
-                "method": self.method, "passing": self.passing}
+                "method": "axis-margin", "passing": self.passing}
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ def _sample_peak_x(rng, n, m_lo, m_hi, count):
 
 def volume_obstruction(source, gc):
     """Necessary condition: total mass of the source cannot exceed the mass
-    of the growth class.  Exact on rational slope data; lower-dimensional
-    slope polytopes carry zero mass."""
+    of the growth class.  Exact on rational slope data."""
     if source.dim != gc.dim:
         raise DimensionMismatch("source dimension differs from the polytope")
     S = source.slope_polytope
@@ -138,16 +136,14 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     """Glue the source potential into the growth representative over the
     radius-R ball, with a sampled certificate.
 
-    The additive constant C uses the exact bound
-    sup over X_R of (target - source) <= (c_max - s_min) * 2 ln R, where
-    s_min is 0 in general and the Fubini-Study weight for that family; the
-    outer radius comes from the exact axis-margin rate of properness for
-    Fubini-Study sources and from a doubling search otherwise.
+    The source is a scaled Fubini-Study potential of weight lam.  The
+    additive constant C uses the exact bound sup over X_R of (target -
+    source) <= (c_max - lam) * 2 ln R, and the outer radius comes from the
+    exact axis-margin rate of properness.
     """
     import numpy as np
-    if not isinstance(source, cf.SmoothToricPotential):
-        raise IncomparableFamilies(
-            "ball gluing needs a strictly convex source family (fs or lse)")
+    if not isinstance(source, cf.SmoothToricPotential) or source.family != "fs":
+        raise IncomparableFamilies("ball gluing needs a scaled Fubini-Study source")
     if not (math.isfinite(R) and math.isfinite(epsilon)):
         raise ValueError("ball radius and epsilon must be finite")
     if R <= 0:
@@ -175,36 +171,22 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     c_max = float(gc.c_max)
     R = float(R)
 
-    s_min = float(source.lam) if source.family == "fs" else 0.0
-    U0 = max(0.0, (c_max - s_min) * 2.0 * math.log(R))
+    lam = source.lam
+    U0 = max(0.0, (c_max - float(lam)) * 2.0 * math.log(R))
     C = eps + 1.0 + U0
 
-    method = "axis-margin"
-    if source.family == "fs":
-        lam = source.lam
-        delta = pt.simplex_inclusion(gc.polytope) - lam
-        if delta <= 0:
-            raise GrowthViolation("no axis margin left for the source weight")
-        M = C + eps + 1.0 + float(lam) * math.log(n + 1)
-        two_log_rp = M / float(delta) + math.log(n)
-        if two_log_rp / 2.0 > math.log(HORIZON):
-            # R' follows from R in closed form: a user-chosen R is too large
-            raise ValueError("outer radius exceeds the horizon; choose a smaller R")
-        R_prime = math.exp(two_log_rp / 2.0)
-        R_prime = max(R_prime, 4.0 * R, 10.0)
-    else:
-        method = "grid+recession"
-        rng0 = np.random.default_rng(seed + 7)
-        R_prime = max(4.0 * R, 10.0)
-        while True:
-            m_lo = 2.0 * math.log(R_prime) + 0.5
-            X = _sample_peak_x(rng0, n, m_lo, m_lo + 6.0, 512)
-            margin = (target.eval_many(X) - source.value_many(X) - C).min()
-            if margin >= eps + 1.0:
-                break
-            R_prime *= 4.0
-            if R_prime > HORIZON:
-                raise NonConvergence("outer radius search exceeded the horizon")
+    delta = pt.simplex_inclusion(gc.polytope) - lam
+    if delta <= 0:
+        raise GrowthViolation("no axis margin left for the source weight")
+    M = C + eps + 1.0 + float(lam) * math.log(n + 1)
+    two_log_rp = M / float(delta) + math.log(n)
+    if two_log_rp / 2.0 > math.log(HORIZON):
+        # R' follows from R in closed form: a user-chosen R is too large
+        raise ValueError("outer radius exceeds the horizon; choose a smaller R")
+    R_prime = math.exp(two_log_rp / 2.0)
+    R_prime = max(R_prime, 4.0 * R, 10.0)
+    if eps <= 0:  # before any sample; the growth checks above report first
+        raise NonpositiveEpsilon("regularization width must be positive")
 
     rng = np.random.default_rng(seed)
     X_in = _sample_inner_x(rng, n, R, samples)
@@ -245,7 +227,7 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     convexity = ConvexitySummary(slack, pairs)
 
     cert = GluingCertificate(R, C, R_prime, eps, inner, band, outer, convexity,
-                             seed, LOG_FLOOR, method)
+                             seed, LOG_FLOOR)
     glued = GluedPotential(source, target, C, eps, cert)
     if not cert.passing:
         raise NonConvergence(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import convexfn as cf
 from . import polytope as pt
 from .errors import NotDelzantVertex
-from .rationals import rat, rat_str, simplest_fraction_in, vec
+from .rationals import rat, rat_str, vec
 
 SAMPLE_RADIUS = 50.0  # x-space ball the gradient samples are drawn from
 GRADIENT_CHUNK = 20000  # rows per grad_many call
@@ -164,11 +164,15 @@ def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
     Route 1 is the exact facet minimum (simplex inclusion LP).  Route 2
     bisects the growth-domination predicate "the scaled Fubini-Study
     potential is bounded above by the representative", i.e. membership of
-    the scaled simplex vertices, then snaps the interval to the simplest
-    rational it contains.  Both routes agree exactly on rational data.  The
-    bisection runs in ints on [L/S, H/S] from [0, c_max + 1]: each step
-    doubles L, H and S and tests the midpoint (L + H) / 2 over S, one
-    comparison per facet that binds (_simplex_bounds).
+    the scaled simplex vertices, then snaps the interval to the least
+    integer it contains.  The bisection runs in ints on [L/S, H/S] from [0,
+    c_max + 1]: each step doubles L, H and S and tests the midpoint (L + H)
+    / 2 over S, one comparison per facet that binds (_simplex_bounds).  On
+    the normalized Delzant lattice polytope of a growth condition, lam e_i
+    lies in Q iff lam is at most the lattice length of the edge along e_i,
+    so the constant m is the least of those lengths (Di Rocco, Math. Z. 231,
+    1999), an integer with lo <= m < hi: the snap ceil(lo) is m, and both
+    routes agree exactly.
     """
     if tol <= 0:
         raise ValueError("bisection tolerance must be positive")
@@ -184,9 +188,8 @@ def seshadri_constant(gc, tol=Fraction(1, 2 ** 48)):
         else:
             H = M
     lo, hi = Fraction(L, S), Fraction(H, S)
-    snapped = simplest_fraction_in(lo, hi)
-    if not _simplex_fits(bounds, snapped.numerator, snapped.denominator):
-        snapped = lo
+    m = -(-L // S)  # ceil(lo)
+    snapped = Fraction(m) if _simplex_fits(bounds, m, 1) else lo
     n = gc.dim
     upper = (math.factorial(n) * float(pt.volume(gc.polytope))) ** (1.0 / n)
     return SeshadriResult(lp_value, snapped, upper, (lo, hi))

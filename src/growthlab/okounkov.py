@@ -6,11 +6,11 @@ any monomial order is its own exponent, so a body is the hull of W_k / k and
 no order is needed to compute it.  Each W_k is kept as rows along the last
 coordinate, which a toric series reads straight off the polytope's scan of
 kP, so no level lists its points.  A level is certified as the candidate
-body B, the toric polytope or else the first full-dimensional level, by two
-integer checks: (a) kB's vertices lie in W_k, so kB is inside conv(W_k);
-(b) the ends of each row of W_k, which keep conv(W_k), satisfy kB's facet
-inequalities, so conv(W_k) is inside kB; a facet needs only the row end
-its normal points to.  Any other level is the hull of its row ends."""
+body B, the series' polytope, by two integer checks: (a) kB's vertices lie
+in W_k, so kB is inside conv(W_k); (b) the ends of each row of W_k, which
+keep conv(W_k), satisfy kB's facet inequalities, so conv(W_k) is inside
+kB; a facet needs only the row end its normal points to.  Any other level
+is the hull of its row ends."""
 
 import math
 from dataclasses import dataclass
@@ -91,20 +91,18 @@ def okounkov_body(series):
     Every monomial of W_k is a section whose valuation vector is its own
     exponent under every monomial order, so the degree-k hull is the hull of
     W_k / k whatever the order.  Let B, with vertex numerators X over
-    B.denom = D and facets a.x <= c / D, be the series' polytope, or else
-    the first full-dimensional level.  A level k is B when (a) each k X / D
-    is an integer point of W_k, so kB lies in conv(W_k), and (b) each end w
-    of a row of W_k, and so conv(W_k), has (a.w) D <= k c, so conv(W_k) lies
-    in kB.  Any other level is the hull of its row ends: for a toric series,
-    only the k with kP not integral, as conv(kP cap Z^n) = kP otherwise.
+    B.denom = D and facets a.x <= c / D, be the series' polytope, if it has
+    one.  A level k is B when (a) each k X / D is an integer point of W_k,
+    so kB lies in conv(W_k), and (b) each end w of a row of W_k, and so
+    conv(W_k), has (a.w) D <= k c, so conv(W_k) lies in kB.  Any other
+    level is the hull of its row ends: for a toric series, only the k with
+    kP not integral, as conv(kP cap Z^n) = kP otherwise.
     The limit is recorded when all computed levels agree.
     """
-    hull_at, B = {}, series.polytope
-    for k, W in sorted(series.rows.items()):
-        hull_at[k] = B if B is not None and _is_dilate(W, k, B) else \
-            pt.Polytope.from_points(_row_ends(W), series.dim).scaled(Fraction(1, k))
-        if B is None and hull_at[k].is_full_dim:
-            B = hull_at[k]
+    B = series.polytope
+    hull_at = {k: B if B is not None and _is_dilate(W, k, B) else
+               pt.Polytope.from_points(_row_ends(W), series.dim).scaled(Fraction(1, k))
+               for k, W in sorted(series.rows.items())}
     bodies = list(hull_at.values())
     limit = bodies[0] if all(b == bodies[0] for b in bodies) else None
     return OkounkovBody(hull_at, limit)
@@ -129,14 +127,13 @@ def _is_dilate(W, k, B):
 
 
 def infinitesimal_map(B):
-    """Image under alpha -> (sum(alpha), alpha_1, ..., alpha_{n-1}).
+    """Image of a full-dimensional body under alpha -> (sum(alpha), alpha_1,
+    ..., alpha_{n-1}).
 
-    The map is linear and unimodular, so a full-dimensional body maps its
-    certified hull (UnimodularMap.image).  It converts the deglex body at a
-    point into the lex body on the blowup.
+    The map is linear and unimodular, so the body maps its certified hull
+    (UnimodularMap.image).  It converts the deglex body at a point into the
+    lex body on the blowup.
     """
-    if B.is_empty:
-        return B
     n = B.ambient_dim
     matrix = ((1,) * n,) + tuple(tuple(int(j == i) for j in range(n)) for i in range(n - 1))
     return pt.UnimodularMap(matrix, (0,) * n).image(B, inverse(matrix))
@@ -197,11 +194,9 @@ def chebyshev_transform(u):
             raise ValueError("Fubini-Study lambda is too large for a float") from None
         dom = u.slope_polytope
 
-        def entropy(y):
+        def entropy(y):  # y in the domain, so every q >= 0
             q = [float(c) / lam for c in y]
             q.append(1.0 - sum(q))
-            if any(c < 0 for c in q):
-                return math.inf
             return lam * sum(c * math.log(c) for c in q if c > 0)
 
         return ChebyshevTransform("closed-form", dom, entropy)

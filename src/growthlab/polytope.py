@@ -65,9 +65,6 @@ class HalfSpace:
     normal: tuple
     offset: Fraction
 
-    def value(self, x):
-        return dot(self.normal, x)
-
     def to_json_dict(self):
         return {"normal": [rat_str(a) for a in self.normal],
                 "offset": rat_str(self.offset)}
@@ -86,17 +83,11 @@ class UnimodularMap:
     matrix: tuple
     base: tuple
 
-    def apply(self, p):
-        diff = vsub(vec(p), self.base)
-        return tuple(dot(row, diff) for row in self.matrix)
-
     def image(self, P, G):
-        """The polytope A (P - base), given G = A^-1.  A full-dimensional P maps
-        its certified data over E, the lcm of the denominators of P and base =
-        B / E: X / D goes to A (e X - B) / E, e = E / D, and as x = G y + base,
-        a.x <= c / D becomes (G^T a).y <= (c e - a.B) / E.  Else a new hull."""
-        if not P.is_full_dim:
-            return Polytope.from_points([self.apply(v) for v in P.vertices], P.ambient_dim)
+        """The polytope A (P - base) of a full-dimensional P, given G = A^-1,
+        from P's certified data over E, the lcm of the denominators of P and
+        base = B / E: X / D goes to A (e X - B) / E, e = E / D, and as x = G y
+        + base, a.x <= c / D becomes (G^T a).y <= (c e - a.B) / E."""
         E = lcm(P.denom, *(x.denominator for x in self.base))
         e = E // P.denom
         B = [x.numerator * (E // x.denominator) for x in self.base]
@@ -379,7 +370,9 @@ def _facet(pts, ids, total):
 
 def _incremental_hull(pts, n, basis):
     """Simplicial facets [(ids frozenset, a, b)] of the hull of integer pts,
-    from the simplex of pts[0] and the points of basis = _affine_basis(pts)."""
+    from the simplex of pts[0] and the points of basis = _affine_basis(pts).
+    The pts are in lexicographic order, so each point added is the largest
+    so far, a vertex of the hull with it: it sees at least one facet."""
     simplex = [0] + basis
     total = tuple(map(sum, zip(*(pts[i] for i in simplex))))
     facets = [_facet(pts, simplex[:drop] + simplex[drop + 1:], total)
@@ -391,8 +384,6 @@ def _incremental_hull(pts, n, basis):
             continue
         p = pts[idx]
         visible = [f for f in facets if dot(f[1], p) > f[2]]
-        if not visible:
-            continue
         ridge_count = {}
         for ids, _, _ in visible:
             for r in combinations(sorted(ids), n - 1):
@@ -783,11 +774,10 @@ def volume(P):
 
 
 def relative_volume(P):
-    """Volume in the affine span, normalized so a lattice cell has volume 1:
-    volume(P') below full dimension, as U maps the span's integer directions
-    onto Z^d x {0} (Beck and Robins, Computing the Continuous Discretely)."""
-    if P.is_empty:
-        return Fraction(0)
+    """Volume of a nonempty P in its affine span, normalized so a lattice
+    cell has volume 1: volume(P') below full dimension, as U maps the span's
+    integer directions onto Z^d x {0} (Beck and Robins, Computing the
+    Continuous Discretely)."""
     if P.is_point:
         return Fraction(1)
     return volume(P if P.is_full_dim else P._chart[2])

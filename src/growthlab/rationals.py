@@ -1,17 +1,17 @@
 """Exact rational vectors and small dense linear algebra.
 
 Vectors are tuples of int or Fraction (floats convert exactly), matrices
-tuples of rows; `dot` stays an int on ints.  Every elimination is one
-fraction-free integer elimination (Bareiss) on rows cleared of
-denominators, which returns its pivot columns: `det`, `rank` and
-`null_vector` read its echelon form, and `solve`, `solve_general` and
-`inverse` back-substitute in it.  Integer rows go to `_bareiss` directly.
+tuples of rows; `dot` stays an int on ints.  Every elimination takes integer
+rows, as every caller holds its points and normals as integer numerators
+over one denominator: one fraction-free integer elimination (Bareiss)
+returns its pivot columns, `det`, `rank` and `null_vector` read its echelon
+form, and `solve`, `solve_general` and `inverse` back-substitute in it.
 `hermite` keeps its row operations in GL(n, Z) with extended-gcd steps
 instead.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 
 
@@ -44,20 +44,6 @@ def vsub(a, b):
 
 def dot(a, b):
     return sum(map(mul, a, b))
-
-
-def _integer_rows(rows):
-    """Rows scaled to ints by the lcm of their denominators; the scales'
-    product.  A row of ints is kept as it is."""
-    out, scale = [], 1
-    for row in rows:
-        if any(type(x) is not int for x in row):
-            row = [x if type(x) is int else rat(x) for x in row]
-            d = lcm(*(x.denominator for x in row))
-            row = [x.numerator * (d // x.denominator) for x in row]
-            scale *= d
-        out.append(row)
-    return out, scale
 
 
 def _bareiss(rows):
@@ -134,24 +120,22 @@ def hermite(A):
 
 
 def rank(vectors) -> int:
-    return len(_bareiss(_integer_rows(vectors)[0])[0])
+    return len(_bareiss(list(vectors))[0])
 
 
 def det(A):
-    rows, scale = _integer_rows(A)
-    pivots, d = _bareiss(rows)
-    d = d if len(pivots) == len(rows) else 0
-    return d if scale == 1 else Fraction(d, scale)
+    pivots, d = _bareiss(list(A))
+    return d if len(pivots) == len(A) else 0
 
 
 def _solve_columns(A, bs):
     """(pivot columns of A, D, [y with A (y / D) = b, every free unknown 0,
-    for b in bs]), or None if some b is inconsistent.  Bareiss runs on
-    [A | b ...] cleared of denominators (scaling a row keeps the solutions);
-    its last pivot D is the minor of A's pivot rows and columns, so D x is
-    integral (Cramer) and the back substitution exact in ints."""
+    for b in bs]), or None if some b is inconsistent, for integer A and bs.
+    Bareiss runs on [A | b ...]; its last pivot D is the minor of A's pivot
+    rows and columns, so D x is integral (Cramer) and the back substitution
+    exact in ints."""
     n = len(A[0]) if A else 0
-    rows = _integer_rows([[*a, *c] for a, c in zip(A, zip(*bs))])[0]
+    rows = [[*a, *c] for a, c in zip(A, zip(*bs))]
     pivots = _bareiss(rows)[0]
     if pivots and pivots[-1] >= n:
         return None
@@ -197,41 +181,8 @@ def inverse(A):
 
 
 def primitive_integer(v):
-    """Scale a nonzero rational vector to a primitive integer vector (same direction)."""
-    ints = _integer_rows([v])[0][0]
-    g = gcd(*ints)
+    """The primitive integer vector in the direction of a nonzero integer v."""
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
-
-
-def simplest_fraction_in(lo, hi) -> Fraction:
-    """The fraction with smallest denominator in the closed interval [lo, hi].
-
-    Stern-Brocot descent; ties on denominator resolved toward the smaller
-    absolute numerator, which makes the result unique.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_fraction_in(-hi, -lo)
-
-    # 0 < lo <= hi: walk the continued fraction of the interval.
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    a, b = lo, hi
-    while True:
-        f = a.numerator // a.denominator
-        if f == b.numerator // b.denominator and a.numerator % a.denominator != 0:
-            p0, p1 = p1, f * p1 + p0
-            q0, q1 = q1, f * q1 + q0
-            a, b = 1 / (b - f), 1 / (a - f)
-        else:
-            # smallest integer in [a, b] completes the fraction
-            if a.numerator % a.denominator == 0:
-                f = a.numerator // a.denominator
-            else:
-                f = f + 1
-            return Fraction(f * p1 + p0, f * q1 + q0)
+    return tuple(x // g for x in v)

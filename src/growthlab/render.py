@@ -6,8 +6,6 @@ SIZE = 420  # pixels along the longer side of the drawing
 def _bounds(layers):
     xs = [float(x) for layer in layers for x, _ in layer["points"]]
     ys = [float(y) for layer in layers for _, y in layer["points"]]
-    if not xs:
-        return 0.0, 0.0, 1.0, 1.0
     pad_x = 0.08 * max(max(xs) - min(xs), 1e-9)
     pad_y = 0.08 * max(max(ys) - min(ys), 1e-9)
     return min(xs) - pad_x, min(ys) - pad_y, max(xs) + pad_x, max(ys) + pad_y

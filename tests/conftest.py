@@ -29,6 +29,11 @@ def same_function(f, g):
     return piece_set(f) == piece_set(g)
 
 
+def value_at(u, x):
+    """A smooth potential's float value at the point x."""
+    return float(u.value_many([[float(c) for c in x]])[0])
+
+
 def random_unimodular(rng, n, steps=4):
     """Product of elementary integer shears and swaps; determinant +-1."""
     M = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]

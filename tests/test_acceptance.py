@@ -24,6 +24,7 @@ from growthlab import okounkov as ok
 from growthlab import polytope as pt
 from growthlab.corpus import builtin_corpus
 from growthlab.errors import DegenerateInput, GrowthViolation
+from growthlab.rationals import dot
 
 from _oracles import brute_force_facets, brute_force_slice, ehrhart_volume_3d, pick_area
 from conftest import same_function
@@ -208,7 +209,7 @@ def test_criterion_9_polytope_kernel_oracles():
         assert {(f.normal, f.offset) for f in P.facets} == brute_force_facets(pts)
         lat = pt.lattice_points(P, 1)
         interior = sum(1 for p in lat
-                       if all(f.value(p) < f.offset for f in P.facets))
+                       if all(dot(f.normal, p) < f.offset for f in P.facets))
         assert pick_area(interior, len(lat) - interior) == pt.volume(P)
         done_2d += 1
     done_3d = 0

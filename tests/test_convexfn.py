@@ -19,7 +19,7 @@ from growthlab.errors import (
 
 from _oracles import (brute_force_lattice_points, brute_force_slice, brute_force_vertices,
                       grid_conjugate_1d, grid_inf_radial, support_value)
-from conftest import piece_set, same_function
+from conftest import piece_set, same_function, value_at
 
 SIGMA = pt.standard_simplex(2)
 SQUARE = pt.box([2, 2])
@@ -71,11 +71,11 @@ class TestEval:
 
     def test_logsumexp_at_origin(self):
         u2 = cf.logsumexp_from_polytope(SIGMA, 2)
-        assert u2((0.0, 0.0)) == pytest.approx(math.log(6) / 2, abs=1e-12)
+        assert value_at(u2, (0.0, 0.0)) == pytest.approx(math.log(6) / 2, abs=1e-12)
 
     def test_fubini_study_at_origin(self):
         fs = cf.SmoothToricPotential.fubini_study(2, dim=2)
-        assert fs((0.0, 0.0)) == pytest.approx(2 * math.log(3), abs=1e-12)
+        assert value_at(fs, (0.0, 0.0)) == pytest.approx(2 * math.log(3), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -150,7 +150,7 @@ class TestLogSumExp:
     def test_limit_along_rays(self):
         for k in (1, 2, 4, 8):
             u = cf.logsumexp_from_polytope(SIGMA, k)
-            val = u((10.0, 0.0))
+            val = value_at(u, (10.0, 0.0))
             assert 10 <= val <= 10 + math.log(u.lattice_count) / k
 
     def test_one_dimensional_geometric_sum(self):
@@ -158,8 +158,8 @@ class TestLogSumExp:
         u = cf.logsumexp_from_polytope(P, 2)   # exponents 0..6 at k=2
         x = 0.7
         expected = math.log(sum(math.exp(j * x) for j in range(7))) / 2
-        assert u((x,)) == pytest.approx(expected, abs=1e-12)
-        assert u((0.0,)) == pytest.approx(math.log(7) / 2, abs=1e-12)
+        assert value_at(u, (x,)) == pytest.approx(expected, abs=1e-12)
+        assert value_at(u, (0.0,)) == pytest.approx(math.log(7) / 2, abs=1e-12)
 
     def test_requires_normalized_lattice_polytope(self):
         with pytest.raises(NotNormalized):
@@ -300,7 +300,7 @@ class TestGrowsSlower:
         v = wit["vertex"]
         facet = wit["facet"]
         assert sum(v) == F(5, 2)
-        assert facet.value(v) > facet.offset  # vertex really violates it
+        assert dot(facet.normal, v) > facet.offset  # vertex really violates it
 
     def test_divergence_along_radial_rays(self, rng):
         # properness acts toward |z| -> infinity: x moves along +ones
@@ -319,7 +319,7 @@ class TestGrowsSlower:
                 x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10))
                 ts = [40.0, 80.0, 160.0, 320.0]
                 vals = [support_value(h.slopes, (x0[0] + t, x0[1] + t))
-                        - fs((x0[0] + t, x0[1] + t))
+                        - value_at(fs, (x0[0] + t, x0[1] + t))
                         for t in ts]
                 assert all(b > a for a, b in zip(vals, vals[1:]))
                 assert vals[-1] > float(lam_star - lam) * 320 / 2
@@ -392,18 +392,17 @@ class TestSerialization:
         assert report.certificates[8].witnesses["lattice_count"] == 9 * 17 * 25
         u = cf.logsumexp_from_polytope(gc.polytope, 8)
         assert calls == [1, 2, 3]
-        u((0.5, -0.5, 0.25))
+        value_at(u, (0.5, -0.5, 0.25))
         u.grad_many([[0.0, 1.0, 0.0]])
         assert list(u.exponents) == brute_force_lattice_points(gc.polytope.vertices, 8)
         assert calls == [1, 2, 3, 8]
 
     def test_fs_dimension_fixed_at_construction(self):
         u = cf.SmoothToricPotential.fubini_study(F(3, 2), dim=2)
-        u((0.0, 0.0))
-        assert u.dim == 2
-        with pytest.raises(DimensionMismatch):
-            u((0.0, 0.0, 0.0))
-        assert u.dim == 2
+        value_at(u, (0.0, 0.0))
+        assert u.dim == u.slope_polytope.ambient_dim == 2
+        with pytest.raises(ValueError, match="dim >= 1"):
+            cf.SmoothToricPotential.fubini_study(F(3, 2), dim=0)
 
 
 class TestPruning:

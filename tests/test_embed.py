@@ -8,7 +8,7 @@ from growthlab import convexfn as cf
 from growthlab import embed as em
 from growthlab import growth as gr
 from growthlab import polytope as pt
-from growthlab.errors import GrowthViolation, IncomparableFamilies
+from growthlab.errors import GrowthViolation, IncomparableFamilies, NonpositiveEpsilon
 
 SIGMA = pt.standard_simplex(2)
 SQUARE = pt.box([2, 2])
@@ -33,7 +33,7 @@ class TestFitBall:
     def test_square_certificate_passes(self, gc_square):
         glued = em.fit_ball(gc_square, fs(F(3, 2)), 10, seed=3)
         cert = glued.certificate
-        assert cert.passing
+        assert cert.passing and cert.to_json_dict()["method"] == "axis-margin"
         assert cert.inner_check.min_margin > 1.0 + cert.epsilon
         assert cert.outer_check.min_margin > 1.0 + cert.epsilon
         assert cert.convexity_check.min_slack >= -1e-12
@@ -50,20 +50,31 @@ class TestFitBall:
         assert sum(exc.value.vertex) == F(5, 2)
         assert exc.value.facet is not None
 
+    def test_nonpositive_epsilon_refused_before_sampling(self, gc_square, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(em, "_sample_inner_x", refuse)
+        for eps in (0.0, -10.0):
+            with pytest.raises(NonpositiveEpsilon):
+                em.fit_ball(gc_square, fs(F(3, 2)), 10, epsilon=eps)
+        # a growth violation still reports first
+        with pytest.raises(GrowthViolation):
+            em.fit_ball(gc_square, fs(F(5, 2)), 10, epsilon=-10.0)
+
     def test_affine_source_rejected(self, gc_square):
         aff = cf.MaxAffineFunction([(F(1, 2), F(1, 2))])
         with pytest.raises(IncomparableFamilies):
             em.fit_ball(gc_square, aff, 5)
 
-    def test_lse_source_glues(self, gc_square):
+    def test_lse_source_rejected(self, gc_square, gc_sigma):
+        # the ball is glued from a Fubini-Study source only, inside the
+        # target or not
         inner = cf.logsumexp_from_polytope(SIGMA, 2)
-        glued = em.fit_ball(gc_square, inner, 5, seed=5)
-        assert glued.certificate.passing
-        assert glued.certificate.method == "grid+recession"
-
-    def test_lse_source_violation(self, gc_sigma):
+        with pytest.raises(IncomparableFamilies):
+            em.fit_ball(gc_square, inner, 5, seed=5)
         outer = cf.logsumexp_from_polytope(SIGMA, 1)  # slope polytope = target
-        with pytest.raises(GrowthViolation):
+        with pytest.raises(IncomparableFamilies):
             em.fit_ball(gc_sigma, outer, 2)
 
 

@@ -159,6 +159,22 @@ class TestSeshadri:
                     assert ses.bisection_interval == (lo, hi)
                     assert ses.domination_value == (snapped if fits(snapped) else lo)
 
+    def test_constant_is_the_least_edge_length(self, rng):
+        # what the integer snap relies on: at each vertex of a Delzant lattice
+        # polytope the constant is an integer, the least lattice length of the
+        # edges there (edges from the oracle's facets)
+        from _oracles import brute_force_edges
+        from conftest import random_delzant
+        for n in (2, 3) * 4:
+            P = random_delzant(rng, n)
+            V = P.vertices
+            edges = brute_force_edges(V)
+            for i, v in enumerate(V):
+                ses = gr.seshadri_constant(gr.build_growth_condition(P, v, [1]))
+                assert ses.lp_value.denominator == 1
+                assert ses.lp_value == min(math.gcd(*(int(a - b) for a, b in zip(V[j], V[k])))
+                                           for j, k in edges if i in (j, k))
+
     def test_facet_predicate_matches_coordinate_predicate(self, rng):
         # one comparison per facet, D max(a) p <= c q, against the n
         # comparisons a_i p D <= c q, at 0, around the Seshadri constant

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -11,6 +12,7 @@ from growthlab import polytope as pt
 from growthlab.errors import DimensionMismatch
 
 from _oracles import grid_conjugate_2d, in_hull
+from conftest import value_at
 
 SIGMA = pt.standard_simplex(2)
 SQUARE = pt.box([2, 2])
@@ -119,14 +121,14 @@ class TestBody:
 
     def test_hand_built_series_hulls_its_first_full_dimensional_level(self, hulls):
         toric = ok.GradedMonomialSeries.toric(TRAP, 3)
-        series = ok.GradedMonomialSeries(toric.rows)
-        assert series.polytope is None
         hulls.clear()
+        # the same W_k, with the hull of level 1 as the candidate B: the only hull
+        B = fresh_hull(toric, 1)
+        series = ok.GradedMonomialSeries(toric.rows, polytope=B)
         body = ok.okounkov_body(series)
-        # the same W_k, but no candidate: level 1 is hulled and becomes B
         assert len(hulls) == 1
         assert body.limit == TRAP
-        assert all(B == fresh_hull(series, k) for k, B in body.hull_at.items())
+        assert all(b is B and B == fresh_hull(series, k) for k, b in body.hull_at.items())
 
     def test_superadditive_chain(self):
         series = ok.GradedMonomialSeries.toric(TRAP, 4)
@@ -138,9 +140,9 @@ class TestBody:
 
 
 class TestCertifiedLevels:
-    """A level past the first full-dimensional one, B, is B when kB's
-    vertices lie in W_k (a) and W_k lies in kB (b), and is hulled otherwise;
-    either way it is the hull of W_k / k."""
+    """A level of a series with a polytope B is B when kB's vertices lie in
+    W_k (a) and W_k lies in kB (b), and is hulled otherwise; either way it is
+    the hull of W_k / k.  Hand-built series pass B = [0,1]^2."""
 
     def test_every_level_is_the_hull_of_its_cloud(self, rng):
         from conftest import random_delzant
@@ -180,7 +182,8 @@ class TestCertifiedLevels:
         # W_2 lies in 2B = [0,2]^2 but lacks its vertex (2, 2)
         square = [(x, y) for x in (0, 1) for y in (0, 1)]
         level2 = [(x, y) for x in range(3) for y in range(3) if (x, y) != (2, 2)]
-        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)},
+                                          pt.box([1, 1]))
         body = ok.okounkov_body(series)
         assert body.hull_at[1] == pt.box([1, 1])
         assert body.hull_at[2] == pt.hull([(0, 0), (1, 0), (0, 1), (1, F(1, 2)), (F(1, 2), 1)])
@@ -192,11 +195,12 @@ class TestCertifiedLevels:
         # would certify it
         square = [(x, y) for x in (0, 1) for y in (0, 1)]
         level2 = [(x, y) for x in range(3) for y in range(3)] + [(1, 3)]
-        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)},
+                                          pt.box([1, 1]))
         assert series.rows[2][(1,)] == (0, 1, 2, 3)
         hulls.clear()
         body = ok.okounkov_body(series)
-        assert len(hulls) == 2
+        assert len(hulls) == 1  # level 2 alone
         assert body.hull_at[1] == pt.box([1, 1])
         assert body.hull_at[2] == fresh_hull(series, 2) \
             == pt.hull([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(3, 2))])
@@ -208,11 +212,12 @@ class TestCertifiedLevels:
         # facet with a_n < 0: a check of the top ends alone would certify it
         square = [(x, y) for x in (0, 1) for y in (0, 1)]
         level2 = [(x, y) for x in range(3) for y in range(3)] + [(1, -1)]
-        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)},
+                                          pt.box([1, 1]))
         assert series.rows[2][(1,)] == (-1, 0, 1, 2)
         hulls.clear()
         body = ok.okounkov_body(series)
-        assert len(hulls) == 2
+        assert len(hulls) == 1  # level 2 alone
         assert body.hull_at[1] == pt.box([1, 1])
         assert body.hull_at[2] == fresh_hull(series, 2) \
             == pt.hull([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(-1, 2))])
@@ -223,10 +228,11 @@ class TestCertifiedLevels:
         # x <= 2, a facet with a_n = 0, at both of its ends
         square = [(x, y) for x in (0, 1) for y in (0, 1)]
         level2 = [(x, y) for x in range(3) for y in range(3)] + [(3, 1), (3, 2)]
-        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)})
+        series = ok.GradedMonomialSeries({1: ok.point_rows(square), 2: ok.point_rows(level2)},
+                                          pt.box([1, 1]))
         hulls.clear()
         body = ok.okounkov_body(series)
-        assert len(hulls) == 2
+        assert len(hulls) == 1  # level 2 alone
         assert body.hull_at[1] == pt.box([1, 1])
         assert body.hull_at[2] == fresh_hull(series, 2) \
             == pt.hull([(0, 0), (1, 0), (0, 1), (F(3, 2), F(1, 2)), (F(3, 2), 1)])
@@ -237,10 +243,6 @@ class TestInfinitesimalMap:
     def test_simplex(self):
         img = ok.infinitesimal_map(SIGMA)
         assert img == pt.hull([(0, 0), (1, 1), (1, 0)])
-
-    def test_point(self):
-        P = pt.Polytope.from_points([(0, 0)], 2)
-        assert ok.infinitesimal_map(P).vertices == ((F(0), F(0)),)
 
     def test_square(self):
         img = ok.infinitesimal_map(SQUARE)
@@ -309,7 +311,7 @@ class TestChebyshev:
         u = cf.SmoothToricPotential.fubini_study(lam, dim=2)
         tr = ok.chebyshev_transform(u)
         for y in ((0.5, 0.5), (1.0, 0.4), (0.2, 1.1)):
-            grid = grid_conjugate_2d(lambda x: u(x), y)
+            grid = grid_conjugate_2d(partial(value_at, u), y)
             assert tr(y) == pytest.approx(grid, abs=1e-4)
 
     def test_logsumexp_value_within_certificate(self):
