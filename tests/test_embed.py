@@ -67,12 +67,15 @@ class TestFitBall:
         with pytest.raises(IncomparableFamilies):
             em.fit_ball(gc_square, aff, 5)
 
-    def test_lse_source_rejected(self, gc_square, gc_sigma):
-        # the ball is glued from a Fubini-Study source only, inside the
-        # target or not
+    def test_lse_source_glues(self, gc_square):
+        # the ball is glued from a Fubini-Study source only: an lse source
+        # whose slope polytope fits inside the target is refused for its family
         inner = cf.logsumexp_from_polytope(SIGMA, 2)
         with pytest.raises(IncomparableFamilies):
             em.fit_ball(gc_square, inner, 5, seed=5)
+
+    def test_lse_source_violation(self, gc_sigma):
+        # the family check comes before the slope-inclusion check
         outer = cf.logsumexp_from_polytope(SIGMA, 1)  # slope polytope = target
         with pytest.raises(IncomparableFamilies):
             em.fit_ball(gc_sigma, outer, 2)
