@@ -76,7 +76,7 @@ def corpus_rows(entries, k_levels=(1, 2, 4)):
     and never aborts the run.  A row's values depend only on the polytope Q
     normalized at its vertex, so within one call they are computed once per
     distinct Q and shared by its rows, a GrowthLabError's text included.
-    Rows are looked up by Q's vertices, read off the normalizing map, and
+    Rows are looked up by Q's facets, read off P's with no elimination, and
     only a new one builds Q."""
     rows, by_q = [], {}
     for name, P in entries:
@@ -85,8 +85,8 @@ def corpus_rows(entries, k_levels=(1, 2, 4)):
             failed = None
         except GrowthLabError as e:
             failed = _error_row(P, e)
-        for v in P.vertices:
-            row = failed or _shared_row(P, v, by_q, k_levels)
+        for i, v in enumerate(P.vertices):
+            row = failed or _shared_row(P, i, v, by_q, k_levels)
             rows.append(replace(row, name=name, vertex=v))
     return rows
 
@@ -96,20 +96,16 @@ def _error_row(P, e):
                      None, error=f"{type(e).__name__}: {e}")
 
 
-def _shared_row(P, v, by_q, k_levels):
-    """The row at the vertex v of the Delzant P, name and vertex blank, from
-    by_q or computed into it.  P is a lattice polytope over denom 1, so the
-    images A (X - X_v) of its vertex numerators under the map that
-    normalizes P at v are the vertex numerators of Q, Q's _key: by_q is
-    keyed by them, and only a new key builds Q."""
-    try:
-        umap, G = pt.vertex_map(P, v)
-        key = pt.vertex_images(P, umap)
-    except GrowthLabError as e:
-        return _error_row(P, e)
+def _shared_row(P, i, v, by_q, k_levels):
+    """The row at v, the i-th vertex of the Delzant P, name and vertex
+    blank, from by_q or computed into it.  by_q is keyed by the facets of
+    the normalized polytope Q in integers and lowest terms
+    (pt.normalized_facets), which determine Q whatever P.denom is; only a
+    new key normalizes P at v."""
+    key = pt.normalized_facets(P, i)
     if key not in by_q:
         try:
-            Q = umap.image(P, G)
+            Q, umap = pt.normalize_at_vertex(P, v)
             gc = gr.normalized_growth_condition(v, Q, umap, k_levels)
             by_q[key] = _exact_row(gc)
         except GrowthLabError as e:

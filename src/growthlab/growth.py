@@ -14,6 +14,7 @@ samples the gradients of one of them, enumerates the points of kQ.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import convexfn as cf
 from . import polytope as pt
@@ -27,10 +28,11 @@ MAX_SAMPLE_FLOATS = 10 ** 7  # floats a sample array may hold (80 MB)
 
 @dataclass(frozen=True)
 class GrowthCondition:
-    """Growth class of a normalized Delzant polytope at the origin vertex."""
+    """Growth class of a normalized Delzant polytope at the origin vertex.
+    Its representative, the support function of the polytope, is built on
+    first read: the corpus rows never read it."""
 
     polytope: pt.Polytope
-    representative: cf.MaxAffineFunction
     k_levels: tuple
     c_max: Fraction
     vertex: tuple
@@ -39,6 +41,10 @@ class GrowthCondition:
     @property
     def dim(self):
         return self.polytope.ambient_dim
+
+    @cached_property
+    def representative(self):
+        return cf.MaxAffineFunction.support_function(self.polytope)
 
 
 def require_delzant(P):
@@ -59,15 +65,14 @@ def build_growth_condition(P, vertex, k_levels=(1, 2, 4)):
 
 def normalized_growth_condition(vertex, Q, umap, k_levels=(1, 2, 4)):
     """The exact growth class at the vertex from the normalization (Q, umap)
-    there: the support function of Q and the sorted distinct levels of the
-    smooth potentials u_k.  No u_k is built here, but the dilates kQ are
-    checked against the lattice-point budget, so a level that the growth
-    report could not enumerate fails every command alike."""
-    h = cf.MaxAffineFunction.support_function(Q)
+    there: Q and the sorted distinct levels of the smooth potentials u_k.
+    No u_k is built here, but the dilates kQ are checked against the
+    lattice-point budget, so a level that the growth report could not
+    enumerate fails every command alike."""
     levels = tuple(sorted(set(int(k) for k in k_levels)))
     pt.dilate_boxes(Q, levels)
     c_max = Fraction(max(sum(X) for X in Q.int_vertices), Q.denom)
-    return GrowthCondition(Q, h, levels, c_max, vec(vertex), umap)
+    return GrowthCondition(Q, levels, c_max, vec(vertex), umap)
 
 
 def _sampled_gradients(u, samples, seed):

@@ -109,9 +109,12 @@ class Polytope:
     It keeps the sorted vertex numerators `int_vertices` over `denom`, and if
     full-dimensional the facet pairs `int_facets`, the simplices `_boundary[i]`
     on facet i and each vertex numerator's facet indices `_incidence`, else
-    if not a point the chart `_chart` (U, T, P'), T over `denom`.  Like
-    its volume, edges and edge generators, its row scans of kP (`_scans`,
-    by level) and its Ehrhart differences are computed once, on first use."""
+    if not a point the chart `_chart` (U, T, P'), T over `denom`.  The
+    boundary points count in `denom`'s lowest terms, so a lattice P may keep
+    `denom` > 1: the unit triangle hulled with (1/4, 3/4), a point of its
+    slanted edge, is stored over 4.  Like its volume, edges and edge
+    generators, its row scans of kP (`_scans`, by level) and its Ehrhart
+    differences are computed once, on first use."""
 
     def __init__(self, ambient_dim, vertices, dim, denom, chart=None, facets=(), boundary=(),
                  incidence=None):
@@ -561,21 +564,26 @@ def is_delzant(P):
     return DelzantReport(tuple(entries), all(e.ok for e in entries))
 
 
-def vertex_map(P, v):
-    """(umap, G) normalizing P at its vertex v, with no image built: umap
-    translates v to the origin and its matrix A = G^-1 maps the primitive
-    edge generators at v, sorted in descending lexicographic order and taken
-    as the columns of G, to e_1, ..., e_n; the descending order makes the
-    map the identity on an already normalized vertex.  The vertex is found
-    by its numerators over P.denom, and G is unimodular iff it has an
-    integer inverse.  NotDelzantVertex for a non-vertex or a vertex without
-    n unimodular edge generators."""
+def _descending_generators(P, i):
+    """The primitive edge generators at P's i-th vertex in descending
+    lexicographic order: the columns of G in normalize_at_vertex, the
+    order that makes its map the identity on an already normalized vertex."""
+    return _edge_generators(P)[i][::-1]
+
+
+def normalize_at_vertex(P, v):
+    """Translate v to the origin and map its edge cone to the positive
+    orthant: the image Q = A (P - v) of P, where A = G^-1 maps the columns
+    of G, the _descending_generators at v, to e_1, ..., e_n.  The vertex is
+    found by its numerators over P.denom, and G is unimodular iff it has an
+    integer inverse.  Returns (Q, map).  NotDelzantVertex for a non-vertex
+    or a vertex without n unimodular edge generators."""
     v, D = vec(v), P.denom
     X = tuple(x.numerator * (D // x.denominator) for x in v)
     if any(D % x.denominator for x in v) or X not in P.int_vertices:
         raise NotDelzantVertex(f"{v} is not a vertex")
     n = P.ambient_dim
-    gens = _edge_generators(P)[P.int_vertices.index(X)][::-1]
+    gens = _descending_generators(P, P.int_vertices.index(X))
     if len(gens) != n:
         raise NotDelzantVertex(f"vertex {v} has {len(gens)} edges, expected {n}")
     G = tuple(zip(*gens))
@@ -583,38 +591,27 @@ def vertex_map(P, v):
         A = inverse(G)
     except ValueError:
         raise NotDelzantVertex(f"edge generators at {v} are not unimodular") from None
-    return UnimodularMap(A, v), G
-
-
-def vertex_images(P, umap):
-    """The sorted numerators A (X - X_v) over P.denom of the vertices of the
-    polytope normalized by umap = vertex_map(P, v)[0], X_v the numerators
-    of v; with P.denom = 1, as for a lattice P, they are its _key.
-    GrowthLabError if one leaves the positive orthant."""
-    D = P.denom
-    Xv = tuple(x.numerator * (D // x.denominator) for x in umap.base)
-    images = tuple(sorted(tuple(dot(row, vsub(X, Xv)) for row in umap.matrix)
-                          for X in P.int_vertices))
-    _require_orthant(images)
-    return images
-
-
-def _require_orthant(points):
-    """GrowthLabError unless the normalized vertex numerators points lie in
-    the positive orthant."""
-    if any(x < 0 for Y in points for x in Y):
-        raise GrowthLabError("normalized polytope left the positive orthant")
-
-
-def normalize_at_vertex(P, v):
-    """Translate v to the origin and map its edge cone to the positive
-    orthant: the image Q of P under vertex_map(P, v), after the orthant
-    check that vertex_images also runs.  Returns (Q, map)."""
-    umap, G = vertex_map(P, v)
+    umap = UnimodularMap(A, v)
     # n unimodular edge directions at v make P full-dimensional
     Q = umap.image(P, G)
-    _require_orthant(Q.int_vertices)
+    if any(x < 0 for Y in Q.int_vertices for x in Y):
+        raise GrowthLabError("normalized polytope left the positive orthant")
     return Q, umap
+
+
+def normalized_facets(P, i):
+    """The facets of Q = normalize_at_vertex(P, v)[0] at the i-th vertex v
+    of a lattice P that is Delzant there, as the sorted pairs (b, m) of Q's
+    facets b.y <= m, read off P's facets with no elimination.  With G as in
+    normalize_at_vertex, x = G y + v takes a.x <= c / D to (G^T a).y <=
+    (c - a.X_v) / D: G^T a is primitive as G is unimodular, and D divides
+    c - a.X_v as v and a point of the facet are integral, even when D > 1.
+    A full-dimensional polytope has one such H-representation, so two keys
+    are equal exactly when their normalized polytopes are."""
+    X, D = P.int_vertices[i], P.denom
+    gens = _descending_generators(P, i)
+    return tuple(sorted((tuple(dot(g, a) for g in gens), (c - dot(a, X)) // D)
+                        for a, c in P.int_facets))
 
 
 def lattice_points(P, k=1):

@@ -4,6 +4,8 @@ must equal one full growth/Seshadri/Okounkov chain per (polytope, vertex)."""
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -67,6 +69,21 @@ def moved_delzant_entries(draw):
     return entries
 
 
+def with_point_on_slanted_edge(P):
+    """P hulled again with a point a quarter of a primitive step along one of
+    its edges that is not axis-parallel: the same lattice polytope, stored
+    over denom 4 as the point stays in its boundary simplices.  None if
+    every edge of P is axis-parallel."""
+    for i, j in P.edges():
+        X, Y = P.vertices[i], P.vertices[j]
+        d = [y - x for x, y in zip(X, Y)]
+        if sum(c != 0 for c in d) >= 2:
+            step = 4 * gcd(*map(int, d))
+            return pt.Polytope.from_points(
+                list(P.vertices) + [tuple(x + c / step for x, c in zip(X, d))])
+    return None
+
+
 @pytest.fixture()
 def user_dir(tmp_path):
     trapezoid = [(0, 0), (3, 0), (1, 1), (0, 1)]
@@ -112,12 +129,44 @@ class TestSharedRows:
             monkeypatch.setattr(owner, name, wrapper)
 
         distinct = {pt.normalize_at_vertex(P, v)[0] for _, P in entries for v in P.vertices}
+        calls["normalize_at_vertex"] = 0
         counted(ok, "okounkov_body")
         counted(pt, "is_delzant")
         counted(pt.UnimodularMap, "image")
+        counted(pt, "normalize_at_vertex")
         rows = corpus.corpus_rows(entries, (1, 2))
         assert len(rows) == 27 and len(distinct) == 9
-        assert calls == {"okounkov_body": 9, "is_delzant": len(entries), "image": 9}
+        assert calls == {"okounkov_body": 9, "is_delzant": len(entries), "image": 9,
+                         "normalize_at_vertex": 9}
+
+    def test_rows_not_shared_across_scales(self):
+        # the point (1/4, 3/4) of its slanted edge keeps the unit triangle over
+        # denom 4, where its normalized vertex numerators are the big
+        # triangle's over 1; its normalized facets are not
+        big = pt.hull([(0, 0), (4, 0), (0, 4)])
+        small = pt.hull([(0, 0), (1, 0), (0, 1), (F(1, 4), F(3, 4))])
+        assert small.denom == 4 and small == pt.standard_simplex(2)
+        entries = [("big", big), ("small", small)]
+        rows = corpus.corpus_rows(entries, (1, 2))
+        assert rows == reference_rows(entries, (1, 2))
+        assert [(r.volume_MA, r.seshadri_lp) for r in rows if r.name == "small"] == [(1, 1)] * 3
+
+    @given(moved_delzant_entries())
+    def test_key_is_the_normalized_facets(self, entries):
+        # the key is Q's facets in lowest terms, whatever P.denom is, so equal
+        # keys are equal normalized polytopes and unequal keys unequal ones
+        polytopes = [P for _, P in entries]
+        copies = [C for C in map(with_point_on_slanted_edge, polytopes) if C is not None]
+        assert copies and all(C.denom == 4 for C in copies)
+        keyed = []
+        for P in polytopes + copies:
+            for i, v in enumerate(P.vertices):
+                Q = pt.normalize_at_vertex(P, v)[0]
+                key = pt.normalized_facets(P, i)
+                assert list(key) == sorted((a, c // Q.denom) for a, c in Q.int_facets)
+                keyed.append((key, Q))
+        for (key1, Q1), (key2, Q2) in combinations(keyed, 2):
+            assert (key1 == key2) == (Q1 == Q2)
 
     @given(moved_delzant_entries())
     def test_moved_copies_equal_per_vertex_chain(self, entries):
