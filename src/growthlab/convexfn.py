@@ -184,7 +184,7 @@ def logsumexp_from_polytope(P, k):
     vertices, so that h_P <= u_k <= h_P + ln(N(k))/k holds for every k >= 1.
     """
     pt._require_normalized(P)
-    if not pt._is_lattice(P):
+    if P.denom != 1:
         raise NotNormalized("polytope must be a lattice polytope")
     return SmoothToricPotential("lse", k=k, count=pt.lattice_count(P, k), polytope=P)
 

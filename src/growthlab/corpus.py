@@ -100,8 +100,8 @@ def _shared_row(P, i, v, by_q, k_levels):
     """The row at v, the i-th vertex of the Delzant P, name and vertex
     blank, from by_q or computed into it.  by_q is keyed by the facets of
     the normalized polytope Q in integers and lowest terms
-    (pt.normalized_facets), which determine Q whatever P.denom is; only a
-    new key normalizes P at v."""
+    (pt.normalized_facets), which determine Q; only a new key normalizes P
+    at v."""
     key = pt.normalized_facets(P, i)
     if key not in by_q:
         try:

@@ -1,9 +1,9 @@
 """Exact rational polytope algebra.
 
-A full-dimensional polytope is stored in ints over one denominator D > 0 in
-lowest terms: vertices and boundary-simplex points as integer numerator
-tuples X (the points X / D), facets as pairs (a, c), a primitive, meaning
-a.x <= c / D.  The hull runs in ints on the input times the lcm of its
+A full-dimensional polytope is stored in ints over the least common
+denominator D > 0 of its vertices: vertices as integer numerator tuples X
+(the points X / D), facets as pairs (a, c), a primitive, meaning a.x <= c /
+D.  The hull runs in ints on the input times the lcm of its
 denominators: points strictly inside an axis-parallel segment are dropped,
 the pivot columns of one elimination on the differences of the rest give
 their affine basis and the first simplex, the hull is built incrementally
@@ -11,9 +11,11 @@ from it, and its simplicial facets are certified by incidence (each input
 point inside each facet halfspace, the facets an oriented boundary cycle of
 degree 1).  Edges come from the certified incidence; a pair with a simple
 end (n facets) needs no rank, and each vertex's primitive edge generators
-come from one pass over the edges.  The volume sums integer cone
-determinants over those simplices and divides by D^n once.  Scaling and
-unimodular maps act on D and the numerators, with no new hull.  `vertices`
+come from one pass over the edges.  The certificate also gives the volume,
+stored with the polytope: a simplex's orientation determinant times (b -
+a.r) / (a.a), for its plane a.x = b and the first input point r, is the
+cone determinant over it from r.  Scaling and unimodular maps act on D,
+the numerators and the volume, with no new hull.  `vertices`
 and `facets` are Fraction views, built once per polytope for reports and
 JSON.  Below full dimension d >= 1 there is an integer chart (U, T, P'): U
 x has the constant tail T / D on aff(P) for a unimodular U, and P' is the
@@ -97,7 +99,8 @@ class UnimodularMap:
             w = [e * x - b for x, b in zip(X, B)]
             return tuple(dot(row, w) for row in self.matrix)
 
-        return P._image(point, lambda a, c: (tuple(dot(g, a) for g in Gt), c * e - dot(a, B)), E)
+        return P._image(point, lambda a, c: (tuple(dot(g, a) for g in Gt), c * e - dot(a, B)),
+                        E, 1)
 
     def to_json_dict(self):
         return {"matrix": [[rat_str(x) for x in row] for row in self.matrix],
@@ -107,22 +110,21 @@ class UnimodularMap:
 class Polytope:
     """Immutable exact polytope; do not mutate attributes after construction.
     It keeps the sorted vertex numerators `int_vertices` over `denom`, and if
-    full-dimensional the facet pairs `int_facets`, the simplices `_boundary[i]`
-    on facet i and each vertex numerator's facet indices `_incidence`, else
-    if not a point the chart `_chart` (U, T, P'), T over `denom`.  The
-    boundary points count in `denom`'s lowest terms, so a lattice P may keep
-    `denom` > 1: the unit triangle hulled with (1/4, 3/4), a point of its
-    slanted edge, is stored over 4.  Like its volume, edges and edge
-    generators, its row scans of kP (`_scans`, by level) and its Ehrhart
-    differences are computed once, on first use."""
+    full-dimensional the facet pairs `int_facets`, each vertex numerator's
+    facet indices `_incidence` and the volume `_volume`, else if not a point
+    the chart `_chart` (U, T, P'), T over `denom`.  A full-dimensional P is
+    stored over the least common denominator of its vertices, so a lattice P
+    has `denom` 1.  Its edges and edge generators, its row scans of kP
+    (`_scans`, by level) and its Ehrhart differences are computed once, on
+    first use."""
 
-    def __init__(self, ambient_dim, vertices, dim, denom, chart=None, facets=(), boundary=(),
-                 incidence=None):
+    def __init__(self, ambient_dim, vertices, dim, denom, chart=None, facets=(), incidence=None,
+                 volume=None):
         self.ambient_dim, self.dim, self.denom = ambient_dim, dim, denom
         self.int_vertices, self.int_facets = tuple(sorted(vertices)), facets
-        self._chart, self._boundary, self._incidence = chart, boundary, incidence
+        self._chart, self._incidence, self._volume = chart, incidence, volume
         self._vertices = self._facets = self._edges = self._generators = None
-        self._volume = self._ehrhart = None
+        self._ehrhart = None
         self._scans = {}
 
     @property
@@ -230,9 +232,9 @@ class Polytope:
 
     def scaled(self, c):
         """cP.  For c = p/q > 0 and dim P >= 1 there is no new hull.  A
-        full-dimensional P maps X / D to p X / (q D) and a facet a.x <= b / D
-        to a.x <= p b / (q D).  A lower-dimensional P keeps U of its chart and
-        maps T / D to p T / (q D) and P' to cP'."""
+        full-dimensional P maps X / D to p X / (q D), a facet a.x <= b / D
+        to a.x <= p b / (q D) and its volume V to c^n V.  A lower-dimensional
+        P keeps U of its chart and maps T / D to p T / (q D) and P' to cP'."""
         c = rat(c)
         if c <= 0 or self.dim < 1:
             return Polytope.from_points([tuple(c * x for x in v) for v in self.vertices],
@@ -242,30 +244,27 @@ class Polytope:
             U, T, Q = self._chart
             return Polytope(self.ambient_dim, [tuple(p * x for x in X) for X in self.int_vertices],
                             self.dim, E, chart=(U, tuple(p * t for t in T), Q.scaled(c)))
-        return self._image(lambda X: tuple(p * x for x in X), lambda a, b: (a, p * b), E)
+        return self._image(lambda X: tuple(p * x for x in X), lambda a, b: (a, p * b), E,
+                           c ** self.ambient_dim)
 
-    def _image(self, point, facet, E):
-        """The image of a full-dimensional P under an invertible affine map,
-        from its certified data: `point` maps numerators (every vertex is a
-        boundary point) and `facet` pairs (a, c) to ones over E, a' primitive.
-        The gcd g of E and the image numerators divides every c' = a'.Y, Y on
-        the facet, so dividing by g reduces to lowest terms.  Facets re-sort."""
-        points = {id(X): X for group in self._boundary for s in group for X in s}
-        images = {i: point(X) for i, X in points.items()}
-        g = gcd(E, *(y for Y in images.values() for y in Y))
-        if g > 1:
-            images = {i: tuple(y // g for y in Y) for i, Y in images.items()}
+    def _image(self, point, facet, E, scale):
+        """The image of a full-dimensional P under an invertible affine map
+        that multiplies volume by `scale`: `point` maps vertex numerators and
+        `facet` pairs (a, c) to ones over E, a' primitive.  Every facet holds
+        a vertex Y, so the gcd g of E and the vertex images divides every c'
+        = a'.Y, and dividing by g reduces to the vertices' lowest terms.
+        Facets re-sort."""
+        images = [(point(X), fs) for X, fs in self._incidence.items()]
+        g = gcd(E, *(y for Y, _ in images for y in Y))
         D = E // g
         facets = [(a, c // g) for a, c in (facet(*f) for f in self.int_facets)]
         order = sorted(range(len(facets)), key=lambda i: _scaled_normal(*facets[i], D))
         index = {i: j for j, i in enumerate(order)}
-        incidence = {images[id(X)]: frozenset(index[i] for i in fs)
-                     for X, fs in self._incidence.items()}
-        boundary = tuple(tuple(tuple(images[id(X)] for X in s) for s in self._boundary[i])
-                         for i in order)
+        incidence = {tuple(y // g for y in Y): frozenset(index[i] for i in fs)
+                     for Y, fs in images}
         return Polytope(self.ambient_dim, incidence, self.ambient_dim, D,
-                        facets=tuple(facets[i] for i in order), boundary=boundary,
-                        incidence=incidence)
+                        facets=tuple(facets[i] for i in order), incidence=incidence,
+                        volume=self._volume * scale)
 
     # -- serialization ---------------------------------------------------
 
@@ -399,7 +398,8 @@ def _incremental_hull(pts, n, basis):
 
 
 def _certify(pts, facets, halfspaces, n):
-    """Check the simplicial facets of integer points pts; map vertex indices to facets.
+    """Check the simplicial facets of integer points pts; return the map of
+    vertex indices to facets and n! vol conv(pts).
 
     halfspaces is _dedupe_halfspaces(facets, D).  Checks: (a) every point
     lies in every facet plane's halfspace a.x <= b; (b) each simplicial
@@ -426,8 +426,14 @@ def _certify(pts, facets, halfspaces, n):
     simplices triangulate bd P: m is in the relative interior of s0, so of
     the facet F on its plane; if d >= 2, the points of s0 near m off every
     ridge lie in d >= 2 simplices in aff F, so some closed s != s0 contains m.
+
+    Volume.  The simplices triangulate bd P, so the cones over them from r =
+    pts[0] in P fill P and meet in no volume.  With orient = det[p1 - p0,
+    ..., p_{n-1} - p0, a] as in (b), r - p0 is (a.r - b) / (a.a) times a
+    plus a vector in the span of the other rows, so the cone's integer
+    determinant is +-(b - a.r) orient / (a.a), and the division is exact.
     """
-    ridge_sum = {}
+    ridge_sum, r, total = {}, pts[0], 0
     for ids, a, b in facets:
         simplex = sorted(ids)
         p0 = pts[simplex[0]]
@@ -437,6 +443,7 @@ def _certify(pts, facets, halfspaces, n):
         if len(pivots) < n:
             raise GrowthLabError("degenerate hull facet")
         s = 1 if orient > 0 else -1
+        total += (b - dot(a, r)) * abs(orient) // dot(a, a)
         for i in range(n):
             ridge = tuple(simplex[:i] + simplex[i + 1:])
             ridge_sum[ridge] = ridge_sum.get(ridge, 0) + s * (-1) ** i
@@ -463,7 +470,7 @@ def _certify(pts, facets, halfspaces, n):
                 active.append(i)
         if len(active) >= n and len(_bareiss([planes[i][0] for i in active])[0]) == n:
             verts[idx] = frozenset(active)
-    return verts
+    return verts, total
 
 
 def _dedupe_halfspaces(facets, D):
@@ -478,21 +485,21 @@ def _dedupe_halfspaces(facets, D):
 def _hull_full_dim(pts, n, D, basis):
     """The certified full-dimensional Polytope conv(pts) / D of integer pts,
     their own _axis_endpoints with basis = _affine_basis(pts), reduced to
-    lowest terms."""
+    lowest terms, with its volume: the n! vol conv(pts) of _certify over
+    n! D^n."""
     if n == 1:
         lo, hi = min(pts), max(pts)
         incidence = {lo: frozenset({0}), hi: frozenset({1})}
-        facets, boundary = (((-1,), -lo[0]), ((1,), hi[0])), (((lo,),), ((hi,),))
+        facets, total = (((-1,), -lo[0]), ((1,), hi[0])), hi[0] - lo[0]
     else:
         simplicial = _incremental_hull(pts, n, basis)
         halfspaces = _dedupe_halfspaces(simplicial, D)
-        incidence = {pts[i]: fs for i, fs in _certify(pts, simplicial, halfspaces, n).items()}
+        verts, total = _certify(pts, simplicial, halfspaces, n)
+        incidence = {pts[i]: fs for i, fs in verts.items()}
         facets = tuple(halfspaces)
-        boundary = tuple(tuple(tuple(pts[i] for i in sorted(ids)) for ids, _, _ in group)
-                         for group in halfspaces.values())
-    P = Polytope(n, incidence, n, D, facets=facets, boundary=boundary,
-                 incidence=incidence)
-    return P if D == 1 else P._image(lambda X: X, lambda a, c: (a, c), D)
+    P = Polytope(n, incidence, n, D, facets=facets, incidence=incidence,
+                 volume=Fraction(total, factorial(n) * D ** n))
+    return P if D == 1 else P._image(lambda X: X, lambda a, c: (a, c), D, 1)
 
 
 # -- public operations ------------------------------------------------------
@@ -545,17 +552,12 @@ def _edge_generators(P):
     return P._generators
 
 
-def _is_lattice(P):
-    """Whether the full-dimensional P has integral vertices."""
-    return all(x % P.denom == 0 for X in P.int_vertices for x in X)
-
-
 def is_delzant(P):
     """Per-vertex unimodularity check for a full-dimensional lattice polytope,
     on the edge generators that P keeps (_edge_generators)."""
     if not P.is_full_dim:
         raise DegenerateInput("Delzant check requires a full-dimensional polytope")
-    if not _is_lattice(P):
+    if P.denom != 1:
         raise NotLatticePolytope("vertices must be integral")
     n, entries = P.ambient_dim, []
     for v, gens in zip(P.vertices, _edge_generators(P)):
@@ -602,15 +604,14 @@ def normalize_at_vertex(P, v):
 def normalized_facets(P, i):
     """The facets of Q = normalize_at_vertex(P, v)[0] at the i-th vertex v
     of a lattice P that is Delzant there, as the sorted pairs (b, m) of Q's
-    facets b.y <= m, read off P's facets with no elimination.  With G as in
-    normalize_at_vertex, x = G y + v takes a.x <= c / D to (G^T a).y <=
-    (c - a.X_v) / D: G^T a is primitive as G is unimodular, and D divides
-    c - a.X_v as v and a point of the facet are integral, even when D > 1.
-    A full-dimensional polytope has one such H-representation, so two keys
-    are equal exactly when their normalized polytopes are."""
-    X, D = P.int_vertices[i], P.denom
+    facets b.y <= m, read off P's facets with no elimination.  A lattice P
+    is stored over D = 1, and with G as in normalize_at_vertex, x = G y + v
+    takes a.x <= c to (G^T a).y <= c - a.v, G^T a primitive as G is
+    unimodular.  A full-dimensional polytope has one such H-representation,
+    so two keys are equal exactly when their normalized polytopes are."""
+    X = P.int_vertices[i]
     gens = _descending_generators(P, i)
-    return tuple(sorted((tuple(dot(g, a) for g in gens), (c - dot(a, X)) // D)
+    return tuple(sorted((tuple(dot(g, a) for g in gens), c - dot(a, X))
                         for a, c in P.int_facets))
 
 
@@ -703,7 +704,7 @@ def lattice_count(P, k):
     checked.  The box of kP is first checked by dilate_boxes."""
     if not P.is_full_dim:
         raise DegenerateInput("a lattice count needs a full-dimensional polytope")
-    if not _is_lattice(P):
+    if P.denom != 1:
         raise NotLatticePolytope("vertices must be integral")
     k, n = int(k), P.ambient_dim
     if k <= n:
@@ -744,30 +745,11 @@ def dilate_boxes(P, ks):
     return boxes
 
 
-def triangulate(P):
-    """Simplices partitioning the full-dimensional P, as numerator tuples over
-    P.denom: the cones from the first vertex v0 over the certified boundary
-    simplices on the facets missing v0."""
-    v0 = P.int_vertices[0]
-    through = P._incidence[v0]
-    return [(v0,) + s for i, group in enumerate(P._boundary) if i not in through
-            for s in group]
-
-
 def volume(P):
-    """Exact Lebesgue volume, computed once per polytope: the sum of
-    |det(S - X0)| over the cones of triangulate(P), or 0 for a cone of rank
-    below n, divided by n! D^n.  0 for empty or lower-dimensional input."""
-    if not P.is_full_dim:
-        return Fraction(0)
-    if P._volume is None:
-        n, total = P.ambient_dim, 0
-        for s in triangulate(P):
-            pivots, d = _bareiss([vsub(X, s[0]) for X in s[1:]])
-            if len(pivots) == n:
-                total += abs(d)
-        P._volume = Fraction(total, factorial(n) * P.denom ** n)
-    return P._volume
+    """Exact Lebesgue volume: the one the hull certificate gave (_certify),
+    carried through scaled and unimodular images; 0 for empty or
+    lower-dimensional input."""
+    return P._volume if P.is_full_dim else Fraction(0)
 
 
 def relative_volume(P):

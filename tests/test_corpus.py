@@ -71,9 +71,9 @@ def moved_delzant_entries(draw):
 
 def with_point_on_slanted_edge(P):
     """P hulled again with a point a quarter of a primitive step along one of
-    its edges that is not axis-parallel: the same lattice polytope, stored
-    over denom 4 as the point stays in its boundary simplices.  None if
-    every edge of P is axis-parallel."""
+    its edges that is not axis-parallel: the same lattice polytope, hulled
+    from points over denom 4 and stored over its vertices' denom 1.  None
+    if every edge of P is axis-parallel."""
     for i, j in P.edges():
         X, Y = P.vertices[i], P.vertices[j]
         d = [y - x for x, y in zip(X, Y)]
@@ -140,12 +140,12 @@ class TestSharedRows:
                          "normalize_at_vertex": 9}
 
     def test_rows_not_shared_across_scales(self):
-        # the point (1/4, 3/4) of its slanted edge keeps the unit triangle over
-        # denom 4, where its normalized vertex numerators are the big
-        # triangle's over 1; its normalized facets are not
+        # the unit triangle hulled with (1/4, 3/4), a point of its slanted
+        # edge, is stored over its vertices' denom 1; the big triangle's
+        # normalized facets are not the small one's
         big = pt.hull([(0, 0), (4, 0), (0, 4)])
         small = pt.hull([(0, 0), (1, 0), (0, 1), (F(1, 4), F(3, 4))])
-        assert small.denom == 4 and small == pt.standard_simplex(2)
+        assert small.denom == 1 and small == pt.standard_simplex(2)
         entries = [("big", big), ("small", small)]
         rows = corpus.corpus_rows(entries, (1, 2))
         assert rows == reference_rows(entries, (1, 2))
@@ -153,11 +153,12 @@ class TestSharedRows:
 
     @given(moved_delzant_entries())
     def test_key_is_the_normalized_facets(self, entries):
-        # the key is Q's facets in lowest terms, whatever P.denom is, so equal
-        # keys are equal normalized polytopes and unequal keys unequal ones
+        # the key is Q's facets in lowest terms, also for P hulled from points
+        # over denom 4, so equal keys are equal normalized polytopes and
+        # unequal keys unequal ones
         polytopes = [P for _, P in entries]
         copies = [C for C in map(with_point_on_slanted_edge, polytopes) if C is not None]
-        assert copies and all(C.denom == 4 for C in copies)
+        assert copies and all(C.denom == 1 for C in copies)
         keyed = []
         for P in polytopes + copies:
             for i, v in enumerate(P.vertices):

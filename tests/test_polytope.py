@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from growthlab import convexfn as cf
 from growthlab import okounkov as ok
 from growthlab import polytope as pt
+from growthlab import rationals
 from growthlab.errors import (
     DegenerateInput,
     GrowthLabError,
@@ -111,7 +112,8 @@ class TestHull:
         pts = sorted(pt.lattice_points(pt.box([2, 2, 2]), 1))
         facets = pt._incremental_hull(pts, 3, pt._affine_basis(pts))
         halfspaces = pt._dedupe_halfspaces(facets, 1)
-        assert len(pt._certify(pts, facets, halfspaces, 3)) == 8
+        verts, total = pt._certify(pts, facets, halfspaces, 3)
+        assert len(verts) == 8 and total == math.factorial(3) * 8
         with pytest.raises(GrowthLabError, match="oriented cycle"):
             pt._certify(pts, facets[1:], halfspaces, 3)
 
@@ -128,6 +130,11 @@ class TestHull:
         P = pt.hull([(0, 0), (0, 0), (1, 0), (1, 0), (F(1, 3), F(1, 3)),
                      (0, 1), (F(1, 4), F(1, 2))])
         assert P == pt.standard_simplex(2)
+
+    def test_stored_over_the_vertices_lowest_terms(self):
+        # (1/4, 3/4) lies on the slanted edge: a lattice polytope, denom 1
+        P = pt.hull([(0, 0), (1, 0), (0, 1), (F(1, 4), F(3, 4))])
+        assert P.denom == 1 and P.int_vertices == ((0, 0), (0, 1), (1, 0))
 
     def test_roundtrip_and_duality(self, rng):
         for n in (2, 3):
@@ -332,15 +339,6 @@ def shoelace(pts):
                    for (x0, y0), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]))) / 2
 
 
-def cone_volume(s):
-    """Volume of a 1- or 2-simplex, by its own length or cross product."""
-    rows = [[x - y for x, y in zip(p, s[0])] for p in s[1:]]
-    if len(rows) == 1:
-        return abs(rows[0][0])
-    (a, b), (c, e) = rows
-    return abs(a * e - b * c) / 2
-
-
 class TestLatticePoints:
     @given(rational_point_clouds())
     def test_matches_brute_force_oracle(self, cloud):
@@ -516,6 +514,14 @@ class TestVolume:
                 for k in (1, 2, 3):
                     assert pt.volume(P.scaled(k)) == k ** n * base
 
+    def test_normalize_keeps_volume(self, rng):
+        from conftest import random_delzant
+        for n in (2, 3):
+            for _ in range(4):
+                P = random_delzant(rng, n)
+                for v in P.vertices:
+                    assert pt.volume(pt.normalize_at_vertex(P, v)[0]) == pt.volume(P)
+
 
 @st.composite
 def mixed_denominator_clouds(draw, n, top):
@@ -557,33 +563,49 @@ class TestVolumeProperties:
         assert (pt.volume(P)
                 == pick_area(interior, len(lattice) - interior) / d ** 2)
 
-    @given(st.one_of(rational_clouds(1), rational_clouds(2)))
-    def test_cones_are_full_dimensional_and_sum_to_volume(self, cloud):
+    @given(rational_clouds(1))
+    def test_interval_length(self, cloud):
         pts, _ = cloud
         P = pt.Polytope.from_points(pts)
         assume(P.is_full_dim)
-        # the cones are numerator simplices over P.denom
-        vols = [cone_volume([[F(x, P.denom) for x in X] for X in s])
-                for s in pt.triangulate(P)]
-        assert vols and all(v > 0 for v in vols)
-        assert sum(vols) == pt.volume(P)
-        if P.ambient_dim == 1:
-            assert pt.volume(P) == max(pts)[0] - min(pts)[0]
+        assert pt.volume(P) == max(pts)[0] - min(pts)[0]
+
+    @given(st.one_of(*[rational_clouds(n) for n in (1, 2, 3)]),
+           st.builds(F, st.integers(1, 6), st.integers(1, 6)))
+    def test_scaled_volume_matches_fresh_hull(self, cloud, c):
+        P = pt.Polytope.from_points(cloud[0])
+        assume(P.is_full_dim)
+        n = P.ambient_dim
+        fresh = pt.Polytope.from_points([tuple(c * x for x in v) for v in P.vertices])
+        assert pt.volume(P.scaled(c)) == c ** n * pt.volume(P) == pt.volume(fresh)
 
 
 class TestVolumeAvoidsHull:
-    def test_volume_and_triangulate_read_the_certified_complex(self, monkeypatch):
+    def test_volume_reads_the_certified_hull(self, monkeypatch):
         polys = [pt.box([2, 2, 2]), pt.hull(TRAP.vertices), pt.box([1, 1, 1, 1]),
                  pt.standard_simplex(4),
-                 pt.Polytope.from_points(pt.slice_vertices(pt.box([2, 2, 2]), (1, 1, 1), 3))]
+                 pt.Polytope.from_points(pt.slice_vertices(pt.box([2, 2, 2]), (1, 1, 1), 3)),
+                 pt.box([2, 2, 2]).scaled(F(3, 2)), pt.normalize_at_vertex(TRAP, (0, 0))[0],
+                 pt.hull([(0, 0), (1, 0), (0, 1), (F(1, 4), F(3, 4))])]
 
         def refuse(*args):
-            raise AssertionError("volume or triangulate re-hulled")
+            raise AssertionError("volume re-hulled or ran an elimination")
 
         monkeypatch.setattr(pt.Polytope, "from_points", refuse)
-        for P, vol in zip(polys, (8, 2, 1, F(1, 24), 0)):
+        monkeypatch.setattr(rationals, "_bareiss", refuse)
+        monkeypatch.setattr(pt, "_bareiss", refuse)
+        for P, vol in zip(polys, (8, 2, 1, F(1, 24), 0, 27, 2, F(1, 2)), strict=True):
             assert pt.volume(P) == vol
-            assert not P.is_full_dim or pt.triangulate(P)
+
+
+class TestLowestTerms:
+    @given(st.one_of(*[rational_clouds(n) for n in (1, 2, 3)]),
+           st.builds(F, st.integers(1, 6), st.integers(1, 6)))
+    def test_denom_is_the_vertex_lcm(self, cloud, c):
+        P = pt.Polytope.from_points(cloud[0])
+        assume(P.is_full_dim)
+        for S in (P, P.scaled(c)):
+            assert S.denom == math.lcm(*(x.denominator for v in S.vertices for x in v))
 
 
 class TestSimplexInclusion:

@@ -44,10 +44,6 @@ ALLOWLIST = [
      "above 4, whose dilates the lattice-point budget refuses before any command "
      "glues, but fit_ball takes any growth condition",
      ["embed.py:fit_ball: X_band = np.zeros", "embed.py:fit_ball: band = CheckSummary(0.0, 0)"]),
-    ("volume_identity_check takes the volume of every level of a series, and a "
-     "hand-built one can start below full dimension (test_okounkov's restricted "
-     "series); corpus's toric series never does",
-     ["polytope.py:volume: return Fraction(0)"]),
     ("certificate check (a), a vertex of kB missing from W_k: a toric series "
      "holds every lattice point of kP",
      ["okounkov.py:_is_dilate: return False"]),
