@@ -30,6 +30,7 @@ from .rationals import dot, rat, rat_str, vec
 INF = math.inf
 # Fubini-Study dim bound: the exact hull of the 48-simplex takes about 2 s.
 MAX_FS_DIM = 48
+GRADIENT_CHUNK = 20000  # rows of X per softmax block in grad_many
 
 
 class MaxAffineFunction:
@@ -154,13 +155,26 @@ class SmoothToricPotential:
 
     def grad_many(self, X):
         """Gradients of an lse potential: the softmax averages of the
-        exponents over k, which lie in the slope polytope."""
+        exponents over k, which lie in the slope polytope.  The rows run in
+        chunks of GRADIENT_CHUNK through one scratch block of
+        min(rows, GRADIENT_CHUNK) x N(k) floats, each step in place, into
+        one rows x n output divided by k at the end."""
         import numpy as np
-        XA = np.asarray(X, dtype=float) @ self._exp_arr.T
-        XA -= XA.max(axis=1, keepdims=True)
-        W = np.exp(XA)
-        W /= W.sum(axis=1, keepdims=True)
-        return (W @ self._exp_arr) / self.k
+        X = np.asarray(X, dtype=float)
+        E = self._exp_arr
+        rows = len(X)
+        out = np.empty((rows, self.dim))
+        block = np.empty((min(rows, GRADIENT_CHUNK), len(E)))
+        for i in range(0, rows, GRADIENT_CHUNK):
+            Xc = X[i:i + GRADIENT_CHUNK]
+            B = block[:len(Xc)]
+            np.matmul(Xc, E.T, out=B)
+            B -= B.max(axis=1, keepdims=True)
+            np.exp(B, out=B)
+            B /= B.sum(axis=1, keepdims=True)
+            np.matmul(B, E, out=out[i:i + len(Xc)])
+        out /= self.k
+        return out
 
     @cached_property
     def slope_polytope(self):

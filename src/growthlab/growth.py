@@ -22,8 +22,8 @@ from .errors import NotDelzantVertex
 from .rationals import rat, rat_str, vec
 
 SAMPLE_RADIUS = 50.0  # x-space ball the gradient samples are drawn from
-GRADIENT_CHUNK = 20000  # rows per grad_many call
 MAX_SAMPLE_FLOATS = 10 ** 7  # floats a sample array may hold (80 MB)
+MAX_GRADIENT_FLOATS = 10 ** 8  # floats grad_many's scratch block may hold (800 MB)
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,32 @@ def normalized_growth_condition(vertex, Q, umap, k_levels=(1, 2, 4)):
 
 
 def _sampled_gradients(u, samples, seed):
-    """Gradients of the smooth potential u at `samples` seeded uniform points
-    of the SAMPLE_RADIUS ball in x-space.  ValueError for fewer than 1
-    sample, fewer than the n + 1 that qhull needs for a hull in dimension
-    n >= 2, or more than MAX_SAMPLE_FLOATS / n."""
+    """Gradients of the smooth potential u = u_k at `samples` seeded uniform
+    points of the SAMPLE_RADIUS ball in x-space, drawn, scaled in place and
+    passed to one grad_many call.  ValueError, before numpy is imported, for
+    fewer than 1 sample, fewer than the n + 1 that qhull needs for a hull in
+    dimension n >= 2, more than MAX_SAMPLE_FLOATS / n, or a scratch block of
+    min(samples, GRADIENT_CHUNK) x N(k) floats above MAX_GRADIENT_FLOATS."""
     n = u.dim
     least = n + 1 if n >= 2 else 1
     if samples < least:
         raise ValueError(f"samples must be at least {least} in dimension {n}")
     if samples * n > MAX_SAMPLE_FLOATS:
         raise ValueError(f"samples must be at most {MAX_SAMPLE_FLOATS // n} in dimension {n}")
+    rows, count = min(samples, cf.GRADIENT_CHUNK), u.lattice_count
+    if rows * count > MAX_GRADIENT_FLOATS:
+        raise ValueError(f"the gradient block of {rows} samples over the {count} lattice "
+                         f"points of {u.k}P has {rows * count} floats, above the limit "
+                         f"of {MAX_GRADIENT_FLOATS}")
     import numpy as np
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, n))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     r = SAMPLE_RADIUS * rng.random(samples) ** (1.0 / n)
-    X = X / norms * r[:, None]
-    return np.concatenate([u.grad_many(X[i:i + GRADIENT_CHUNK])
-                           for i in range(0, samples, GRADIENT_CHUNK)])
+    X /= norms
+    X *= r[:, None]
+    return u.grad_many(X)
 
 
 def monge_ampere_volume(gc):

@@ -19,7 +19,8 @@ the numerators and the volume, with no new hull.  `vertices`
 and `facets` are Fraction views, built once per polytope for reports and
 JSON.  Below full dimension d >= 1 there is an integer chart (U, T, P'): U
 x has the constant tail T / D on aff(P) for a unimodular U, and P' is the
-full-dimensional d-polytope of the heads of U P.
+full-dimensional d-polytope of the heads of U P; D is the vertices' least
+denominator here too.
 """
 
 from dataclasses import dataclass
@@ -112,9 +113,9 @@ class Polytope:
     It keeps the sorted vertex numerators `int_vertices` over `denom`, and if
     full-dimensional the facet pairs `int_facets`, each vertex numerator's
     facet indices `_incidence` and the volume `_volume`, else if not a point
-    the chart `_chart` (U, T, P'), T over `denom`.  A full-dimensional P is
-    stored over the least common denominator of its vertices, so a lattice P
-    has `denom` 1.  Its edges and edge generators, its row scans of kP
+    the chart `_chart` (U, T, P'), T over `denom`.  Every P is stored over
+    the least common denominator of its vertices, so a lattice P has `denom`
+    1.  Its edges and edge generators, its row scans of kP
     (`_scans`, by level) and its Ehrhart differences are computed once, on
     first use."""
 
@@ -182,8 +183,8 @@ class Polytope:
         heads = _axis_endpoints(sorted(point))
         Q = _hull_full_dim(heads, d, D, _affine_basis(heads))
         g = D // Q.denom
-        return cls(ambient_dim, [point[tuple(g * x for x in H)] for H in Q.int_vertices], d, D,
-                   chart=(U, images[0][d:], Q))
+        return _flat(ambient_dim, [point[tuple(g * x for x in H)] for H in Q.int_vertices], d, D,
+                     (U, images[0][d:], Q))
 
     # -- basic queries --------------------------------------------------
 
@@ -242,8 +243,8 @@ class Polytope:
         p, E = c.numerator, c.denominator * self.denom
         if not self.is_full_dim:
             U, T, Q = self._chart
-            return Polytope(self.ambient_dim, [tuple(p * x for x in X) for X in self.int_vertices],
-                            self.dim, E, chart=(U, tuple(p * t for t in T), Q.scaled(c)))
+            return _flat(self.ambient_dim, [tuple(p * x for x in X) for X in self.int_vertices],
+                         self.dim, E, (U, tuple(p * t for t in T), Q.scaled(c)))
         return self._image(lambda X: tuple(p * x for x in X), lambda a, b: (a, p * b), E,
                            c ** self.ambient_dim)
 
@@ -480,6 +481,17 @@ def _dedupe_halfspaces(facets, D):
     for f in facets:
         groups.setdefault(f[1:], []).append(f)
     return dict(sorted(groups.items(), key=lambda g: _scaled_normal(*g[0], D)))
+
+
+def _flat(ambient_dim, vertices, d, D, chart):
+    """The d-dimensional Polytope of the vertex numerators over D with chart
+    (U, T, P'), reduced to lowest terms: T / D is the tail of U X / D for a
+    vertex X, so the gcd of D and the vertex numerators divides T too, and
+    P'.denom still divides the reduced D."""
+    U, T, Q = chart
+    g = gcd(D, *(x for X in vertices for x in X))
+    return Polytope(ambient_dim, [tuple(x // g for x in X) for X in vertices], d, D // g,
+                    chart=(U, tuple(t // g for t in T), Q))
 
 
 def _hull_full_dim(pts, n, D, basis):

@@ -10,8 +10,9 @@ lattice points by testing every point of the bounding box against those
 facets, vertices and membership by those facets too, determinants by
 Laplace expansion and ranks by the largest nonzero minor, edges and affine
 bases by those ranks, relative volumes by vertex coordinates in an
-integer-kernel basis of the span's lattice, and simplest fractions by
-scanning denominators.
+integer-kernel basis of the span's lattice, simplest fractions by
+scanning denominators, and softmax gradients chunk by chunk in fresh
+arrays, concatenated.
 """
 
 from fractions import Fraction
@@ -389,3 +390,32 @@ def scan_simplest_fraction(lo, hi):
     while ceil(lo * q) > floor(hi * q):
         q += 1
     return Fraction(ceil(lo * q), q)
+
+
+def ball_samples(n, samples, seed, radius):
+    """`samples` seeded uniform points of the radius ball in R^n: normal
+    draws over their norms (0 kept as 1), times radius U^(1/n)."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((samples, n))
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    r = radius * rng.random(samples) ** (1.0 / n)
+    return X / norms * r[:, None]
+
+
+def chunked_softmax_gradients(exponents, X, k, chunk=20000):
+    """The gradients of (1/k) ln sum_a exp(<a, x>) at the rows of X: for each
+    chunk of rows, XA = X A^T shifted by its row maxima, W = exp(XA) over its
+    row sums, then (W A) / k, each step in a new array; the chunks are
+    concatenated."""
+    import numpy as np
+    A = np.array(exponents, dtype=float)
+    parts = []
+    for i in range(0, len(X), chunk):
+        XA = X[i:i + chunk] @ A.T
+        XA -= XA.max(axis=1, keepdims=True)
+        W = np.exp(XA)
+        W /= W.sum(axis=1, keepdims=True)
+        parts.append((W @ A) / k)
+    return np.concatenate(parts)

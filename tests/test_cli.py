@@ -297,7 +297,11 @@ class TestBadInput:
             "--fs-lambda", "3/2", "--samples", "2500001"], "ValueError")]
        # the source of the gluing, and chebyshev's input, are required
        + [(["embed-ball", "--polytope", "{square2}", "--vertex", "0,0"], "ValueError"),
-          (["chebyshev"], "ValueError")])
+          (["chebyshev"], "ValueError")]
+       # 20000 samples over the 531441 lattice points of 40P: a gradient
+       # block above MAX_GRADIENT_FLOATS, refused before any draw
+       + [(["volume", "--polytope", "{cube2}", "--vertex", "0,0,0", "--k", "40",
+            "--numeric"], "ValueError")])
     def test_error_json_exit_2(self, files, capsys, monkeypatch, argv, error):
         if argv[0] == "embed-ball" and "--fs-lambda" not in argv:
             # the missing source is refused before the growth condition is built

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,12 @@ from growthlab import growth as gr
 from growthlab import polytope as pt
 from growthlab.errors import NotDelzantVertex
 
-from _oracles import support_value
+from _oracles import (
+    ball_samples,
+    brute_force_lattice_points,
+    chunked_softmax_gradients,
+    support_value,
+)
 from conftest import same_function
 
 SIGMA = pt.standard_simplex(2)
@@ -83,6 +89,49 @@ class TestRecover:
         with pytest.raises(ValueError, match="samples"):
             gr.monge_ampere_volume_numeric(u1, samples=0)
         assert gr.monge_ampere_volume_numeric(u1, samples=1).value == 0
+
+
+class TestGradientKernel:
+    """grad_many's one scratch block against the chunked formula in fresh
+    arrays: the same BLAS calls and elementwise steps, so the same bytes."""
+
+    @pytest.mark.parametrize("sides", [[3], [1, 2], [1, 2, 2]])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_bitwise_equal_to_chunked_formula(self, sides, k):
+        n = len(sides)
+        P = pt.box(sides)
+        u = cf.logsumexp_from_polytope(P, k)
+        A = brute_force_lattice_points(P.vertices, k)
+        for samples in (n + 1, 19999, 20000, 20001, 45001):
+            want = chunked_softmax_gradients(
+                A, ball_samples(n, samples, 11, gr.SAMPLE_RADIUS), k)
+            assert gr._sampled_gradients(u, samples, 11).tobytes() == want.tobytes()
+            X = ball_samples(n, samples, 12, gr.SAMPLE_RADIUS)
+            assert u.grad_many(X).tobytes() == chunked_softmax_gradients(A, X, k).tobytes()
+        # the one row chebyshev's BFGS passes, x[None, :] of a float vector
+        x = np.linspace(-0.75, 1.25, n)
+        assert u.grad_many(x[None, :])[0].tobytes() == \
+            chunked_softmax_gradients(A, x[None, :], k)[0].tobytes()
+
+    def test_peak_memory_is_one_block_and_four_sample_arrays(self):
+        import tracemalloc
+        u = cf.logsumexp_from_polytope(pt.box([1, 2, 2]), 2)
+        u._exp_arr  # the exponents are listed before tracing
+        samples, N = 10 ** 5, u.lattice_count
+        budget = 8 * (cf.GRADIENT_CHUNK * N + 4 * samples * u.dim)
+        tracemalloc.start()
+        try:
+            gr._sampled_gradients(u, samples, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+
+    def test_block_above_budget_refused_before_numpy(self, monkeypatch):
+        u = cf.logsumexp_from_polytope(pt.box([2, 2, 2]), 40)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import fails
+        with pytest.raises(ValueError, match=f"above the limit of {gr.MAX_GRADIENT_FLOATS}"):
+            gr._sampled_gradients(u, 10 ** 5, 0)
 
 
 class TestVolume:

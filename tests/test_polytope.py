@@ -603,9 +603,29 @@ class TestLowestTerms:
            st.builds(F, st.integers(1, 6), st.integers(1, 6)))
     def test_denom_is_the_vertex_lcm(self, cloud, c):
         P = pt.Polytope.from_points(cloud[0])
-        assume(P.is_full_dim)
+        assume(not P.is_empty)
         for S in (P, P.scaled(c)):
             assert S.denom == math.lcm(*(x.denominator for v in S.vertices for x in v))
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (F(1, 2), F(1, 2)), (1, 1)],
+        [(0, 0, 0), (F(1, 2), 0, 0), (1, 0, 0), (0, 1, 0)],
+    ])
+    def test_lower_dimensional_lattice_polytope_has_denom_one(self, points):
+        # an input point with denominator 2 is no vertex: the lcm of the
+        # input is not the vertices' least denominator
+        P = pt.Polytope.from_points(points)
+        assert not P.is_full_dim and P.denom == 1
+        assert P.vertices == tuple(sorted(p for p in points if F(1, 2) not in p))
+        H = P.scaled(F(1, 2))
+        assert H.denom == 2
+        for c, D in ((2, 1), (F(2, 3), 3), (F(1, 3), 6)):
+            S = H.scaled(c)
+            assert S.denom == D and S.vertices == tuple(
+                tuple(c * x for x in v) for v in H.vertices)
+            for k in (1, 2, 3):
+                assert sorted(pt.lattice_points(S, k)) == \
+                    brute_force_lattice_points(S.vertices, k)
 
 
 class TestSimplexInclusion:
