@@ -5,13 +5,18 @@ stdout), 1 internal errors.  The seed is always recorded in the output; the
 GROWTHLAB_SEED environment variable overrides the default.  growthlab's
 modules import numpy and scipy inside their float routes only, so the exact
 commands start without them.
+
+`main` reads a well-formed argv off COMMANDS and SHARED_FLAGS: exact flags,
+each value after its flag or as --flag=value, none of them led by "-".  Any
+other argv goes to argparse, which prints help, usage and errors, so a
+well-formed command never imports it.
 """
 
-import argparse
 import csv
 import json
 import os
 import sys
+import types
 from fractions import Fraction
 
 from . import convexfn as cf
@@ -286,7 +291,9 @@ COMMANDS = {
 def build_parser(command=None):
     """The parser of every subcommand, or of `command` alone.  The one-command
     parser lists every name in its usage, so both print the same usage and
-    errors for an argv that starts with `command`."""
+    errors for an argv that starts with `command`.  main builds one only for
+    an argv that _parse_table declines."""
+    import argparse
     p = argparse.ArgumentParser(prog="growthlab", allow_abbrev=False)
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
@@ -301,11 +308,55 @@ def build_parser(command=None):
     return p
 
 
+def _parse_table(argv):
+    """The attributes build_parser(argv[0]).parse_args(argv) sets, in its
+    order, for an argv of a command and its exact flags whose values parse
+    and start with no "-"; else None.  argparse reads a "-"-led value as an
+    option unless it looks like a negative number, and Python 3.10 to 3.12
+    read --out=-- as [], so such an argv is left to it."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, shared, own = COMMANDS[argv[0]]
+    flags = {flag: SHARED_FLAGS[flag] for flag in shared + ("--seed", "--out")} | own
+    values = {flag: False if kwargs.get("action") == "store_true" else kwargs.get("default")
+              for flag, kwargs in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kwargs = flags.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-"):
+            return None
+        try:
+            values[flag] = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):  # argparse prints "invalid int value"
+            return None
+    return types.SimpleNamespace(
+        command=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()},
+        fn=fn)
+
+
 def main(argv=None):
+    """Parse argv, run its command and return the exit code.  An argv that
+    _parse_table declines, such as -h, an empty argv, an unknown command or
+    flag, or a "-"-led value, goes to argparse, which prints and exits as the
+    full parser does."""
     argv = sys.argv[1:] if argv is None else argv
-    # -h, an empty argv and an unknown command need the full parser
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse_table(argv)
+    if args is None:
+        # -h, an empty argv and an unknown command need the full parser
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()  # a reader that is gone shows here at the latest

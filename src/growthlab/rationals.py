@@ -10,9 +10,15 @@ form, and `solve`, `solve_general` and `inverse` back-substitute in it.
 instead.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
 from operator import mul, sub
+
+# Fraction("1e-100000000") builds 10**100000000 and does not return: a
+# decimal exponent beyond the 4300 digits int() takes from a string is refused.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def rat(x) -> Fraction:
@@ -20,6 +26,10 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(f"exponent {exponent[1]} in {x!r} is beyond "
+                             f"+-{MAX_EXPONENT}")
         try:
             return Fraction(x)
         except ZeroDivisionError:

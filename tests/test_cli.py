@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthlab import cli
 from growthlab import polytope as pt
 from growthlab.cli import main
+from test_golden import argvs
+from test_reach import ARGPARSE_ARGVS, EDGE_ARGVS
 
 
 @pytest.fixture()
@@ -301,7 +307,13 @@ class TestBadInput:
        # 20000 samples over the 531441 lattice points of 40P: a gradient
        # block above MAX_GRADIENT_FLOATS, refused before any draw
        + [(["volume", "--polytope", "{cube2}", "--vertex", "0,0,0", "--k", "40",
-            "--numeric"], "ValueError")])
+            "--numeric"], "ValueError")]
+       # a decimal exponent past 4300, refused before Fraction expands it
+       + [(["seshadri", "--polytope", "{square2}", "--vertex", "0,0",
+            "--tol", "1e-100000000"], "ValueError"),
+          (["normalize", "--polytope", "{square2}", "--vertex", "1e100000000,0"],
+           "ValueError"),
+          (["check-delzant", "--polytope", "{huge_exponent}"], "ValueError")])
     def test_error_json_exit_2(self, files, capsys, monkeypatch, argv, error):
         if argv[0] == "embed-ball" and "--fs-lambda" not in argv:
             # the missing source is refused before the growth condition is built
@@ -316,6 +328,9 @@ class TestBadInput:
         rational.write_text(json.dumps(pt.box([F(3, 2), F(3, 2)]).to_json_dict()))
         paths["rational_square"] = str(rational)
         paths["svg"] = str(files["tmp"] / "out.svg")
+        huge = files["tmp"] / "huge_exponent.json"
+        huge.write_text('{"dim": 2, "vertices": [["1e100000000", "0"], ["1", "0"], ["0", "1"]]}')
+        paths["huge_exponent"] = str(huge)
         for name, text in MALFORMED_POLYTOPES.items():
             (files["tmp"] / f"{name}.json").write_text(text)
             paths[name] = str(files["tmp"] / f"{name}.json")
@@ -531,38 +546,47 @@ EXACT_ARGVS = {
 } | {cmd: [cmd, "--polytope", "{trapezoid}", "--vertex", "0,0"]
      for cmd in ("normalize", "growth", "volume", "seshadri", "decompose", "gromov")}
 
-# Run in a fresh interpreter, since this one has numpy loaded: which of numpy
-# and scipy `import growthlab.cli` loads, main's exit code, and which are
-# loaded after main.
-FLOAT_STACK_PROBE = """
+# Run in a fresh interpreter, since this one has numpy and argparse loaded:
+# which of numpy, scipy and argparse `import growthlab.cli` loads, main's exit
+# code, and which are loaded after main, on the last line of stderr.
+MODULE_PROBE = """
 import json, sys
 import growthlab.cli
-stack = ("numpy", "scipy")
-on_import = [m for m in stack if m in sys.modules]
-code = growthlab.cli.main(json.loads(sys.argv[1]))
-sys.stderr.write(json.dumps([on_import, code, [m for m in stack if m in sys.modules]]))
+watched = ("numpy", "scipy", "argparse")
+on_import = [m for m in watched if m in sys.modules]
+try:
+    code = growthlab.cli.main(json.loads(sys.argv[1]))
+except SystemExit as e:  # argparse's usage errors
+    code = e.code
+after = [m for m in watched if m in sys.modules]
+sys.stderr.write("\\n" + json.dumps([on_import, code, after]))
 """
 
 
-def float_stack_loaded(argv):
-    proc = subprocess.run([sys.executable, "-c", FLOAT_STACK_PROBE, json.dumps(argv)],
+def modules_loaded(argv):
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(argv)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stderr)
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 class TestImportHygiene:
     @pytest.mark.parametrize("argv", list(EXACT_ARGVS.values()), ids=list(EXACT_ARGVS))
     def test_exact_commands_load_no_float_stack(self, files, argv):
+        # a well-formed argv is read off the command table, without argparse
         argv = [a.format(**files) for a in argv]
-        assert float_stack_loaded(argv) == [[], 0, []]
+        assert modules_loaded(argv) == [[], 0, []]
 
     def test_numeric_route_loads_numpy(self, files):
         # the control: the probe sees a float import when there is one
-        on_import, code, after = float_stack_loaded(
+        on_import, code, after = modules_loaded(
             ["growth", "--polytope", files["trapezoid"], "--vertex", "0,0",
              "--numeric", "--samples", "100"])
         assert on_import == [] and code == 0 and "numpy" in after
+
+    def test_usage_error_loads_argparse(self):
+        # the control: argparse prints usage errors, and the probe sees it load
+        assert modules_loaded(["growth", "--bogus"]) == [[], 2, ["argparse"]]
 
 
 def parse_outcome(fn, argv, capsys):
@@ -575,8 +599,9 @@ def parse_outcome(fn, argv, capsys):
 
 
 class TestParserEquivalence:
-    """main builds the parser of its command alone; on argvs that end in
-    argparse it must print and exit as the full parser does."""
+    """main leaves an argv that its table parse declines to the parser of
+    its command alone; on argvs that end in argparse it must print and exit
+    as the full parser does."""
 
     @pytest.mark.parametrize("argv", [
         [cmd] + tail for cmd in cli.COMMANDS
@@ -592,6 +617,58 @@ class TestParserEquivalence:
         assert parse_outcome(main, argv, capsys) == expected
         assert expected[0] in (0, 2)
         assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+
+
+# Values that argparse reads in more than one way: "-"-led ones, which it
+# takes as options or as negative numbers, "--", and ones that int() and
+# float() take or refuse.
+VALUE_POOL = ["-1", "-1,0", "--", "-", "", "=", "a=b", "x", " 5", "1_0", "nan", "1e3"]
+ALL_FLAGS = sorted({flag for _, shared, own in cli.COMMANDS.values()
+                    for flag in shared + tuple(own)} | {"--seed", "--out"})
+
+
+@st.composite
+def command_argvs(draw):
+    """A command, then its flags with a value from the pool after them or
+    joined by "=", or alone, and stray flags of any command or values."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, shared, own = cli.COMMANDS[command]
+    flag = st.sampled_from(shared + ("--seed", "--out") + tuple(own))
+    value = st.sampled_from(VALUE_POOL)
+    tokens = st.one_of(st.tuples(flag, value), st.tuples(flag),
+                       st.tuples(st.builds("{}={}".format, flag, value)),
+                       st.tuples(st.sampled_from(ALL_FLAGS + VALUE_POOL)))
+    return [command] + [t for group in draw(st.lists(tokens, max_size=4)) for t in group]
+
+
+def argparse_namespace(argv):
+    """repr of the dests argparse parses argv into, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return repr(vars(cli.build_parser(argv[0]).parse_args(argv)))
+        except SystemExit as e:
+            return f"exit {e.code}"
+
+
+class TestTableParse:
+    """main reads a well-formed argv off COMMANDS and SHARED_FLAGS; what it
+    reads must be what argparse would have parsed, or it declines."""
+
+    @settings(max_examples=400)
+    @given(command_argvs())
+    def test_same_namespace_as_argparse(self, argv):
+        table = cli._parse_table(argv)
+        if table is not None:
+            # NaN != NaN, so the namespaces are compared by repr
+            assert repr(vars(table)) == argparse_namespace(argv)
+
+    def test_reads_golden_and_edge_argvs(self):
+        declined = [argv for _, argv in ARGPARSE_ARGVS]
+        read = argvs() + [argv for _, argv in EDGE_ARGVS if argv not in declined]
+        assert [argv for argv in read if cli._parse_table(argv) is None] == []
+        assert [argv for argv in read
+                if repr(vars(cli._parse_table(argv))) != argparse_namespace(argv)] == []
+        assert [argv for argv in declined if cli._parse_table(argv) is not None] == []
 
 
 class TestPruningAvoidsSimplex:

@@ -752,6 +752,19 @@ class TestSerialization:
         assert ["1/2", "0"] in d["vertices"]
         assert pt.Polytope.from_json_dict(d) == P
 
+    @pytest.mark.parametrize("s, value", [("1e4300", F(10) ** 4300),
+                                          ("-1E-4300", -F(1, 10 ** 4300)),
+                                          (" +2.5e+3 ", F(2500)), ("7E0", F(7))])
+    def test_rat_takes_exponents_up_to_the_bound(self, s, value):
+        assert rationals.rat(s) == value
+
+    @pytest.mark.parametrize("s", ["1e4301", "-1E-4301", "+2.5e+4_301", " 1E100000000 ",
+                                   "1e-100000000", "-3e-1_000_000"])
+    def test_rat_refuses_larger_exponents(self, s):
+        # Fraction(s) would build 10**|exponent| first
+        with pytest.raises(ValueError, match=r"exponent .* beyond \+-4300"):
+            rationals.rat(s)
+
 
 # Coordinates with mixed denominators: a/d for d in 1..6, and floats
 # m / 2^52 converted exactly, whose denominators reach 2^52.

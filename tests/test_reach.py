@@ -93,6 +93,20 @@ EDGE_ARGVS = [
     (2, ["growth", "--polytope", "{dir}/prism.json", "--vertex", "2,0,1", "--k", "200"]),
 ]
 
+# Argvs that cli.main's table parse declines, so that argparse parses them:
+# an unknown command or flag, a value on a store_true flag, a value int()
+# refuses, a flag with no value, and a "-"-led value, which argparse takes.
+ARGPARSE_ARGVS = [
+    (2, ["bogus"]),
+    (2, ["growth", "--bogus"]),
+    (2, ["growth", "--numeric=1"]),
+    (2, ["growth", "--samples", "x"]),
+    (2, ["growth", "--polytope"]),
+    (0, ["decompose", "--polytope", "{dir}/trapezoid.json", "--vertex", "3,0",
+         "--lams=-1,0"]),
+]
+EDGE_ARGVS += ARGPARSE_ARGVS
+
 # Run last, with GROWTHLAB_SEED set: the seed the report records.
 SEED_ARGV = ["check-delzant", "--polytope", "{dir}/trapezoid.json"]
 
