@@ -141,8 +141,8 @@ def cmd_growth(args):
                               numeric=args.numeric, samples=args.samples,
                               seed=_seed(args))
     if args.svg:
-        _svg_out(args.svg, _simplex_overlay(gc.polytope, report.seshadri.lp_value))
-    _emit(args, report.to_json_dict())
+        _svg_out(args.svg, _simplex_overlay(gc.polytope, pt.simplex_inclusion(gc.polytope)))
+    _emit(args, report)
     return 0
 
 
@@ -152,8 +152,8 @@ def cmd_volume(args):
            "volume_polytope": rat_str(pt.volume(gc.polytope))}
     if args.numeric:
         u = cf.logsumexp_from_polytope(gc.polytope, gc.k_levels[-1])
-        mc = gr.monge_ampere_volume_numeric(u, samples=args.samples, seed=_seed(args))
-        out["volume_MA_numeric"] = mc.to_json_dict()
+        out["volume_MA_numeric"] = gr.monge_ampere_volume_numeric(u, samples=args.samples,
+                                                                  seed=_seed(args))
     _emit(args, out)
     return 0
 
@@ -250,7 +250,7 @@ def cmd_embed_ball(args):
 
 def cmd_gromov(args):
     gc = _build(args)
-    _emit(args, em.gromov_lower_bound(gc).to_json_dict())
+    _emit(args, em.gromov_lower_bound(gc))
     return 0
 
 

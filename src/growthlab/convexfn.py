@@ -11,7 +11,6 @@ numerically stable formulas.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -203,15 +202,12 @@ def logsumexp_from_polytope(P, k):
     return SmoothToricPotential("lse", k=k, count=pt.lattice_count(P, k), polytope=P)
 
 
-@dataclass(frozen=True)
 class BoundedDifferenceCertificate:
     """Certified global bounds lower <= f - g <= upper: an exact lower end
     and a float upper end."""
 
-    lower: Fraction
-    upper: float
-    method: str
-    witnesses: dict
+    def __init__(self, lower, upper, method, witnesses):
+        self.lower, self.upper, self.method, self.witnesses = lower, upper, method, witnesses
 
     def to_json_dict(self):
         return {"lower": rat_str(self.lower), "upper": self.upper,

@@ -2,8 +2,6 @@
 
 import json
 import os
-from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import growth as gr
 from . import okounkov as ok
@@ -40,19 +38,17 @@ def load_user_corpus(directory):
     return entries
 
 
-@dataclass(frozen=True)
 class CorpusRow:
-    name: str
-    vertex: tuple
-    dim: int
-    volume_MA: Fraction | None
-    seshadri_lp: Fraction | None
-    seshadri_domination: Fraction | None
-    okounkov_identity: bool | None
-    gromov: Fraction | None
-    nth_root_volume: float | None
-    slack: float | None
-    error: str | None = None
+    """One row: its name and vertex, then the values of the normalized
+    polytope there, or the error text and only dim."""
+
+    def __init__(self, name, vertex, dim, volume_MA=None, seshadri_lp=None,
+                 seshadri_domination=None, okounkov_identity=None, gromov=None,
+                 nth_root_volume=None, slack=None, error=None):
+        self.name, self.vertex, self.dim, self.volume_MA = name, vertex, dim, volume_MA
+        self.seshadri_lp, self.seshadri_domination = seshadri_lp, seshadri_domination
+        self.okounkov_identity, self.gromov = okounkov_identity, gromov
+        self.nth_root_volume, self.slack, self.error = nth_root_volume, slack, error
 
     def to_json_dict(self):
         if self.error is not None:
@@ -77,7 +73,8 @@ def corpus_rows(entries, k_levels=(1, 2, 4)):
     normalized at its vertex, so within one call they are computed once per
     distinct Q and shared by its rows, a GrowthLabError's text included.
     Rows are looked up by Q's facets, read off P's with no elimination, and
-    only a new one builds Q."""
+    only a new one builds Q.  The shared values are CorpusRow's keywords
+    after name and vertex."""
     rows, by_q = [], {}
     for name, P in entries:
         try:
@@ -86,22 +83,19 @@ def corpus_rows(entries, k_levels=(1, 2, 4)):
         except GrowthLabError as e:
             failed = _error_row(P, e)
         for i, v in enumerate(P.vertices):
-            row = failed or _shared_row(P, i, v, by_q, k_levels)
-            rows.append(replace(row, name=name, vertex=v))
+            rows.append(CorpusRow(name, v, **(failed or _shared_row(P, i, v, by_q, k_levels))))
     return rows
 
 
 def _error_row(P, e):
-    return CorpusRow("", (), P.ambient_dim, None, None, None, None, None, None,
-                     None, error=f"{type(e).__name__}: {e}")
+    return {"dim": P.ambient_dim, "error": f"{type(e).__name__}: {e}"}
 
 
 def _shared_row(P, i, v, by_q, k_levels):
-    """The row at v, the i-th vertex of the Delzant P, name and vertex
-    blank, from by_q or computed into it.  by_q is keyed by the facets of
-    the normalized polytope Q in integers and lowest terms
-    (pt.normalized_facets), which determine Q; only a new key normalizes P
-    at v."""
+    """The shared values of the row at v, the i-th vertex of the Delzant P,
+    from by_q or computed into it.  by_q is keyed by the facets of the
+    normalized polytope Q in integers and lowest terms (pt.normalized_facets),
+    which determine Q; only a new key normalizes P at v."""
     key = pt.normalized_facets(P, i)
     if key not in by_q:
         try:
@@ -119,18 +113,10 @@ def _exact_row(gc):
     series = ok.GradedMonomialSeries.toric(gc.polytope, K_MAX_BODY)
     body = ok.okounkov_body(series)
     verdict = ok.volume_identity_check(body, vol)
-    return CorpusRow(
-        name="",
-        vertex=(),
-        dim=gc.dim,
-        volume_MA=vol,
-        seshadri_lp=ses.lp_value,
-        seshadri_domination=ses.domination_value,
-        okounkov_identity=bool(verdict.exact_equal),
-        gromov=ses.lp_value,
-        nth_root_volume=ses.upper_bound,
-        slack=ses.upper_bound - float(ses.lp_value),
-    )
+    return {"dim": gc.dim, "volume_MA": vol, "seshadri_lp": ses.lp_value,
+            "seshadri_domination": ses.domination_value,
+            "okounkov_identity": bool(verdict.exact_equal), "gromov": ses.lp_value,
+            "nth_root_volume": ses.upper_bound, "slack": ses.upper_bound - float(ses.lp_value)}
 
 
 def corpus_identities_hold(row):

@@ -1,5 +1,4 @@
-"""Ball gluing with the regularized max, Gromov-width reporting, and the
-volume obstruction.
+"""Ball gluing with the regularized max, and Gromov-width reporting.
 
 All gluing happens in logarithmic x-space, where the radius-R ball of
 z-space is X_R = {sum_i exp(x_i) <= R^2}.  The glued potential equals
@@ -9,14 +8,11 @@ regularized max on the band in between.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import convexfn as cf
 from . import growth as gr
 from . import polytope as pt
-from .errors import (DimensionMismatch, GrowthViolation, IncomparableFamilies,
-                     NonConvergence, NonpositiveEpsilon)
+from .errors import GrowthViolation, IncomparableFamilies, NonConvergence, NonpositiveEpsilon
 from .rationals import rat_str
 
 LOG_FLOOR = 1e-280  # |z_i|^2 clamp so x-space stays finite
@@ -25,62 +21,37 @@ PROFILE_T_LO = -30.0  # radial_profile's t runs from here to 2 ln R' + 5
 PROFILE_POINTS = 241  # at this many evenly spaced values
 
 
-@dataclass(frozen=True)
-class CheckSummary:
-    min_margin: float
-    points: int
-
-    def to_json_dict(self):
-        return {"min_margin": self.min_margin, "points": self.points}
-
-
-@dataclass(frozen=True)
-class ConvexitySummary:
-    min_slack: float
-    pairs: int
-
-    def to_json_dict(self):
-        return {"min_slack": self.min_slack, "pairs": self.pairs}
-
-
-@dataclass(frozen=True)
 class GluingCertificate:
-    R: float
-    C: float
-    R_prime: float
-    epsilon: float
-    inner_check: CheckSummary
-    band_check: CheckSummary
-    outer_check: CheckSummary
-    convexity_check: ConvexitySummary
-    seed: int
-    clamp_floor: float
+    """The sampled checks of a gluing: inner_check, band_check and
+    outer_check as {"min_margin", "points"}, convexity_check as
+    {"min_slack", "pairs"}."""
+
+    def __init__(self, R, C, R_prime, epsilon, inner_check, band_check, outer_check,
+                 convexity_check, seed, clamp_floor):
+        self.R, self.C, self.R_prime, self.epsilon = R, C, R_prime, epsilon
+        self.inner_check, self.band_check, self.outer_check = inner_check, band_check, outer_check
+        self.convexity_check, self.seed, self.clamp_floor = convexity_check, seed, clamp_floor
 
     @property
     def passing(self):
-        return (self.inner_check.min_margin > self.epsilon
-                and self.outer_check.min_margin > self.epsilon
-                and self.band_check.min_margin >= -1e-12
-                and self.convexity_check.min_slack >= -1e-12)
+        return (self.inner_check["min_margin"] > self.epsilon
+                and self.outer_check["min_margin"] > self.epsilon
+                and self.band_check["min_margin"] >= -1e-12
+                and self.convexity_check["min_slack"] >= -1e-12)
 
     def to_json_dict(self):
         return {"R": self.R, "C": self.C, "R_prime": self.R_prime,
-                "epsilon": self.epsilon,
-                "inner_check": self.inner_check.to_json_dict(),
-                "band_check": self.band_check.to_json_dict(),
-                "outer_check": self.outer_check.to_json_dict(),
-                "convexity_check": self.convexity_check.to_json_dict(),
+                "epsilon": self.epsilon, "inner_check": self.inner_check,
+                "band_check": self.band_check, "outer_check": self.outer_check,
+                "convexity_check": self.convexity_check,
                 "seed": self.seed, "clamp_floor": self.clamp_floor,
                 "method": "axis-margin", "passing": self.passing}
 
 
-@dataclass(frozen=True)
 class GluedPotential:
-    source: cf.SmoothToricPotential
-    target: cf.MaxAffineFunction
-    constant: float
-    epsilon: float
-    certificate: GluingCertificate
+    def __init__(self, source, target, constant, epsilon, certificate):
+        self.source, self.target, self.constant = source, target, constant
+        self.epsilon, self.certificate = epsilon, certificate
 
     def components(self, X, dtype=float):
         a = self.source.value_many(X, dtype=dtype) + dtype(self.constant)
@@ -114,24 +85,6 @@ def _sample_peak_x(rng, n, m_lo, m_hi, count):
     return X
 
 
-def volume_obstruction(source, gc):
-    """Necessary condition: total mass of the source cannot exceed the mass
-    of the growth class.  Exact on rational slope data."""
-    if source.dim != gc.dim:
-        raise DimensionMismatch("source dimension differs from the polytope")
-    S = source.slope_polytope
-    src_mass = math.factorial(gc.dim) * pt.volume(S)
-    tgt_mass = gr.monge_ampere_volume(gc)
-    return ObstructionVerdict(src_mass, tgt_mass, src_mass <= tgt_mass)
-
-
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    source_mass: Fraction
-    target_mass: Fraction
-    ok: bool
-
-
 def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     """Glue the source potential into the growth representative over the
     radius-R ball, with a sampled certificate.
@@ -139,7 +92,11 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     The source is a scaled Fubini-Study potential of weight lam.  The
     additive constant C uses the exact bound sup over X_R of (target -
     source) <= (c_max - lam) * 2 ln R, and the outer radius comes from the
-    exact axis-margin rate of properness.
+    exact axis-margin rate of properness.  The slope check is strict on
+    the facets of positive offset, so it holds exactly when lam is below
+    the Seshadri constant s of the normalized polytope: the axis margin
+    delta = s - lam is positive, and the source's mass, n! vol(lam Sigma),
+    is below the growth class's.
     """
     import numpy as np
     if not isinstance(source, cf.SmoothToricPotential) or source.family != "fs":
@@ -159,11 +116,6 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
         raise GrowthViolation(
             f"source escapes the growth condition at slope {witness['vertex']}",
             vertex=witness["vertex"], facet=witness["facet"])
-    obstruction = volume_obstruction(source, gc)
-    if not obstruction.ok:
-        raise GrowthViolation(
-            "source mass exceeds the growth condition mass "
-            f"({obstruction.source_mass} > {obstruction.target_mass})")
 
     n = gc.dim
     target = gc.representative
@@ -176,8 +128,6 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     C = eps + 1.0 + U0
 
     delta = pt.simplex_inclusion(gc.polytope) - lam
-    if delta <= 0:
-        raise GrowthViolation("no axis margin left for the source weight")
     M = C + eps + 1.0 + float(lam) * math.log(n + 1)
     two_log_rp = M / float(delta) + math.log(n)
     if two_log_rp / 2.0 > math.log(HORIZON):
@@ -201,17 +151,17 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
 
     glued = GluedPotential(source, target, C, eps, None)
     a_in, b_in = glued.components(X_in)
-    inner = CheckSummary(float((a_in - b_in).min()), len(X_in))
+    inner = {"min_margin": float((a_in - b_in).min()), "points": len(X_in)}
     a_out, b_out = glued.components(X_out)
-    outer = CheckSummary(float((b_out - a_out).min()), len(X_out))
+    outer = {"min_margin": float((b_out - a_out).min()), "points": len(X_out)}
     if len(X_band):
         a_bd, b_bd = glued.components(X_band)
         g_bd = cf.regularized_max_many(a_bd, b_bd, eps)
         over = g_bd - np.maximum(a_bd, b_bd)
-        band = CheckSummary(float(np.minimum(over, eps / 4.0 - over).min()),
-                            len(X_band))
+        band = {"min_margin": float(np.minimum(over, eps / 4.0 - over).min()),
+                "points": len(X_band)}
     else:
-        band = CheckSummary(0.0, 0)
+        band = {"min_margin": 0.0, "points": 0}
 
     pool = np.concatenate([X_in, X_band, X_out], axis=0) if len(X_band) \
         else np.concatenate([X_in, X_out], axis=0)
@@ -224,7 +174,7 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     g2 = glued.value_many(P2, dtype=ld)
     gm = glued.value_many(mid, dtype=ld)
     slack = float(((g1 + g2) / 2 - gm).min())
-    convexity = ConvexitySummary(slack, pairs)
+    convexity = {"min_slack": slack, "pairs": pairs}
 
     cert = GluingCertificate(R, C, R_prime, eps, inner, band, outer, convexity,
                              seed, LOG_FLOOR)
@@ -236,23 +186,12 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     return glued
 
 
-@dataclass(frozen=True)
-class GromovBound:
-    """Certified lower bound for the Gromov width: the Seshadri constant,
-    with the ball-radius translation pi r^2 = lambda."""
-
-    value: Fraction
-    ball_radius: float
-
-    def to_json_dict(self):
-        return {"value": rat_str(self.value),
-                "pi_r_squared": float(self.value),
-                "ball_radius": self.ball_radius}
-
-
 def gromov_lower_bound(gc):
+    """Certified lower bound for the Gromov width, as its report: the
+    Seshadri constant, with the ball-radius translation pi r^2 = lambda."""
     lam = pt.simplex_inclusion(gc.polytope)
-    return GromovBound(lam, math.sqrt(float(lam) / math.pi))
+    return {"value": rat_str(lam), "pi_r_squared": float(lam),
+            "ball_radius": math.sqrt(float(lam) / math.pi)}
 
 
 def radial_profile(glued):

@@ -12,7 +12,6 @@ samples the gradients of one of them, enumerates the points of kQ.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,17 +25,14 @@ MAX_SAMPLE_FLOATS = 10 ** 7  # floats a sample array may hold (80 MB)
 MAX_GRADIENT_FLOATS = 10 ** 8  # floats grad_many's scratch block may hold (800 MB)
 
 
-@dataclass(frozen=True)
 class GrowthCondition:
     """Growth class of a normalized Delzant polytope at the origin vertex.
     Its representative, the support function of the polytope, is built on
     first read: the corpus rows never read it."""
 
-    polytope: pt.Polytope
-    k_levels: tuple
-    c_max: Fraction
-    vertex: tuple
-    normalization: pt.UnimodularMap
+    def __init__(self, polytope, k_levels, c_max, vertex, normalization):
+        self.polytope, self.k_levels, self.c_max = polytope, k_levels, c_max
+        self.vertex, self.normalization = vertex, normalization
 
     @property
     def dim(self):
@@ -114,37 +110,23 @@ def monge_ampere_volume(gc):
     return math.factorial(gc.dim) * pt.volume(gc.polytope)
 
 
-@dataclass(frozen=True)
-class MonteCarloVolume:
-    value: float
-    k: int
-    samples: int
-    radius: float
-    seed: int
-
-    def to_json_dict(self):
-        return {"value": self.value, "k": self.k, "samples": self.samples,
-                "radius": self.radius, "seed": self.seed}
-
-
 def monge_ampere_volume_numeric(u, samples=10 ** 5, seed=0):
     """Monte-Carlo route: n! times the volume of the hull of sampled
-    softmax gradients of the log-sum-exp potential u = u_k."""
+    softmax gradients of the log-sum-exp potential u = u_k, as its report."""
     G = _sampled_gradients(u, samples, seed)
     if u.dim == 1:
         vol = float(G.max() - G.min())
     else:
         from scipy.spatial import ConvexHull
         vol = float(ConvexHull(G, qhull_options="QJ").volume)
-    return MonteCarloVolume(math.factorial(u.dim) * vol, u.k, samples, SAMPLE_RADIUS, seed)
+    return {"value": math.factorial(u.dim) * vol, "k": u.k, "samples": samples,
+            "radius": SAMPLE_RADIUS, "seed": seed}
 
 
-@dataclass(frozen=True)
 class SeshadriResult:
-    lp_value: Fraction
-    domination_value: Fraction
-    upper_bound: float
-    bisection_interval: tuple
+    def __init__(self, lp_value, domination_value, upper_bound, bisection_interval):
+        self.lp_value, self.domination_value = lp_value, domination_value
+        self.upper_bound, self.bisection_interval = upper_bound, bisection_interval
 
     @property
     def slack(self):
@@ -220,64 +202,25 @@ def decompose(gc, lams=None):
             for lam in lams}
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Everything the report emits for one (polytope, vertex) pair."""
-
-    name: str
-    dim: int
-    vertex: tuple
-    volume_MA: Fraction
-    volume_polytope: Fraction
-    volume_MA_numeric: MonteCarloVolume | None
-    seshadri: SeshadriResult
-    gap_inequality: tuple
-    c_max: Fraction
-    k_levels: tuple
-    certificates: dict
-    normalization: pt.UnimodularMap
-
-    def to_json_dict(self):
-        d = {"name": self.name,
-             "dim": self.dim,
-             "vertex": [rat_str(x) for x in self.vertex],
-             "volume_MA": rat_str(self.volume_MA),
-             "volume_polytope": rat_str(self.volume_polytope),
-             "seshadri": self.seshadri.to_json_dict(),
-             "gap_inequality": {"seshadri": rat_str(self.gap_inequality[0]),
-                                "nth_root_volume": self.gap_inequality[1]},
-             "c_max": rat_str(self.c_max),
-             "k_levels": list(self.k_levels),
-             "certificates": {str(k): c.to_json_dict()
-                              for k, c in self.certificates.items()},
-             "normalization": self.normalization.to_json_dict()}
-        if self.volume_MA_numeric is not None:
-            d["volume_MA_numeric"] = self.volume_MA_numeric.to_json_dict()
-        return d
-
-
 def growth_report(gc, name="polytope", numeric=False, samples=10 ** 5, seed=0):
-    """Assemble the full report for a growth condition: u_k at each of its
-    levels, once, with its certificate against the representative."""
-    vol = monge_ampere_volume(gc)
+    """The full report of a growth condition, as its JSON dict: u_k at each
+    of its levels, once, with its certificate against the representative."""
     potentials = {k: cf.logsumexp_from_polytope(gc.polytope, k) for k in gc.k_levels}
-    mc = None
-    if numeric:
-        mc = monge_ampere_volume_numeric(potentials[gc.k_levels[-1]], samples=samples,
-                                         seed=seed)
     ses = seshadri_constant(gc)
-    return GrowthReport(
-        name=name,
-        dim=gc.dim,
-        vertex=gc.vertex,
-        volume_MA=vol,
-        volume_polytope=pt.volume(gc.polytope),
-        volume_MA_numeric=mc,
-        seshadri=ses,
-        gap_inequality=(ses.lp_value, ses.upper_bound),
-        c_max=gc.c_max,
-        k_levels=gc.k_levels,
-        certificates={k: cf.sup_difference(u, gc.representative)
-                      for k, u in potentials.items()},
-        normalization=gc.normalization,
-    )
+    d = {"name": name,
+         "dim": gc.dim,
+         "vertex": [rat_str(x) for x in gc.vertex],
+         "volume_MA": rat_str(monge_ampere_volume(gc)),
+         "volume_polytope": rat_str(pt.volume(gc.polytope)),
+         "seshadri": ses.to_json_dict(),
+         "gap_inequality": {"seshadri": rat_str(ses.lp_value),
+                            "nth_root_volume": ses.upper_bound},
+         "c_max": rat_str(gc.c_max),
+         "k_levels": list(gc.k_levels),
+         "certificates": {str(k): cf.sup_difference(u, gc.representative).to_json_dict()
+                          for k, u in potentials.items()},
+         "normalization": gc.normalization.to_json_dict()}
+    if numeric:
+        d["volume_MA_numeric"] = monge_ampere_volume_numeric(
+            potentials[gc.k_levels[-1]], samples=samples, seed=seed)
+    return d

@@ -13,7 +13,6 @@ kB; a facet needs only the row end its normal points to.  Any other level
 is the hull of its row ends."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import convexfn as cf
@@ -68,12 +67,12 @@ def _row_ends(W):
     return [head + (x,) for head, xs in W.items() for x in {xs[0], xs[-1]}]
 
 
-@dataclass(frozen=True)
 class OkounkovBody:
-    """Per-degree normalized hulls of a monomial series and their limit."""
+    """Per-degree normalized hulls of a monomial series and their limit, a
+    Polytope or None."""
 
-    hull_at: dict
-    limit: pt.Polytope | None
+    def __init__(self, hull_at, limit):
+        self.hull_at, self.limit = hull_at, limit
 
     def to_json_dict(self):
         d = {"hull_at": {str(k): P.to_json_dict(with_facets=False)
@@ -139,12 +138,10 @@ def infinitesimal_map(B):
     return pt.UnimodularMap(matrix, (0,) * n).image(B, inverse(matrix))
 
 
-@dataclass(frozen=True)
 class VolumeIdentityVerdict:
-    exact_equal: bool | None
-    reference: Fraction
-    per_k_gap: dict
-    trend_nonincreasing: bool
+    def __init__(self, exact_equal, reference, per_k_gap, trend_nonincreasing):
+        self.exact_equal, self.reference = exact_equal, reference
+        self.per_k_gap, self.trend_nonincreasing = per_k_gap, trend_nonincreasing
 
 
 def volume_identity_check(body, vol_L):
@@ -192,6 +189,8 @@ def chebyshev_transform(u):
             lam = float(u.lam)
         except OverflowError:
             raise ValueError("Fubini-Study lambda is too large for a float") from None
+        if lam == 0:  # below the float range: entropy would divide by it
+            raise ValueError("Fubini-Study lambda is too small for a float")
         dom = u.slope_polytope
 
         def entropy(y):  # y in the domain, so every q >= 0

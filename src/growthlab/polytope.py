@@ -23,7 +23,6 @@ full-dimensional d-polytope of the heads of U P; D is the vertices' least
 denominator here too.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -59,14 +58,13 @@ from .rationals import (
 MAX_BOX_POINTS = 2_000_000
 
 
-@dataclass(frozen=True)
 class HalfSpace:
     """{x : <normal, x> <= offset}, the view of a stored facet a.x <= c / D:
     (D a, c) / gcd(D, c), a primitive integer vector, in dimension n > 1;
     normal (1,) or (-1,) and offset an endpoint in dimension 1."""
 
-    normal: tuple
-    offset: Fraction
+    def __init__(self, normal, offset):
+        self.normal, self.offset = normal, offset
 
     def to_json_dict(self):
         return {"normal": [rat_str(a) for a in self.normal],
@@ -79,12 +77,11 @@ def _scaled_normal(a, c, D):
     return tuple(D // g * x for x in a)
 
 
-@dataclass(frozen=True)
 class UnimodularMap:
     """Affine map p -> A (p - base) with A in GL(n, Z), given by integer rows."""
 
-    matrix: tuple
-    base: tuple
+    def __init__(self, matrix, base):
+        self.matrix, self.base = matrix, base
 
     def image(self, P, G):
         """The polytope A (P - base) of a full-dimensional P, given G = A^-1,
@@ -525,18 +522,15 @@ def hull(points):
     return P
 
 
-@dataclass(frozen=True)
 class DelzantVertexReport:
-    vertex: tuple
-    ok: bool
-    generators: tuple
-    determinant: Fraction | None
+    def __init__(self, vertex, ok, generators, determinant):
+        self.vertex, self.ok = vertex, ok
+        self.generators, self.determinant = generators, determinant
 
 
-@dataclass(frozen=True)
 class DelzantReport:
-    entries: tuple
-    ok: bool
+    def __init__(self, entries, ok):
+        self.entries, self.ok = entries, ok
 
     def failing_vertices(self):
         return [e.vertex for e in self.entries if not e.ok]

@@ -17,8 +17,11 @@ from operator import mul, sub
 
 # Fraction("1e-100000000") builds 10**100000000 and does not return: a
 # decimal exponent beyond the 4300 digits int() takes from a string is refused.
+# rat_str cannot print an int of more digits either, so a value read from a
+# string whose numerator or denominator has more is refused too.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_TOO_LONG = 10 ** MAX_EXPONENT  # the least int of more than MAX_EXPONENT digits
 
 
 def rat(x) -> Fraction:
@@ -31,9 +34,13 @@ def rat(x) -> Fraction:
             raise ValueError(f"exponent {exponent[1]} in {x!r} is beyond "
                              f"+-{MAX_EXPONENT}")
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
+        if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+            raise ValueError(f"{x!r} has a numerator or denominator of more than "
+                             f"{MAX_EXPONENT} digits")
+        return q
     return Fraction(x)
 
 

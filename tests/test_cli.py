@@ -547,12 +547,13 @@ EXACT_ARGVS = {
      for cmd in ("normalize", "growth", "volume", "seshadri", "decompose", "gromov")}
 
 # Run in a fresh interpreter, since this one has numpy and argparse loaded:
-# which of numpy, scipy and argparse `import growthlab.cli` loads, main's exit
-# code, and which are loaded after main, on the last line of stderr.
+# which of numpy, scipy, argparse, dataclasses and inspect `import
+# growthlab.cli` loads, main's exit code, and which are loaded after main, on
+# the last line of stderr.
 MODULE_PROBE = """
 import json, sys
 import growthlab.cli
-watched = ("numpy", "scipy", "argparse")
+watched = ("numpy", "scipy", "argparse", "dataclasses", "inspect")
 on_import = [m for m in watched if m in sys.modules]
 try:
     code = growthlab.cli.main(json.loads(sys.argv[1]))
@@ -573,7 +574,8 @@ def modules_loaded(argv):
 class TestImportHygiene:
     @pytest.mark.parametrize("argv", list(EXACT_ARGVS.values()), ids=list(EXACT_ARGVS))
     def test_exact_commands_load_no_float_stack(self, files, argv):
-        # a well-formed argv is read off the command table, without argparse
+        # a well-formed argv is read off the command table, without argparse;
+        # the records are plain classes, so neither dataclasses nor inspect loads
         argv = [a.format(**files) for a in argv]
         assert modules_loaded(argv) == [[], 0, []]
 

@@ -389,7 +389,7 @@ class TestSerialization:
         report = gr.growth_report(gc)
         # 1 and 2 count their own scans; 4 and 8 read the nodes 1, 2, 3
         assert calls == [1, 2, 3]
-        assert report.certificates[8].witnesses["lattice_count"] == 9 * 17 * 25
+        assert report["certificates"]["8"]["witnesses"]["lattice_count"] == 9 * 17 * 25
         u = cf.logsumexp_from_polytope(gc.polytope, 8)
         assert calls == [1, 2, 3]
         value_at(u, (0.5, -0.5, 0.25))

@@ -38,8 +38,13 @@ from _oracles import (
 )
 
 
+def facet_list(P):
+    """P's facets as (normal, offset) pairs, in P's order."""
+    return [(f.normal, f.offset) for f in P.facets]
+
+
 def facet_set(P):
-    return {(f.normal, f.offset) for f in P.facets}
+    return set(facet_list(P))
 
 
 def incidence(P):
@@ -752,11 +757,18 @@ class TestSerialization:
         assert ["1/2", "0"] in d["vertices"]
         assert pt.Polytope.from_json_dict(d) == P
 
-    @pytest.mark.parametrize("s, value", [("1e4300", F(10) ** 4300),
-                                          ("-1E-4300", -F(1, 10 ** 4300)),
+    @pytest.mark.parametrize("s, value", [("1e4299", F(10) ** 4299),
+                                          ("-1E-4299", -F(1, 10 ** 4299)),
                                           (" +2.5e+3 ", F(2500)), ("7E0", F(7))])
     def test_rat_takes_exponents_up_to_the_bound(self, s, value):
         assert rationals.rat(s) == value
+        assert rationals.rat_str(rationals.rat(s))
+
+    @pytest.mark.parametrize("s", ["1e4300", "-1E-4300", "123e4299", "1.23456e-4299"])
+    def test_rat_refuses_values_it_cannot_print(self, s):
+        # a numerator or denominator of 4301 digits is past int's str limit
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            rationals.rat(s)
 
     @pytest.mark.parametrize("s", ["1e4301", "-1E-4301", "+2.5e+4_301", " 1E100000000 ",
                                    "1e-100000000", "-3e-1_000_000"])
@@ -960,7 +972,7 @@ class TestIntegerKernel:
         Q = P.scaled(c)
         R = pt.Polytope.from_points([tuple(c * x for x in v) for v in P.vertices])
         assert Q.vertices == R.vertices
-        assert Q.facets == R.facets
+        assert facet_list(Q) == facet_list(R)
         assert pt.volume(Q) == pt.volume(R) == c ** P.ambient_dim * pt.volume(P)
         # the mapped incidence table holds the facets through each vertex
         assert incidence(Q) == {v: {i for i, f in enumerate(Q.facets) if dot(f.normal, v) == f.offset}
@@ -1032,7 +1044,7 @@ def assert_same_certified(Q, R):
     """The mapped Q and the re-hull R agree on vertices, facets, incidence
     and the volume of their boundary complexes."""
     assert Q.vertices == R.vertices
-    assert Q.facets == R.facets
+    assert facet_list(Q) == facet_list(R)
     assert incidence(Q) == incidence(R)
     assert pt.volume(Q) == pt.volume(R)
 
@@ -1105,7 +1117,7 @@ class TestChainedDenominators:
             facets = brute_force_facets(pts)
             assert S.vertices == R.vertices
             assert list(S.vertices) == brute_force_vertices(pts)
-            assert S.facets == R.facets
+            assert facet_list(S) == facet_list(R)
             if n > 1:  # the oracle's 1-d facets are primitive (normal, offset) pairs
                 assert facet_set(S) == facets
             assert pt.volume(S) == pt.volume(R)

@@ -43,7 +43,8 @@ ALLOWLIST = [
     ("the empty band between R and R': it needs n >= 10 and a Seshadri constant "
      "above 4, whose dilates the lattice-point budget refuses before any command "
      "glues, but fit_ball takes any growth condition",
-     ["embed.py:fit_ball: X_band = np.zeros", "embed.py:fit_ball: band = CheckSummary(0.0, 0)"]),
+     ["embed.py:fit_ball: X_band = np.zeros",
+      'embed.py:fit_ball: band = {"min_margin": 0.0, "points": 0}']),
     ("certificate check (a), a vertex of kB missing from W_k: a toric series "
      "holds every lattice point of kP",
      ["okounkov.py:_is_dilate: return False"]),
@@ -59,6 +60,7 @@ EDGE_SHAPES = {
     "skew_triangle": [["0", "0"], ["1", "2"], ["2", "1"]],
     "zero_denominator": [["1/0", "0"], ["1", "0"], ["0", "1"]],
     "null_coordinate": [[None, "0"], ["1", "0"], ["0", "1"]],
+    "mixed_lengths": [["0", "0"], ["1", "0", "0"], ["0", "1"]],
 }
 
 # (exit code, argv) with {dir} for the fixture directory.
@@ -75,12 +77,24 @@ EDGE_ARGVS = [
     (0, ["chebyshev", "--fs-lambda", "3"]),
     (0, ["chebyshev", "--fs-lambda", "3/2", "--dim", "3"]),
     (2, ["chebyshev", "--fs-lambda", "1e400"]),
+    # a float of 0.0 below the float range, and a weight of 0
+    (2, ["chebyshev", "--fs-lambda", "1e-400"]),
+    (2, ["chebyshev", "--fs-lambda", "0"]),
     (0, ["chebyshev", "--polytope", "{dir}/trapezoid.json", "--vertex", "3,0", "--k", "2"]),
     (0, ["embed-ball", "--polytope", "{dir}/trapezoid.json", "--vertex", "3,0",
          "--fs-lambda", "1/2", "--samples", "200", "--profile", "{dir}/profile.csv"]),
     # too large a weight: GrowthViolation with its vertex and facet
     (2, ["embed-ball", "--polytope", "{dir}/trapezoid.json", "--vertex", "3,0",
          "--fs-lambda", "3"]),
+    (2, ["embed-ball", "--polytope", "{dir}/trapezoid.json", "--vertex", "3,0",
+         "--fs-lambda", "1/2", "--R", "0"]),
+    (2, ["seshadri", "--polytope", "{dir}/trapezoid.json", "--vertex", "3,0", "--tol", "0"]),
+    # a tolerance whose denominator has 4301 digits, which rat_str cannot print
+    (2, ["seshadri", "--polytope", "{dir}/trapezoid.json", "--vertex", "3,0",
+         "--tol", "1e-4300"]),
+    (2, ["check-delzant", "--polytope", "{dir}/mixed_lengths.json"]),
+    # the golden conv{(0,1/2), (3/2,0)} has no lattice point at k = 1
+    (2, ["okounkov", "--polytope", "{dir}/rational_segment.json", "--k-max", "1"]),
     (2, ["okounkov", "--polytope", "{dir}/point.json"]),
     (2, ["normalize", "--polytope", "{dir}/point.json", "--vertex", "1,1"]),
     (2, ["okounkov", "--polytope", "{dir}/no_vertices.json"]),
