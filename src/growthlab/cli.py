@@ -33,7 +33,6 @@ from .errors import (
     EmptySupport,
     GrowthLabError,
     GrowthViolation,
-    IncomparableFamilies,
     NonpositiveEpsilon,
     NotDelzantVertex,
     NotLatticePolytope,
@@ -43,7 +42,7 @@ from .rationals import rat, rat_str
 
 PRECONDITION_ERRORS = (
     GrowthViolation, NotDelzantVertex, NotLatticePolytope, NotNormalized,
-    DegenerateInput, DimensionMismatch, IncomparableFamilies, EmptySupport,
+    DegenerateInput, DimensionMismatch, EmptySupport,
     EmptyInput, NonpositiveEpsilon, OSError,
     json.JSONDecodeError, ValueError,
 )

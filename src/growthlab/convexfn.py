@@ -1,13 +1,16 @@
-"""Convex functions on R^n: the support function of a polytope, smooth
-toric potentials, the Legendre transform, radial decomposition and the
-regularized max.
+"""Convex functions on R^n in the pairings of the toric dictionary.
 
-In the toric case the growth condition is its moment polytope, so the
+In the toric case the growth condition is its moment polytope P, so the
 polyhedral representative is the support function h_P of an exact vertex
-set, with every offset 0.  Its conjugate is the indicator of P (Rockafellar,
-Convex Analysis, section 13), and its radial components are the support
-functions of P's slices.  Smooth families evaluate in floating point with
-numerically stable formulas.
+set, with every offset 0.  Each function here serves one partner of it:
+the log-sum-exp potential u_k over the lattice points of kP is bounded
+against h_P by ln N(k)/k (sup_difference); the scaled Fubini-Study
+potential FS_lam, of slope polytope lam Sigma, is the source glued into h_P
+over a ball, when lam Sigma lies strictly inside P (slope_inclusion_witness,
+regularized_max_many); the conjugate of h_P is the indicator of P
+(Rockafellar, Convex Analysis, section 13), and its radial components are
+the support functions of P's slices.  Smooth potentials evaluate in
+floating point with numerically stable formulas.
 """
 
 import math
@@ -15,14 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import polytope as pt
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyInput,
-    IncomparableFamilies,
-    NonpositiveEpsilon,
-    NotNormalized,
-)
+from .errors import EmptyInput, NotNormalized
 from .lp import envelope_min
 from .rationals import dot, rat, rat_str, vec
 
@@ -37,12 +33,8 @@ class MaxAffineFunction:
     exact vertices of a polytope, each with offset 0; immutable."""
 
     def __init__(self, slopes):
-        if not slopes:
-            raise EmptyInput("a support function needs at least one vertex")
         self.slopes = tuple(sorted(vec(s) for s in slopes))
         self.dim = len(self.slopes[0])
-        if any(len(s) != self.dim for s in self.slopes):
-            raise DimensionMismatch("slopes of mixed dimension")
 
     @classmethod
     def support_function(cls, P):
@@ -78,37 +70,37 @@ class ConvexConjugate:
     indicator of P: 0 on P and infinite off it."""
 
     def __init__(self, h):
-        self.slopes, self.dim = h.slopes, h.dim
+        self.slopes = h.slopes
 
     def __call__(self, y):
-        y = vec(y)
-        if len(y) != self.dim:
-            raise DimensionMismatch("point has wrong dimension")
-        best = envelope_min(self.slopes, [0] * len(self.slopes), y)
+        best = envelope_min(self.slopes, [0] * len(self.slopes), vec(y))
         return INF if best is None else best
 
 
 class SmoothToricPotential:
-    """Smooth convex function from a named family.
+    """A smooth toric potential of one of two families, each paired with
+    the support function h_P of one polytope P:
 
-    lse:    (1/k) ln sum over the exponents a of exp(<a, x>), the N(k)
-            lattice points of kP; they are listed from P's scan of kP only
-            when u_k is evaluated (logsumexp_from_polytope)
-    fs:     lam * ln(1 + sum_i exp(x_i))      (scaled Fubini-Study potential)
+    lse:    u_k = (1/k) ln sum over the exponents a of exp(<a, x>), the
+            N(k) = lattice_count lattice points of kP; they are listed from
+            P's scan of kP only when u_k is evaluated
+            (logsumexp_from_polytope).  It is bounded against h_P by
+            ln N(k)/k (sup_difference).
+    fs:     FS_lam = lam * ln(1 + sum_i exp(x_i)), the scaled Fubini-Study
+            potential of slope polytope lam Sigma: the source that
+            embed.fit_ball glues into h_P over a ball.
     """
 
     def __init__(self, family, *, k=None, count=None, lam=None, dim=None,
                  polytope=None):
         """lse takes its slope polytope P and the number N(k) of lattice
-        points of kP (polytope.lattice_count)."""
+        points of kP (polytope.lattice_count); fs takes lam and dim."""
         self.family = family
         if family == "lse":
             self.k = int(k)
-            if polytope is None:
-                raise ValueError("log-sum-exp needs its slope polytope")
             self.dim = polytope.ambient_dim
-            self._polytope, self._count = polytope, count
-        elif family == "fs":
+            self._polytope, self.lattice_count = polytope, count
+        else:
             self.lam = rat(lam)
             if self.lam <= 0:
                 raise ValueError("scaled Fubini-Study needs lam > 0")
@@ -117,18 +109,10 @@ class SmoothToricPotential:
                 raise ValueError("scaled Fubini-Study needs dim >= 1")
             if self.dim > MAX_FS_DIM:
                 raise ValueError(f"scaled Fubini-Study needs dim <= {MAX_FS_DIM}")
-        else:
-            raise ValueError(f"unknown family {family!r}")
 
     @classmethod
     def fubini_study(cls, lam, dim):
         return cls("fs", lam=lam, dim=dim)
-
-    @property
-    def lattice_count(self):
-        if self.family != "lse":
-            raise IncomparableFamilies("lattice count only defined for lse")
-        return self._count
 
     @cached_property
     def exponents(self):
@@ -203,8 +187,8 @@ def logsumexp_from_polytope(P, k):
 
 
 class BoundedDifferenceCertificate:
-    """Certified global bounds lower <= f - g <= upper: an exact lower end
-    and a float upper end."""
+    """Certified global bounds lower <= u_k - h_P <= upper: an exact lower
+    end and a float upper end."""
 
     def __init__(self, lower, upper, method, witnesses):
         self.lower, self.upper, self.method, self.witnesses = lower, upper, method, witnesses
@@ -214,22 +198,14 @@ class BoundedDifferenceCertificate:
                 "method": self.method, "witnesses": dict(self.witnesses)}
 
 
-def sup_difference(f, g):
-    """Certificate for inf/sup of f - g, for a log-sum-exp potential u_k over
-    P against the support function h_P: the analytic bound
-    0 <= u_k - h_P <= ln N(k)/k.  g is h_P exactly when its slopes are the
-    vertices of P."""
-    if isinstance(f, SmoothToricPotential) and f.family == "lse" \
-            and isinstance(g, MaxAffineFunction):
-        if g.slopes != f.slope_polytope.vertices:
-            raise IncomparableFamilies(
-                "log-sum-exp is bounded only against its polytope's support function")
-        n_count = f.lattice_count
-        return BoundedDifferenceCertificate(
-            Fraction(0), math.log(n_count) / f.k, "lattice-count",
-            {"lattice_count": n_count, "k": f.k, "tight_at": "origin"})
-    raise IncomparableFamilies(
-        f"cannot bound difference of {type(f).__name__} and {type(g).__name__}")
+def sup_difference(u):
+    """Certificate for inf/sup of u_k - h_P, for the log-sum-exp potential
+    u = u_k over P (logsumexp_from_polytope) against P's own support
+    function h_P, the one partner it has: the analytic bound
+    0 <= u_k - h_P <= ln N(k)/k, read off u's count N(k) with no h_P built."""
+    return BoundedDifferenceCertificate(
+        Fraction(0), math.log(u.lattice_count) / u.k, "lattice-count",
+        {"lattice_count": u.lattice_count, "k": u.k, "tight_at": "origin"})
 
 
 def radial_component(h, lam):
@@ -243,13 +219,10 @@ def radial_component(h, lam):
 
 
 def slope_inclusion_witness(A, B):
-    """Shared core of the growth comparison: strict inclusion of slope
-    polytopes (strict only on positive-offset facets), with a violation
-    witness (vertex, facet) when it fails."""
-    if A.ambient_dim != B.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    if not B.is_full_dim:
-        raise DegenerateInput("target slope polytope must be full-dimensional")
+    """Whether the Fubini-Study source of slope polytope A = lam Sigma grows
+    slower than the growth condition of the normalized polytope B, both
+    n-dimensional: A inside B, strictly on B's facets of positive offset,
+    with a violation witness (vertex of A, facet of B) when it fails."""
     for facet in B.facets:
         vals = [(dot(facet.normal, v), v) for v in A.vertices]
         m, vtx = max(vals)
@@ -260,9 +233,8 @@ def slope_inclusion_witness(A, B):
 
 
 def regularized_max_many(a, b, eps):
-    """Vectorized regularized max; branch values match max(a, b) bitwise."""
-    if eps <= 0:
-        raise NonpositiveEpsilon("regularization width must be positive")
+    """Vectorized regularized max of width eps > 0, which glues source + C
+    into the target over the ball; branch values match max(a, b) bitwise."""
     import numpy as np
     a = np.asarray(a)
     b = np.asarray(b)

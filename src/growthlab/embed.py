@@ -12,7 +12,7 @@ import math
 from . import convexfn as cf
 from . import growth as gr
 from . import polytope as pt
-from .errors import GrowthViolation, IncomparableFamilies, NonConvergence, NonpositiveEpsilon
+from .errors import GrowthViolation, NonConvergence, NonpositiveEpsilon
 from .rationals import rat_str
 
 LOG_FLOOR = 1e-280  # |z_i|^2 clamp so x-space stays finite
@@ -99,8 +99,6 @@ def fit_ball(gc, source, R, epsilon=0.25, samples=1000, pairs=10 ** 4, seed=0):
     is below the growth class's.
     """
     import numpy as np
-    if not isinstance(source, cf.SmoothToricPotential) or source.family != "fs":
-        raise IncomparableFamilies("ball gluing needs a scaled Fubini-Study source")
     if not (math.isfinite(R) and math.isfinite(epsilon)):
         raise ValueError("ball radius and epsilon must be finite")
     if R <= 0:

@@ -25,10 +25,6 @@ class DimensionMismatch(GrowthLabError):
     """Operands live in different ambient dimensions."""
 
 
-class IncomparableFamilies(GrowthLabError):
-    """The two convex functions belong to families we cannot compare."""
-
-
 class EmptySupport(GrowthLabError):
     """A valuation was requested for an empty exponent support."""
 

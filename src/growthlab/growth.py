@@ -204,7 +204,8 @@ def decompose(gc, lams=None):
 
 def growth_report(gc, name="polytope", numeric=False, samples=10 ** 5, seed=0):
     """The full report of a growth condition, as its JSON dict: u_k at each
-    of its levels, once, with its certificate against the representative."""
+    of its levels, once, with its certificate 0 <= u_k - h_Q <= ln N(k)/k
+    against the representative h_Q, read off N(k) with no h_Q built."""
     potentials = {k: cf.logsumexp_from_polytope(gc.polytope, k) for k in gc.k_levels}
     ses = seshadri_constant(gc)
     d = {"name": name,
@@ -217,7 +218,7 @@ def growth_report(gc, name="polytope", numeric=False, samples=10 ** 5, seed=0):
                             "nth_root_volume": ses.upper_bound},
          "c_max": rat_str(gc.c_max),
          "k_levels": list(gc.k_levels),
-         "certificates": {str(k): cf.sup_difference(u, gc.representative).to_json_dict()
+         "certificates": {str(k): cf.sup_difference(u).to_json_dict()
                           for k, u in potentials.items()},
          "normalization": gc.normalization.to_json_dict()}
     if numeric:

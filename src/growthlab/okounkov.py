@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import convexfn as cf
 from . import polytope as pt
-from .errors import DimensionMismatch, EmptySupport, IncomparableFamilies
+from .errors import EmptySupport
 from .rationals import dot, inverse, rat_str
 
 
@@ -33,10 +33,8 @@ class GradedMonomialSeries:
         self.rows = {int(k): W for k, W in rows.items() if W}
         if not self.rows:
             raise EmptySupport("series has no nonempty degree")
-        dims = {len(head) + 1 for W in self.rows.values() for head in W}
-        if len(dims) != 1:
-            raise DimensionMismatch("exponents of mixed dimension")
-        self.dim = dims.pop()
+        W = next(iter(self.rows.values()))
+        self.dim = len(next(iter(W))) + 1
         self.polytope = polytope
 
     @classmethod
@@ -138,30 +136,11 @@ def infinitesimal_map(B):
     return pt.UnimodularMap(matrix, (0,) * n).image(B, inverse(matrix))
 
 
-class VolumeIdentityVerdict:
-    def __init__(self, exact_equal, reference, per_k_gap, trend_nonincreasing):
-        self.exact_equal, self.reference = exact_equal, reference
-        self.per_k_gap, self.trend_nonincreasing = per_k_gap, trend_nonincreasing
-
-
 def volume_identity_check(body, vol_L):
-    """Compare n! times body volumes against a reference volume.
-
-    Exact equality verdict when the body has stabilized; otherwise the
-    per-degree gaps and whether they are non-increasing in k.
-    """
-    vol_L = Fraction(vol_L)
-    gaps = {}
-    n = next(iter(body.hull_at.values())).ambient_dim
-    fact = math.factorial(n)
-    for k, P in sorted(body.hull_at.items()):
-        gaps[k] = abs(fact * pt.volume(P) - vol_L)
-    exact = None
-    if body.limit is not None:
-        exact = fact * pt.volume(body.limit) == vol_L
-    vals = [gaps[k] for k in sorted(gaps)]
-    trend = all(b <= a for a, b in zip(vals, vals[1:]))
-    return VolumeIdentityVerdict(exact, vol_L, gaps, trend)
+    """Whether n! vol(limit) of the body equals the reference volume vol_L
+    exactly; None when its levels disagree and there is no limit."""
+    B = body.limit
+    return None if B is None else math.factorial(B.ambient_dim) * pt.volume(B) == vol_L
 
 
 class ChebyshevTransform:
@@ -182,9 +161,12 @@ class ChebyshevTransform:
 
 
 def chebyshev_transform(u):
+    """The transform of h_P (an exact LP), of FS_lam (closed form) or of the
+    log-sum-exp u_k (numeric, certified by ln N(k)/k): the three inputs that
+    the chebyshev command builds."""
     if isinstance(u, cf.MaxAffineFunction):
         return ChebyshevTransform("exact-lp", u.slope_polytope, cf.ConvexConjugate(u))
-    if isinstance(u, cf.SmoothToricPotential) and u.family == "fs":
+    if u.family == "fs":
         try:
             lam = float(u.lam)
         except OverflowError:
@@ -199,24 +181,21 @@ def chebyshev_transform(u):
             return lam * sum(c * math.log(c) for c in q if c > 0)
 
         return ChebyshevTransform("closed-form", dom, entropy)
-    if isinstance(u, cf.SmoothToricPotential) and u.family == "lse":
-        dom = u.slope_polytope
-        width = math.log(u.lattice_count) / u.k
+    width = math.log(u.lattice_count) / u.k
 
-        def numeric(y):
-            import numpy as np
-            from scipy.optimize import minimize
-            yf = np.array([float(c) for c in y])
+    def numeric(y):
+        import numpy as np
+        from scipy.optimize import minimize
+        yf = np.array([float(c) for c in y])
 
-            def obj(x):
-                return float(u.value_many(x[None, :])[0]) - float(yf @ x)
+        def obj(x):
+            return float(u.value_many(x[None, :])[0]) - float(yf @ x)
 
-            def grad(x):
-                return u.grad_many(x[None, :])[0] - yf
+        def grad(x):
+            return u.grad_many(x[None, :])[0] - yf
 
-            res = minimize(obj, np.zeros(len(yf)), jac=grad, method="BFGS",
-                           options={"gtol": 1e-12, "maxiter": 500})
-            return -float(res.fun)
+        res = minimize(obj, np.zeros(len(yf)), jac=grad, method="BFGS",
+                       options={"gtol": 1e-12, "maxiter": 500})
+        return -float(res.fun)
 
-        return ChebyshevTransform("numeric", dom, numeric, certificate=(-width, 0.0))
-    raise IncomparableFamilies("no Chebyshev transform for this input")
+    return ChebyshevTransform("numeric", u.slope_polytope, numeric, certificate=(-width, 0.0))

@@ -158,8 +158,6 @@ class Polytope:
         dimension and the first simplex of a full-dimensional hull."""
         pts = [tuple(x if type(x) is int else rat(x) for x in p) for p in points]
         if ambient_dim is None:
-            if not pts:
-                raise DegenerateInput("ambient dimension unknown for empty input")
             ambient_dim = len(pts[0])
         if any(len(p) != ambient_dim for p in pts):
             raise DimensionMismatch("points of mixed dimension")
@@ -708,10 +706,6 @@ def lattice_count(P, k):
     N(1), ..., N(n), whose boxes hold fewer points than kP's.  The
     differences are taken once per polytope, with Delta^n N(0) = n! vol(P)
     checked.  The box of kP is first checked by dilate_boxes."""
-    if not P.is_full_dim:
-        raise DegenerateInput("a lattice count needs a full-dimensional polytope")
-    if P.denom != 1:
-        raise NotLatticePolytope("vertices must be integral")
     k, n = int(k), P.ambient_dim
     if k <= n:
         return row_count(_rows(P, k))
@@ -799,8 +793,6 @@ def slice_vertices(P, normal, value):
     value = p / q and residuals r = q (normal.X) - p D of the numerators X,
     the edge X_i X_j crosses where r_i r_j < 0, at (X_i r_j - X_j r_i) /
     ((r_j - r_i) D)."""
-    if not P.is_full_dim:
-        raise DegenerateInput("a slice needs a full-dimensional polytope")
     value = rat(value)
     p, q, D, X = value.numerator, value.denominator, P.denom, P.int_vertices
     r = [q * dot(normal, Y) - p * D for Y in X]

@@ -200,6 +200,4 @@ def inverse(A):
 def primitive_integer(v):
     """The primitive integer vector in the direction of a nonzero integer v."""
     g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)

@@ -119,7 +119,7 @@ def test_criterion_5_equivalence_bound_sampled():
         hx = h.eval_many(X)
         for k in gc.k_levels:
             u = cf.logsumexp_from_polytope(gc.polytope, k)
-            width = cf.sup_difference(u, h).upper
+            width = cf.sup_difference(u).upper
             gap = u.value_many(X) - hx
             assert gap.min() >= -SAMPLED_TOL, (name, k)
             assert gap.max() <= width + SAMPLED_TOL, (name, k)
@@ -158,8 +158,7 @@ def test_criterion_7_okounkov_toric():
         body = ok.okounkov_body(ok.GradedMonomialSeries.toric(gc.polytope, 3))
         assert all(B == gc.polytope for B in body.hull_at.values())
         assert body.limit == gc.polytope
-        verdict = ok.volume_identity_check(body, vol)
-        assert verdict.exact_equal
+        assert ok.volume_identity_check(body, vol) is True
         n = gc.dim
         for perm in permutations(range(n)):
             permuted = pt.Polytope.from_points(

@@ -8,7 +8,7 @@ from growthlab import convexfn as cf
 from growthlab import embed as em
 from growthlab import growth as gr
 from growthlab import polytope as pt
-from growthlab.errors import GrowthViolation, IncomparableFamilies, NonpositiveEpsilon
+from growthlab.errors import GrowthViolation, NonpositiveEpsilon
 from growthlab.rationals import dot
 
 from _oracles import brute_force_facets, brute_force_lattice_points, ehrhart_volume_3d, pick_area
@@ -90,24 +90,6 @@ class TestFitBall:
         # a growth violation still reports first
         with pytest.raises(GrowthViolation):
             em.fit_ball(gc_square, fs(F(5, 2)), 10, epsilon=-10.0)
-
-    def test_affine_source_rejected(self, gc_square):
-        aff = cf.MaxAffineFunction([(F(1, 2), F(1, 2))])
-        with pytest.raises(IncomparableFamilies):
-            em.fit_ball(gc_square, aff, 5)
-
-    def test_lse_source_glues(self, gc_square):
-        # the ball is glued from a Fubini-Study source only: an lse source
-        # whose slope polytope fits inside the target is refused for its family
-        inner = cf.logsumexp_from_polytope(SIGMA, 2)
-        with pytest.raises(IncomparableFamilies):
-            em.fit_ball(gc_square, inner, 5, seed=5)
-
-    def test_lse_source_violation(self, gc_sigma):
-        # the family check comes before the slope-inclusion check
-        outer = cf.logsumexp_from_polytope(SIGMA, 1)  # slope polytope = target
-        with pytest.raises(IncomparableFamilies):
-            em.fit_ball(gc_sigma, outer, 2)
 
 
 class TestGluingIdentity:

@@ -45,7 +45,7 @@ class TestBuild:
         assert gc_sigma.k_levels == (1, 2, 4)
         for k in gc_sigma.k_levels:
             u = cf.logsumexp_from_polytope(gc_sigma.polytope, k)
-            cert = cf.sup_difference(u, gc_sigma.representative)
+            cert = cf.sup_difference(u)
             assert cert.lower == 0
             assert float(cert.upper) == pytest.approx(expected[k])
 
@@ -318,7 +318,7 @@ class TestLevelEquivalence:
 
     def test_versus_representative(self, gc_trap):
         u1 = cf.logsumexp_from_polytope(gc_trap.polytope, 1)
-        cert = cf.sup_difference(u1, gc_trap.representative)
+        cert = cf.sup_difference(u1)
         assert cert.lower == 0
         assert float(cert.upper) == pytest.approx(math.log(6))
 

@@ -417,10 +417,6 @@ class TestLatticePoints:
         assert cube._ehrhart == (1, 15, 50, 60, 24)
 
     def test_lattice_count_refuses_non_lattice_input(self):
-        with pytest.raises(NotLatticePolytope):
-            pt.lattice_count(pt.box([F(3, 2), 1]), 3)
-        with pytest.raises(DegenerateInput):
-            pt.lattice_count(pt.Polytope.from_points([(0, 0), (2, 1)]), 3)
         with pytest.raises(ValueError, match="positive"):
             pt.lattice_count(SQUARE, 0)
         with pytest.raises(ValueError, match="limit"):
@@ -666,11 +662,6 @@ class TestSlice:
 
     def test_empty_slice_is_a_value(self):
         assert pt.slice_vertices(SIGMA, (1, 1), 2) == []
-
-    def test_refuses_lower_dimensional(self):
-        seg = pt.Polytope.from_points([(0, 0), (2, 1)])
-        with pytest.raises(DegenerateInput):
-            pt.slice_vertices(seg, (1, 0), 1)
 
     def test_builds_no_hull(self, monkeypatch):
         P = pt.box([2, 3, 1])
